@@ -127,9 +127,7 @@ def _cmd_limitlaw(args) -> int:
     target = parse_target(args.target, model.alphabet_size)
     config = {"analysis": "limitlaw", "model": process.to_dict(model),
               "target": {"n": target.n, "kappa": target.kappa}, "s0": args.s0}
-    cert, tail = scaling.scale_certificate(model, target)
-    tail = scaling.extend_for_verification(model, target, tail, cert.lam)
-    ret = exact.return_tail(model, target, tail.horizon)
+    cert, tail, ret = limitlaw.certified_tails(model, target)
     F = limitlaw.make_F(tail, cert.lam, cert.mu_A)
     G = limitlaw.make_G(ret, cert.lam, cert.mu_A)
     t_max = 0.9 * F.t_max
@@ -216,11 +214,9 @@ def _cmd_sweep(args) -> int:
     with _output(args.out) as fp:
         _config_header(fp, config)
         limitlaw.write_diagnostics_csv(fp, rows)
-    if args.assert_:
-        certs = scaling.lambda_trajectory(model, point, n_range)
-        for cert in certs:
-            if cert.regime == "quantitative" and not all(cert.checks.values()):
-                return EXIT_ASSERTION
+    if args.assert_ and any(r.cert.regime == "quantitative" and not all(r.cert.checks.values())
+                            for r in rows):
+        return EXIT_ASSERTION
     return EXIT_OK
 
 

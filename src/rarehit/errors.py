@@ -41,6 +41,14 @@ class HorizonTooShortError(RarehitError):
     """The tail distribution does not extend far enough for the request."""
 
 
+class InvalidTailError(RarehitError):
+    """A tail table is not a survival function, or a tail request is malformed."""
+
+
+class ConsistencyError(RarehitError):
+    """A computed result broke an identity or inequality that must hold."""
+
+
 class HorizonMismatchError(RarehitError):
     """Two tails must share a common horizon to be compared."""
 

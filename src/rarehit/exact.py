@@ -4,14 +4,17 @@ The event {window of length n starting at position k lies in A} is tracked
 with a multi-pattern failure-link automaton (all patterns share length n, so
 the accepting states are exactly the word-terminal trie nodes).  The
 automaton is composed with the source memory (last emitted symbol, which is
-all a first-order Markov chain needs) and the state distribution is pushed
-one symbol at a time, moving mass that enters acceptance into an absorbing
-class.  A brute-force enumeration oracle provides an independent check.
+all a first-order Markov chain needs), and a resumable ``TailEngine`` pushes
+the state distribution through the survival kernel in blocks of steps,
+accumulating the mass absorbed by the event beside the surviving mass.  A
+brute-force enumeration oracle provides an independent check.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +23,7 @@ import scipy.sparse.linalg as spla
 from .errors import (
     EnumerationTooLargeError,
     HorizonNonPositiveError,
+    InvalidTailError,
     SingularSystemError,
     ZeroMeasureSetError,
 )
@@ -28,7 +32,9 @@ from .targets import TargetSet, measure
 
 BRUTE_FORCE_CAP = 2 * 10 ** 7
 _DENSE_LIMIT = 600  # composed-state count below which dense matrices win
+_BLOCK = 128  # steps per block push on dense chains
 _MONOTONE_SLACK = 1e-12
+_CSV_ROWS = 4096  # rows formatted per write: bounded memory at any horizon
 
 
 @dataclass(frozen=True)
@@ -37,30 +43,41 @@ class TailDistribution:
 
     ``kind`` is "hitting" or "return"; for returns the measure is the
     conditional one on A.  ``source`` records how the table was produced.
+    ``absorbed``, when present, is F(k) = mu(tau_A <= k) accumulated from
+    non-negative increments, exact to full relative precision where 1 - H(k)
+    cancels; ``engine`` is the TailEngine that can extend the table.
     """
 
     kind: str
     values: np.ndarray
     mu_A: float
     source: str
+    absorbed: np.ndarray | None = field(default=None, repr=False, compare=False)
+    engine: "TailEngine | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.values
         if v.ndim != 1 or v.size < 1:
             raise HorizonNonPositiveError("tail needs at least H(0)")
         if abs(v[0] - 1.0) > 1e-9:
-            raise ValueError(f"H(0) must be 1, got {v[0]!r}")
+            raise InvalidTailError(f"H(0) must be 1, got {v[0]!r}")
         if np.any(np.diff(v) > _MONOTONE_SLACK):
-            raise ValueError("tail must be non-increasing")
+            raise InvalidTailError("tail must be non-increasing")
 
     @property
     def horizon(self) -> int:
         return self.values.size - 1
 
+    @property
+    def cdf(self) -> np.ndarray:
+        """F(k) = mu(tau_A <= k): the absorbed mass when carried, else 1 - H."""
+        return 1.0 - self.values if self.absorbed is None else self.absorbed
+
     def truncated(self, K: int) -> "TailDistribution":
         if K > self.horizon:
             raise HorizonNonPositiveError(f"cannot truncate to {K} > horizon {self.horizon}")
-        return TailDistribution(self.kind, self.values[:K + 1].copy(), self.mu_A, self.source)
+        absorbed = None if self.absorbed is None else self.absorbed[:K + 1].copy()
+        return replace(self, values=self.values[:K + 1].copy(), absorbed=absorbed)
 
 
 class OccurrenceAutomaton:
@@ -125,10 +142,13 @@ def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
 class _ComposedChain:
     """Markov chain over (automaton state, last symbol) pairs.
 
-    ``full`` is the one-step kernel; ``surv`` drops every transition into an
-    accepting automaton state, so pushing with it loses exactly the mass
-    absorbed by the event.  Kernels are stored transposed so a push is a
-    single matrix-vector product.
+    ``fullT`` is the one-step kernel; ``survT`` drops every transition into
+    an accepting automaton state, so pushing with it loses exactly the mass
+    absorbed by the event, and ``absorb`` is each state's one-step
+    probability of entering acceptance, summed from those transitions.
+    Kernels are stored transposed so a push is a single matrix-vector
+    product.  Dense chains push ``block`` steps at a time; sparse ones one,
+    since powers of a sparse kernel fill in.
     """
 
     def __init__(self, model: ProcessModel, aut: OccurrenceAutomaton):
@@ -151,7 +171,9 @@ class _ComposedChain:
         self.q = q
         self.aut = aut
         self.model = model
+        self.absorb = np.where(into_accept, data_full, 0.0).sum(axis=1)
         self.dense = size <= _DENSE_LIMIT
+        self.block = _BLOCK if self.dense else 1
         if self.dense:
             Mf = np.zeros((size, size))
             Ms = np.zeros((size, size))
@@ -159,14 +181,40 @@ class _ComposedChain:
             Ms[rows, cols.ravel()] = data_surv.ravel()
             self.fullT = Mf.T.copy()
             self.survT = Ms.T.copy()
-            self._surv = Ms
         else:
             shape = (size, size)
             Mf = sp.csr_matrix((data_full.ravel(), (rows, cols.ravel())), shape=shape)
             Ms = sp.csr_matrix((data_surv.ravel(), (rows, cols.ravel())), shape=shape)
             self.fullT = Mf.T.tocsr()
             self.survT = Ms.T.tocsr()
-            self._surv = Ms
+
+    @cached_property
+    def block_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, size) arrays R with rows (M_s^j 1)^T and A with rows
+        (M_s^(j-1) a)^T, for j = 1..B.
+
+        For the live vector v at the start of a block, R @ v is H at the
+        block's B steps and A @ v the mass absorbed at each of them.
+        """
+        B = self.block
+        M = self.survT.T
+        R = np.empty((B, self.size))
+        A = np.empty((B, self.size))
+        r = np.ones(self.size)
+        a = self.absorb
+        for j in range(B):
+            A[j] = a
+            r = M @ r
+            R[j] = r
+            a = M @ a
+        return R, A
+
+    @cached_property
+    def block_push(self):
+        """(M_s^T)^B: moves the live vector on by one block."""
+        if self.block == 1:
+            return self.survT
+        return np.linalg.matrix_power(self.survT, self.block)
 
     def initial_hitting(self) -> np.ndarray:
         """Distribution after emitting the first symbol from stationarity."""
@@ -185,69 +233,107 @@ class _ComposedChain:
                 v[self.aut.run(w) * self.q + w[-1]] += p / mu_A
         return v
 
-    def push_full(self, v: np.ndarray) -> np.ndarray:
-        return self.fullT @ v
-
-    def push_surv(self, v: np.ndarray) -> np.ndarray:
-        return self.survT @ v
-
     def expected_absorption_times(self) -> np.ndarray:
         """Solve t = 1 + M_surv t (expected steps to first acceptance)."""
         if self.dense:
-            A = np.eye(self.size) - self._surv
+            A = np.eye(self.size) - self.survT.T
             try:
                 return np.linalg.solve(A, np.ones(self.size))
             except np.linalg.LinAlgError as e:
                 raise SingularSystemError(str(e)) from e
-        A = sp.identity(self.size, format="csc") - self._surv.tocsc()
+        A = sp.identity(self.size, format="csc") - self.survT.T.tocsc()
         t = spla.spsolve(A, np.ones(self.size))
         if not np.all(np.isfinite(t)):
             raise SingularSystemError("absorption-time system is singular")
         return t
 
 
-def _absorbing_tail(chain: _ComposedChain, v: np.ndarray, K: int) -> np.ndarray:
-    H = np.empty(K + 1)
-    H[0] = 1.0
-    for k in range(1, K + 1):
-        v = chain.push_surv(v)
-        H[k] = v.sum()
-    # Clamp float dust so monotonicity holds exactly.
-    np.minimum.accumulate(H, out=H)
-    np.clip(H, 0.0, 1.0, out=H)
-    return H
+class TailEngine:
+    """Resumable exact tail of one kind ("hitting" or "return") for one
+    (model, target).
+
+    The engine keeps the composed chain and the live vector and only ever
+    pushes steps it has not pushed before.  Blocks are aligned from k = 0,
+    so an engine extended in several calls matches a fresh one bit for bit.
+    Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
+    every increment is non-negative, so F never cancels.  Pass ``chain`` to
+    share one chain (and its block matrices) between engines of the same
+    model and target.
+    """
+
+    def __init__(self, model: ProcessModel, target: TargetSet, kind: str = "hitting",
+                 chain: _ComposedChain | None = None):
+        if chain is None:
+            chain = _ComposedChain(model, build_automaton(target, model.alphabet_size))
+        mu_A = measure(model, target)
+        if kind == "hitting":
+            # The window at position 0 does not count for hitting: the first
+            # n symbols are pushed without absorption.
+            v = chain.initial_hitting()
+            for _ in range(target.n - 1):
+                v = chain.fullT @ v
+        elif kind == "return":
+            if mu_A <= 0.0:
+                raise ZeroMeasureSetError("target has zero measure")
+            v = chain.initial_return(target, mu_A)
+        else:
+            raise InvalidTailError(f"kind must be hitting or return, got {kind!r}")
+        self.kind = kind
+        self.mu_A = mu_A
+        self.chain = chain
+        self.steps = 0  # steps pushed so far, a multiple of the block length
+        self._v = v  # live vector at the start of the last pushed block
+        self._H = np.ones(1)
+        self._F = np.zeros(1)
+
+    def extend(self, K: int) -> TailDistribution:
+        """H(k) and F(k) for k = 0..K, pushing only the steps still missing.
+
+        The returned arrays are read-only views of the engine's buffers,
+        whose first ``steps + 1`` entries never change.
+        """
+        if K < 1:
+            raise HorizonNonPositiveError("K must be >= 1")
+        k0 = self.steps
+        if K > k0:
+            B = self.chain.block
+            k1 = k0 + -(-(K - k0) // B) * B
+            R, A = self.chain.block_rows
+            # The live vector lags one block behind, so a single-block tail
+            # never builds the block power.
+            push = self.chain.block_push if k1 > B else None
+            H = np.empty(k1 + 1)
+            F = np.empty(k1 + 1)
+            H[:k0 + 1] = self._H
+            F[:k0 + 1] = self._F
+            v = self._v
+            for k in range(k0, k1, B):
+                if k:
+                    v = push @ v
+                np.dot(R, v, out=H[k + 1:k + B + 1])
+                np.dot(A, v, out=F[k + 1:k + B + 1])
+            # Clamp float dust so monotonicity holds exactly; both fix-ups
+            # run left to right, so they agree with a single pass from k = 0.
+            np.minimum.accumulate(H[k0:], out=H[k0:])
+            np.clip(H[k0:], 0.0, 1.0, out=H[k0:])
+            np.cumsum(F[k0:], out=F[k0:])
+            np.minimum(F[k0:], 1.0, out=F[k0:])
+            self._v, self._H, self._F, self.steps = v, H, F, k1
+        H = self._H[:K + 1]
+        F = self._F[:K + 1]
+        H.flags.writeable = False
+        F.flags.writeable = False
+        return TailDistribution(self.kind, H, self.mu_A, "exact", absorbed=F, engine=self)
 
 
 def hitting_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:
-    """Exact H(k) = mu(tau_A > k), k = 0..K.
-
-    The first n symbols are pushed without absorption (the window at position
-    0 does not count for hitting), then each further symbol completes the
-    window at the next position and absorbs the mass that matched.
-    """
-    if K < 1:
-        raise HorizonNonPositiveError("K must be >= 1")
-    aut = build_automaton(target, model.alphabet_size)
-    chain = _ComposedChain(model, aut)
-    v = chain.initial_hitting()
-    for _ in range(target.n - 1):
-        v = chain.push_full(v)
-    H = _absorbing_tail(chain, v, K)
-    return TailDistribution("hitting", H, measure(model, target), "exact")
+    """Exact H(k) = mu(tau_A > k), k = 0..K."""
+    return TailEngine(model, target, "hitting").extend(K)
 
 
 def return_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:
     """Exact mu(tau_A > k | A), k = 0..K."""
-    if K < 1:
-        raise HorizonNonPositiveError("K must be >= 1")
-    mu_A = measure(model, target)
-    if mu_A <= 0.0:
-        raise ZeroMeasureSetError("target has zero measure")
-    aut = build_automaton(target, model.alphabet_size)
-    chain = _ComposedChain(model, aut)
-    v = chain.initial_return(target, mu_A)
-    H = _absorbing_tail(chain, v, K)
-    return TailDistribution("return", H, mu_A, "exact")
+    return TailEngine(model, target, "return").extend(K)
 
 
 def return_expectation(model: ProcessModel, target: TargetSet) -> float:
@@ -320,13 +406,15 @@ def write_tails_csv(fp, hit: TailDistribution | None, ret: TailDistribution | No
     """Tail export: columns k, H_hit, H_ret with metadata header lines."""
     ref = hit or ret
     if ref is None:
-        raise ValueError("need at least one tail")
+        raise InvalidTailError("need at least one tail")
     if hit is not None and ret is not None and hit.horizon != ret.horizon:
-        raise ValueError("tails must share a horizon for joint export")
+        raise InvalidTailError("tails must share a horizon for joint export")
     fp.write(f"# mu_A={ref.mu_A!r}\n")
     fp.write(f"# source={ref.source}\n")
     fp.write("k,H_hit,H_ret\n")
-    for k in range(ref.horizon + 1):
-        a = repr(float(hit.values[k])) if hit is not None else ""
-        b = repr(float(ret.values[k])) if ret is not None else ""
-        fp.write(f"{k},{a},{b}\n")
+    rows = ref.horizon + 1
+    for lo in range(0, rows, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, rows)
+        a, b = (repeat("", hi - lo) if t is None else map(repr, t.values[lo:hi].tolist())
+                for t in (hit, ret))
+        fp.write("".join(f"{k},{x},{y}\n" for k, x, y in zip(range(lo, hi), a, b)))

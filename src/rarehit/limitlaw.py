@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridEmptyError, HorizonTooShortError
-from .exact import TailDistribution, return_tail
+from .exact import TailDistribution, TailEngine
 from .process import ProcessModel
-from .scaling import scale_certificate, extend_for_verification
+from .scaling import ScaleCertificate, verification_tail
 from .targets import TargetSet
 
 
@@ -146,6 +146,7 @@ class DiagnosticsRow:
     d_hit: float
     d_ret: float
     bound: float
+    cert: ScaleCertificate
 
 
 def _sup_dev_hitting(tail: TailDistribution, lam: float, mu_A: float) -> float:
@@ -171,6 +172,15 @@ def _sup_dev_return(tail: TailDistribution, lam: float, mu_A: float, s0: float) 
     return max(float(left.max()), float(right.max()), trunc)
 
 
+def certified_tails(model: ProcessModel, target: TargetSet,
+                    ) -> tuple[ScaleCertificate, TailDistribution, TailDistribution]:
+    """Scale certificate, the hitting tail extended for verification and the
+    return tail to the same horizon, both pushed on one composed chain."""
+    cert, hit = verification_tail(model, target)
+    ret = TailEngine(model, target, "return", chain=hit.engine.chain).extend(hit.horizon)
+    return cert, hit, ret
+
+
 def convergence_diagnostics(model: ProcessModel, targets_by_n: dict[int, TargetSet],
                          s0: float = 0.05) -> list[DiagnosticsRow]:
     """Per-n sup-deviations of the rescaled laws from the exponential, with
@@ -178,14 +188,12 @@ def convergence_diagnostics(model: ProcessModel, targets_by_n: dict[int, TargetS
     rows = []
     for n in sorted(targets_by_n):
         target = targets_by_n[n]
-        cert, tail = scale_certificate(model, target)
-        tail = extend_for_verification(model, target, tail, cert.lam)
-        ret = return_tail(model, target, tail.horizon)
+        cert, tail, ret = certified_tails(model, target)
         d_hit = _sup_dev_hitting(tail, cert.lam, cert.mu_A)
         d_ret = _sup_dev_return(ret, cert.lam, cert.mu_A, s0)
         bound = 12.0 * math.sqrt(cert.d) + 2.0 * cert.mu_A
         rows.append(DiagnosticsRow(n, cert.mu_A, cert.lam, cert.delta,
-                                   d_hit, d_ret, bound))
+                                   d_hit, d_ret, bound, cert))
     return rows
 
 

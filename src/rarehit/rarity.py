@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import EnumerationTooLargeError, RateExceedsEntropyError
+from .errors import ConsistencyError, EnumerationTooLargeError, RateExceedsEntropyError
 from .exact import hitting_tail
 from .process import ProcessModel, entropy
 from .targets import TargetSet, measure, union
@@ -36,8 +36,10 @@ class RarityBound:
     surrogate: bool
 
     def __post_init__(self):
-        assert self.m * self.k >= self.n
-        assert self.epsilon_n >= 0.0
+        if self.m * self.k < self.n:
+            raise ConsistencyError(f"blocks m*k = {self.m * self.k} do not cover n = {self.n}")
+        if not self.epsilon_n >= 0.0:
+            raise ConsistencyError(f"epsilon_n = {self.epsilon_n!r} is not a probability bound")
 
 
 def _aep_deficiency(model: ProcessModel, N: int, h: float,
@@ -158,15 +160,15 @@ def mixed_union_check(model: ProcessModel,
         term0 = n * measure(model, a0) if a0 is not None else 0.0
         term1 = 0.0
         if a1 is not None:
-            term1 = 1.0 - hitting_tail(model, a1, n).values[n]
+            term1 = float(hitting_tail(model, a1, n).cdf[n])
         parts = [t for t in (a0, a1) if t is not None]
         if not parts:
             raise ValueError(f"no target at n={n}")
         combined = parts[0] if len(parts) == 1 else union(parts)
-        true_value = 1.0 - hitting_tail(model, combined, n).values[n]
+        true_value = float(hitting_tail(model, combined, n).cdf[n])
         bound = term0 + term1
         if true_value > bound + 1e-10:
-            raise AssertionError(
+            raise ConsistencyError(
                 f"union bound violated at n={n}: {true_value} > {bound}")
         rows.append(MixedUnionRow(n, term0, term1, bound, true_value))
     return rows

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import HorizonTooShortError, ZeroTailError
-from .exact import TailDistribution, hitting_tail
+from .errors import HorizonTooShortError, InvalidTailError, ZeroTailError
+from .exact import TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
 from .targets import TargetSet, measure
 
@@ -70,6 +70,11 @@ class VerificationReport:
                 "truncation": self.truncation, "passed": self.passed}
 
 
+def _smallness(F: np.ndarray, n: int, alpha_n: float) -> float:
+    """d = 2*mu(tau_A <= n) + alpha(n)."""
+    return float(2.0 * F[n] + alpha_n)
+
+
 def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertificate:
     """Select the scale s from a hitting tail; lambda is left unset.
 
@@ -78,12 +83,11 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
     certificate checks need).
     """
     if tail.kind != "hitting":
-        raise ValueError("scale_search needs a hitting tail")
-    H = tail.values
+        raise InvalidTailError("scale_search needs a hitting tail")
     if tail.horizon < n:
         raise HorizonTooShortError(f"horizon {tail.horizon} < n={n}")
-    F = 1.0 - H  # F[j] = mu(tau <= j)
-    d = float(2.0 * F[n] + alpha_n)
+    F = tail.cdf  # F[j] = mu(tau <= j)
+    d = _smallness(F, n, alpha_n)
     delta = 3.0 * math.sqrt(d)
     regime = "quantitative" if delta < DELTA_QUANTITATIVE else "trivial"
     sd = math.sqrt(d)
@@ -118,10 +122,15 @@ def compute_lambda(tail: TailDistribution, cert: ScaleCertificate,
         # Threshold unreachable (delta >= 1/4 and sqrt(d) >= 1): the
         # explicit bound exceeds 3, so any lambda satisfies it.
         return replace(cert, lam=1.0, nominal=True)
-    Hval = float(tail.values[cert.s - 2 * cert.n])
-    if Hval <= 0.0:
+    k = cert.s - 2 * cert.n
+    Hval = float(tail.values[k])
+    Fval = float(tail.cdf[k])
+    if Hval <= 0.0 or Fval >= 1.0:
         raise ZeroTailError("H(s-2n) = 0; lambda undefined")
-    lam = -math.log(Hval) / (cert.s * mu_A)
+    # Whichever of F and H = 1 - F is below one half is the one known to
+    # full relative precision.
+    log_H = math.log1p(-Fval) if Fval < 0.5 else math.log(Hval)
+    lam = -log_H / (cert.s * mu_A)
     checks = dict(cert.checks)
     checks["lambda_positive"] = lam > 0.0
     if cert.regime == "quantitative":
@@ -134,14 +143,25 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
                       max_steps: int = MAX_TAIL_STEPS,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
     """Full pipeline: exact hitting tail with auto-extended horizon, scale
-    search, and lambda.  The horizon doubles until the search succeeds."""
+    search, and lambda.  The horizon doubles until the search succeeds, on
+    one engine that pushes each step once.
+
+    Raises HorizonTooShortError before the doubling when the threshold
+    cannot be reached within ``max_steps``: by stationarity
+    mu(tau <= j) <= j*mu(A), so the crossing needs j >= sqrt(d)/mu(A).
+    """
     n = target.n
     if alpha_n is None:
         alpha_n = alpha_bound(model, n)
-    mu_A = measure(model, target)
+    engine = TailEngine(model, target)
+    sd = math.sqrt(_smallness(engine.extend(n).cdf, n, alpha_n))
+    if sd < 1.0 and sd > engine.mu_A * (max_steps - 2 * n):
+        raise HorizonTooShortError(
+            f"threshold sqrt(d)={sd:.3g} with mu(A)={engine.mu_A:.3g} needs more "
+            f"than {max_steps} steps")
     K = max(4 * n, 64)
     while True:
-        tail = hitting_tail(model, target, K)
+        tail = engine.extend(K)
         try:
             cert = scale_search(tail, n, alpha_n)
             break
@@ -149,7 +169,7 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
             if K >= max_steps:
                 raise
             K = min(2 * K, max_steps)
-    cert = compute_lambda(tail, cert, mu_A)
+    cert = compute_lambda(tail, cert, engine.mu_A)
     return cert, tail
 
 
@@ -158,15 +178,38 @@ def extend_for_verification(model: ProcessModel, target: TargetSet,
                             target_residual: float = TRUNCATION_TARGET,
                             max_steps: int = MAX_TAIL_STEPS) -> TailDistribution:
     """Grow the hitting tail until both H(K) and exp(-lam*mu*K) fall below
-    the truncation target."""
+    the truncation target, resuming the tail's engine when it has one.
+
+    Raises HorizonTooShortError at once when exp(-lam*mu*K) cannot fall
+    below the target within ``max_steps``.
+    """
     mu = tail.mu_A
+    if math.log(1.0 / target_residual) > lam * mu * max_steps:
+        raise HorizonTooShortError(
+            f"exp(-lam*mu*K) <= {target_residual:g} needs K > cap {max_steps}")
+    engine = tail.engine or TailEngine(model, target)
     K = tail.horizon
     while tail.values[-1] > target_residual or math.exp(-lam * mu * K) > target_residual:
         if K >= max_steps:
             raise HorizonTooShortError(f"needed horizon exceeds cap {max_steps}")
         K = min(2 * K, max_steps)
-        tail = hitting_tail(model, target, K)
+        tail = engine.extend(K)
     return tail
+
+
+def verification_tail(model: ProcessModel, target: TargetSet,
+                      alpha_n: float | None = None,
+                      ) -> tuple[ScaleCertificate, TailDistribution]:
+    """Scale certificate and the hitting tail extended for verification.
+
+    Refuses with HorizonTooShortError before any push when H(K) cannot reach
+    the truncation target within the step cap: H(K) >= 1 - K*mu(A).
+    """
+    if 1.0 - TRUNCATION_TARGET > measure(model, target) * MAX_TAIL_STEPS:
+        raise HorizonTooShortError(
+            f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
+    cert, tail = scale_certificate(model, target, alpha_n=alpha_n)
+    return cert, extend_for_verification(model, target, tail, cert.lam)
 
 
 def verify_exponential_bound(tail: TailDistribution, lam: float, mu_A: float,
@@ -192,8 +235,7 @@ def verify(model: ProcessModel, target: TargetSet,
            alpha_n: float | None = None,
            ) -> tuple[ScaleCertificate, VerificationReport, TailDistribution]:
     """Certificate + explicit-bound verification on exact tails."""
-    cert, tail = scale_certificate(model, target, alpha_n=alpha_n)
-    tail = extend_for_verification(model, target, tail, cert.lam)
+    cert, tail = verification_tail(model, target, alpha_n=alpha_n)
     report = verify_exponential_bound(tail, cert.lam, cert.mu_A, cert)
     return cert, report, tail
 

@@ -12,7 +12,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import ExpansionTooLargeError, RankMismatchError, SymbolOutOfRangeError
+from .errors import (
+    ConsistencyError,
+    ExpansionTooLargeError,
+    RankMismatchError,
+    SymbolOutOfRangeError,
+)
 from .process import ProcessModel, cylinder_measure
 
 HAMMING_EXPANSION_CAP = 10 ** 6
@@ -85,7 +90,8 @@ def hamming_ball(center, D: float, q: int, cap: int = HAMMING_EXPANSION_CAP) -> 
                     w[i] = s
                 words.append(tuple(w))
     ts = _normalize(words, f"hamming_ball(center={''.join(map(str, c))},D={D})")
-    assert ts.kappa == size
+    if ts.kappa != size:
+        raise ConsistencyError(f"expanded {ts.kappa} distinct words, the ball has {size}")
     return ts
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rarehit import cli, cylinder, hitting_tail, uniform_iid
+from rarehit import cli, cylinder, hitting_tail, scaling, uniform_iid
 from rarehit.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -134,3 +134,27 @@ def test_missing_subcommand_exit_config(capsys):
 
 def test_help_exit_ok():
     assert main(["--help"]) == EXIT_OK
+
+
+def test_unreachable_scale_exit_resource(tmp_path):
+    code, _ = run(["lambda", "--model", "iid-uniform-2",
+                   "--target", "cyl:" + ",".join(["1"] * 60)], tmp_path)
+    assert code == EXIT_RESOURCE
+    code, _ = run(["verify", "--model", "iid-uniform-2",
+                   "--target", "cyl:" + ",".join(["1"] * 40), "--assert"], tmp_path)
+    assert code == EXIT_RESOURCE
+
+
+def test_sweep_assert_builds_each_certificate_once(tmp_path, monkeypatch):
+    calls = []
+    real = scaling.scale_certificate
+
+    def counted(model, target, *a, **kw):
+        calls.append(target.n)
+        return real(model, target, *a, **kw)
+
+    monkeypatch.setattr(scaling, "scale_certificate", counted)
+    code, _ = run(["sweep", "--model", "iid-uniform-2", "--point", "0,1",
+                   "--n-min", "2", "--n-max", "6", "--assert"], tmp_path)
+    assert code == EXIT_OK
+    assert calls == [2, 3, 4, 5, 6]

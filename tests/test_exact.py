@@ -1,11 +1,14 @@
+import hashlib
 import io
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarehit import (
     brute_force_tail,
+    cli,
     build_automaton,
     cylinder,
     errors,
@@ -179,3 +182,101 @@ def test_dense_and_sparse_paths_agree():
     t = hitting_tail(UNIFORM2, A, 10)
     b = brute_force_tail(UNIFORM2, A, 10, "hitting")
     assert np.max(np.abs(t.values - b.values)) <= 1e-12
+
+
+def test_tail_cli_output_golden(tmp_path):
+    # Dyadic case: every H value is exact in binary, so the bytes pin the
+    # CSV format (header, reprs, empty cells) independently of push order.
+    out = tmp_path / "tail.csv"
+    assert cli.main(["tail", "--model", "iid-uniform-2", "--target", "cyl:1,0,1",
+                     "--K", "40", "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4ac93108fa5fc156db0ae6e94dcb1c86684a4efa06798a2011e612d142c0d48a")
+
+
+def test_write_tails_csv_golden():
+    rng = np.random.default_rng(0)
+    H = np.concatenate(([1.0], np.sort(rng.random(30))[::-1]))
+    G = np.concatenate(([1.0], np.sort(rng.random(30))[::-1] ** 3))
+    hit = exact.TailDistribution("hitting", H, 0.1, "exact")
+    ret = exact.TailDistribution("return", G, 0.1, "exact")
+    digests = []
+    for pair in ((hit, ret), (hit, None), (None, ret)):
+        buf = io.StringIO()
+        exact.write_tails_csv(buf, *pair)
+        digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    assert digests == [
+        "d2f22bb0a9d5cb7ce60a8cb5e6a9c810b6a9548403f512d32889d7e7612da078",
+        "8e4a394149864a4b679b9fba16a2ef179ea6cf9bda4f6133d8419892f4fbdc6b",
+        "b1a7e7705be0e7ca359effe748857ed02af789ed92316399c25eb8f74082ec65",
+    ]
+
+
+def _step_by_step(chain, v, K):
+    """Reference push, one step at a time: H from the surviving mass, F from
+    the mass absorbed at each step."""
+    H, F = [1.0], [0.0]
+    for _ in range(K):
+        F.append(F[-1] + chain.absorb @ v)
+        v = chain.survT @ v
+        H.append(v.sum())
+    return np.array(H), np.array(F)
+
+
+@st.composite
+def _engine_cases(draw):
+    q = draw(st.integers(2, 3))
+    probs = st.floats(0.05, 1.0)
+    if draw(st.booleans()):
+        P = np.array([[draw(probs) for _ in range(q)] for _ in range(q)])
+        model = markov(P / P.sum(axis=1, keepdims=True))
+    else:
+        p = np.array([draw(probs) for _ in range(q)])
+        model = iid(p / p.sum())
+    n = draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    target = union([cylinder(w) for w in draw(st.lists(word, min_size=1, max_size=3))])
+    kind = draw(st.sampled_from(["hitting", "return"]))
+    K2 = draw(st.integers(2, 400))
+    return model, target, kind, draw(st.integers(1, K2 - 1)), K2
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(case=_engine_cases())
+def test_engine_matches_step_by_step_and_resumes_exactly(dense, case):
+    model, target, kind, K1, K2 = case
+    with pytest.MonkeyPatch.context() as mp:
+        if not dense:
+            mp.setattr(exact, "_DENSE_LIMIT", 0)
+        engine = exact.TailEngine(model, target, kind)
+        fresh = exact.TailEngine(model, target, kind).extend(K2)
+    assert engine.chain.dense is dense
+    v = (engine.chain.initial_hitting() if kind == "hitting"
+         else engine.chain.initial_return(target, engine.mu_A))
+    for _ in range(target.n - 1 if kind == "hitting" else 0):
+        v = engine.chain.fullT @ v
+    H, F = _step_by_step(engine.chain, v, K2)
+    engine.extend(K1)
+    resumed = engine.extend(K2)
+    assert np.max(np.abs(resumed.values - H)) <= 1e-12
+    assert np.max(np.abs(resumed.absorbed - F)) <= 1e-12
+    assert np.array_equal(resumed.values, fresh.values)
+    assert np.array_equal(resumed.absorbed, fresh.absorbed)
+
+
+def test_absorbed_mass_keeps_precision_for_tiny_mu():
+    # H(0) - H(1) = mu(A) by stationarity; 1 - H(1) cancels for tiny mu(A)
+    # (off by 0.7% at 0.6^60), the accumulated F(1) does not.
+    t = hitting_tail(UNIFORM2, cylinder([1] * 40), 1)
+    assert t.cdf[1] == pytest.approx(2.0 ** -40, rel=1e-12, abs=0)
+    model = iid([0.4, 0.6])
+    t = hitting_tail(model, cylinder([1] * 60), 1)
+    assert t.cdf[1] == pytest.approx(0.6 ** 60, rel=1e-12, abs=0)
+
+
+def test_invalid_tail_tables_raise_typed_errors():
+    with pytest.raises(errors.InvalidTailError):
+        exact.TailDistribution("hitting", np.array([0.9, 0.5]), 0.1, "exact")
+    with pytest.raises(errors.InvalidTailError):
+        exact.TailDistribution("hitting", np.array([1.0, 0.5, 0.6]), 0.1, "exact")

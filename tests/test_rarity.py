@@ -150,3 +150,17 @@ def test_rarity_csv():
     lines = buf.getvalue().splitlines()
     assert lines[0].startswith("n,kappa,h,k,m,epsilon_n")
     assert lines[1].startswith("10,1,")
+
+
+def test_invalid_rarity_bound_raises_typed_error():
+    with pytest.raises(errors.ConsistencyError):
+        rarity.RarityBound(10, 1, 0.3, 2, 4, 0.0, 0.1, False)  # m*k < n
+    with pytest.raises(errors.ConsistencyError):
+        rarity.RarityBound(10, 1, 0.3, 2, 5, 0.0, -0.1, False)
+
+
+def test_mixed_union_violation_raises_typed_error(monkeypatch):
+    # With mu(A0) reported as 0 the bound drops below the true hitting mass.
+    monkeypatch.setattr(rarity, "measure", lambda model, target: 0.0)
+    with pytest.raises(errors.ConsistencyError):
+        rarity.mixed_union_check(UNIFORM2, {4: cylinder([1] * 4)}, {}, (4,))

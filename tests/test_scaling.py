@@ -7,6 +7,7 @@ from rarehit import (
     TailDistribution,
     cylinder,
     errors,
+    exact,
     hitting_tail,
     scaling,
     uniform_iid,
@@ -145,3 +146,41 @@ def test_certificate_json():
     assert isinstance(d["checks"]["minimality"], bool)
     import json
     json.loads(cert.to_json())
+
+
+def test_unreachable_threshold_refused_before_doubling(monkeypatch):
+    # mu(1^60) = 2^-60: mu(tau <= j) <= j*mu(A) puts the crossing of
+    # sqrt(d) ~ 7e-9 beyond 10^9 steps, so no horizon is pushed past n.
+    horizons = []
+    real = exact.TailEngine.extend
+
+    def recorded(self, K):
+        horizons.append(K)
+        if K > 10 ** 4:
+            raise AssertionError(f"pushed to K={K} before refusing")
+        return real(self, K)
+
+    monkeypatch.setattr(exact.TailEngine, "extend", recorded)
+    with pytest.raises(errors.HorizonTooShortError):
+        scale_certificate(UNIFORM2, cylinder([1] * 60))
+    assert horizons == [60]
+
+
+def test_unverifiable_horizon_refused_at_once():
+    # H(K) >= 1 - K*mu(A) needs K ~ 2^40 for H(K) <= 1e-4.
+    with pytest.raises(errors.HorizonTooShortError):
+        verify(UNIFORM2, cylinder([1] * 40))
+    # exp(-lam*mu*K) <= 1e-4 needs K ~ 9.2/(lam*2^-12) > 1000: no push.
+    cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 12))
+    steps = tail.engine.steps
+    with pytest.raises(errors.HorizonTooShortError):
+        scaling.extend_for_verification(UNIFORM2, cylinder([1] * 12), tail, cert.lam,
+                                        max_steps=1000)
+    assert tail.engine.steps == steps
+
+
+def test_certificate_reads_accumulated_F():
+    cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 12))
+    j = cert.s - 2 * cert.n
+    assert cert.d == 2.0 * tail.absorbed[cert.n]
+    assert cert.lam == -math.log1p(-tail.absorbed[j]) / (cert.s * cert.mu_A)

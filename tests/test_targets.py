@@ -119,3 +119,9 @@ def test_from_dict_specs():
     u = targets.from_dict(
         {"union": [{"cylinder": "0,0"}, {"cylinder": "1,1"}]}, 2)
     assert u.kappa == 2
+
+
+def test_hamming_ball_count_mismatch_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(targets, "hamming_ball_size", lambda n, r, q: 2)
+    with pytest.raises(errors.ConsistencyError):
+        hamming_ball([0, 0, 0], 0.34, 2)
