@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         if target:
             sp.add_argument("--target", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
         sp.add_argument("--assert", dest="assert_", action="store_true")
 
     sp = sub.add_parser("tail", help="exact hitting/return tail CSV")

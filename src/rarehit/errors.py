@@ -37,6 +37,10 @@ class HorizonNonPositiveError(RarehitError):
     pass
 
 
+class DomainError(RarehitError):
+    """An argument lies outside the domain where the quantity is defined."""
+
+
 class HorizonTooShortError(RarehitError):
     """The tail distribution does not extend far enough for the request."""
 

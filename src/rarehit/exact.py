@@ -11,7 +11,6 @@ brute-force enumeration oracle provides an independent check.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
@@ -25,9 +24,10 @@ from .errors import (
     HorizonNonPositiveError,
     InvalidTailError,
     SingularSystemError,
+    SymbolOutOfRangeError,
     ZeroMeasureSetError,
 )
-from .process import ProcessModel, cylinder_measure
+from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 BRUTE_FORCE_CAP = 2 * 10 ** 7
@@ -82,52 +82,54 @@ class TailDistribution:
 
 class OccurrenceAutomaton:
     """Deterministic total automaton accepting exactly when the last n read
-    symbols form a word of the target set."""
+    symbols form a word of the target set.
+
+    States are the trie nodes of the target words, numbered breadth first:
+    the root is 0, and the nodes of depth d follow those of depth d - 1 in
+    the words' sorted order.  ``goto`` falls back along failure links, as in
+    Aho-Corasick; all words share length n, so the accepting states are the
+    nodes of depth n.  ``last`` is the symbol read into each state (-1 at
+    the root).
+    """
 
     def __init__(self, target: TargetSet, q: int):
-        words = target.words
-        # Trie construction.
-        children: list[dict[int, int]] = [{}]
-        depth = [0]
-        terminal = [False]
-        for w in words:
-            s = 0
-            for sym in w:
-                nxt = children[s].get(sym)
-                if nxt is None:
-                    nxt = len(children)
-                    children[s][sym] = nxt
-                    children.append({})
-                    depth.append(depth[s] + 1)
-                    terminal.append(False)
-                s = nxt
-            terminal[s] = True
-        S = len(children)
-        goto = np.zeros((S, q), dtype=np.int64)
-        fail = [0] * S
-        # Breadth-first failure links; goto is made total on the fly.
-        queue = deque()
-        for c in range(q):
-            nxt = children[0].get(c)
-            if nxt is not None:
-                goto[0, c] = nxt
-                fail[nxt] = 0
-                queue.append(nxt)
-        while queue:
-            s = queue.popleft()
-            for c in range(q):
-                nxt = children[s].get(c)
-                if nxt is None:
-                    goto[s, c] = goto[fail[s], c]
-                else:
-                    goto[s, c] = nxt
-                    fail[nxt] = goto[fail[s], c]
-                    queue.append(nxt)
+        W = target.array
+        if W.max() >= q:
+            raise SymbolOutOfRangeError(f"target symbols must lie in 0..{q - 1}")
+        W = W[np.lexsort(W.T[::-1])]  # sorted rows, whatever built the target
+        kappa, n = W.shape
+        # Sorted words share their prefix with their predecessor up to the
+        # first differing position; from there on each prefix is a new node.
+        new = np.ones((kappa, n), dtype=bool)
+        new[1:] = np.logical_or.accumulate(W[1:] != W[:-1], axis=1)
+        first = np.concatenate(([1], 1 + np.cumsum(new.sum(axis=0))))  # first id per depth
+        node = first[:-1] + np.cumsum(new, axis=0) - 1  # node of each word prefix
+        parent = np.zeros_like(node)
+        parent[:, 1:] = node[:, :-1]
+        S = int(first[-1])
+        goto = np.full((S, q), -1, dtype=np.int64)
+        goto[parent[new], W[new]] = node[new]
+        up = np.zeros(S, dtype=np.int64)  # parent of each node
+        last = np.full(S, -1, dtype=np.int64)
+        up[node[new]] = parent[new]
+        last[node[new]] = W[new]
+        goto[0, goto[0] < 0] = 0
+        fail = np.zeros(S, dtype=np.int64)
+        # Depth by depth: a node's failure link is its parent's link followed
+        # by its own symbol, and a missing edge falls back to the link's row;
+        # both only read rows of smaller depth, which are already total.
+        for d in range(1, n + 1):
+            ids = np.arange(first[d - 1], first[d])
+            if d > 1:
+                fail[ids] = goto[fail[up[ids]], last[ids]]
+            rows = goto[ids]
+            goto[ids] = np.where(rows < 0, goto[fail[ids]], rows)
         self.q = q
-        self.n = target.n
+        self.n = n
         self.num_states = S
         self.goto = goto
-        self.accepting = np.asarray(terminal, dtype=bool)
+        self.last = last
+        self.accepting = np.arange(S) >= first[n - 1]
 
     def run(self, word, state: int = 0) -> int:
         for sym in word:
@@ -139,8 +141,41 @@ def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
     return OccurrenceAutomaton(target, q)
 
 
+def _coarsest_stable(key: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """Class ids of the coarsest partition that refines ``key`` and is
+    stable under the successor table ``succ`` (Moore refinement).
+
+    Each round splits classes by the exact signature (own class, class of
+    each successor), packed into integers in mixed radix and ranked, so
+    class ids are a deterministic function of the inputs and no hash can
+    collide.
+    """
+    cls = np.unique(key, return_inverse=True)[1]
+    count = int(cls.max()) + 1
+    while True:
+        sig, bound = cls, count
+        for col in cls[succ].T:
+            if bound * count > 1 << 62:  # re-rank before the packing overflows
+                sig = np.unique(sig, return_inverse=True)[1]
+                bound = int(sig.max()) + 1
+            sig = sig * count + col
+            bound *= count
+        new = np.unique(sig, return_inverse=True)[1]
+        new_count = int(new.max()) + 1
+        if new_count == count:
+            return new
+        cls, count = new, new_count
+
+
 class _ComposedChain:
-    """Markov chain over (automaton state, last symbol) pairs.
+    """Markov chain over the classes of reachable (automaton state, last
+    symbol) pairs.
+
+    A non-root automaton state fixes the last symbol; the root pairs with
+    the symbols on which some transition falls back to it.  These pairs are
+    lumped to the coarsest partition that separates acceptance (and, for a
+    Markov source, the last symbol) and is stable under every symbol: a
+    strong lumping, so tails and absorption times are those of the pairs.
 
     ``fullT`` is the one-step kernel; ``survT`` drops every transition into
     an accepting automaton state, so pushing with it loses exactly the mass
@@ -154,84 +189,80 @@ class _ComposedChain:
     def __init__(self, model: ProcessModel, aut: OccurrenceAutomaton):
         q = model.alphabet_size
         S = aut.num_states
-        size = S * q
-        if model.kind == "iid":
-            R = np.tile(model.iid_probs, (q, 1))
-        else:
-            R = model.transition
-        idx = np.arange(size)
-        s_idx = idx // q
-        a_idx = idx % q
-        cols = aut.goto[s_idx] * q + np.arange(q)[None, :]  # (size, q)
-        data_full = R[a_idx]                                # (size, q)
-        into_accept = aut.accepting[aut.goto[s_idx]]        # (size, q)
-        data_surv = np.where(into_accept, 0.0, data_full)
-        rows = np.repeat(idx, q)
+        root_syms = np.flatnonzero((aut.goto == 0).any(axis=0))
+        self._root_pair = np.full(q, -1, dtype=np.int64)
+        self._root_pair[root_syms] = np.arange(S - 1, S - 1 + root_syms.size)
+        state = np.concatenate((np.arange(1, S), np.zeros(root_syms.size, dtype=np.int64)))
+        last = np.concatenate((aut.last[1:], root_syms))
+        succ = self._pair(aut.goto[state], np.arange(q))  # (pairs, q)
+        into_accept = aut.accepting[aut.goto[state]]      # (pairs, q)
+        key = aut.accepting[state].astype(np.int64)
+        if model.kind == "markov":
+            key = key * q + last
+        cls = _coarsest_stable(key, succ)
+        size = int(cls.max()) + 1
+        rep = np.unique(cls, return_index=True)[1]  # one pair per class
+        R = model.transition[last[rep]] if model.kind == "markov" else model.iid_probs
+        prob = np.broadcast_to(R, (size, q))
+        surv = np.where(into_accept[rep], 0.0, prob)
+        dst = cls[succ[rep]]
+        src = np.repeat(np.arange(size), q)
+        self._cls = cls
         self.size = size
         self.q = q
         self.aut = aut
         self.model = model
-        self.absorb = np.where(into_accept, data_full, 0.0).sum(axis=1)
+        self.absorb = (prob - surv).sum(axis=1)
         self.dense = size <= _DENSE_LIMIT
         self.block = _BLOCK if self.dense else 1
         if self.dense:
-            Mf = np.zeros((size, size))
-            Ms = np.zeros((size, size))
-            Mf[rows, cols.ravel()] = data_full.ravel()
-            Ms[rows, cols.ravel()] = data_surv.ravel()
-            self.fullT = Mf.T.copy()
-            self.survT = Ms.T.copy()
+            flat = (dst * size).ravel() + src
+            self.fullT = np.bincount(flat, prob.ravel(), size * size).reshape(size, size)
+            self.survT = np.bincount(flat, surv.ravel(), size * size).reshape(size, size)
         else:
             shape = (size, size)
-            Mf = sp.csr_matrix((data_full.ravel(), (rows, cols.ravel())), shape=shape)
-            Ms = sp.csr_matrix((data_surv.ravel(), (rows, cols.ravel())), shape=shape)
-            self.fullT = Mf.T.tocsr()
-            self.survT = Ms.T.tocsr()
+            self.fullT = sp.csr_matrix((prob.ravel(), (dst.ravel(), src)), shape=shape)
+            keep = surv.ravel() > 0.0
+            self.survT = sp.csr_matrix((surv.ravel()[keep], (dst.ravel()[keep], src[keep])),
+                                       shape=shape)
+
+    def _pair(self, state: np.ndarray, sym: np.ndarray) -> np.ndarray:
+        """Index of the reachable pair (state, sym), sym being the last symbol read."""
+        return np.where(state > 0, state - 1, self._root_pair[sym])
 
     @cached_property
-    def block_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B, size) arrays R with rows (M_s^j 1)^T and A with rows
-        (M_s^(j-1) a)^T, for j = 1..B.
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R, A, P): (B, size) arrays R with rows (M_s^j 1)^T and A with
+        rows (M_s^(j-1) a)^T for j = 1..B, and P = (M_s^T)^B, which moves the
+        live vector on by one block.
 
         For the live vector v at the start of a block, R @ v is H at the
-        block's B steps and A @ v the mass absorbed at each of them.
+        block's B steps and A @ v the mass absorbed at each of them.  Built
+        by doubling: rows m+1..2m are rows 1..m times (M_s^T)^m, and the
+        last squaring is P.
         """
-        B = self.block
-        M = self.survT.T
-        R = np.empty((B, self.size))
-        A = np.empty((B, self.size))
-        r = np.ones(self.size)
-        a = self.absorb
-        for j in range(B):
-            A[j] = a
-            r = M @ r
-            R[j] = r
-            a = M @ a
-        return R, A
-
-    @cached_property
-    def block_push(self):
-        """(M_s^T)^B: moves the live vector on by one block."""
-        if self.block == 1:
-            return self.survT
-        return np.linalg.matrix_power(self.survT, self.block)
+        X = np.stack((np.ones(self.size) @ self.survT, self.absorb))[:, None, :]
+        P = self.survT
+        while X.shape[1] < self.block:
+            X = np.concatenate((X, (X.reshape(-1, self.size) @ P).reshape(X.shape)), axis=1)
+            P = P @ P
+        return X[0], X[1], P
 
     def initial_hitting(self) -> np.ndarray:
         """Distribution after emitting the first symbol from stationarity."""
-        v = np.zeros(self.size)
-        first = self.model.next_probs(None)
-        for s in range(self.q):
-            v[self.aut.goto[0, s] * self.q + s] += first[s]
-        return v
+        first = self.aut.goto[0]
+        sym = np.arange(self.q)
+        return np.bincount(self._cls[self._pair(first, sym)], self.model.next_probs(None),
+                           self.size)
 
     def initial_return(self, target: TargetSet, mu_A: float) -> np.ndarray:
         """Conditional law on {window 0 in A}, mapped to composed states."""
-        v = np.zeros(self.size)
-        for w in target.words:
-            p = cylinder_measure(self.model, w)
-            if p > 0.0:
-                v[self.aut.run(w) * self.q + w[-1]] += p / mu_A
-        return v
+        W = target.array
+        state = np.zeros(len(W), dtype=np.int64)
+        for col in W.T:
+            state = self.aut.goto[state, col]
+        p = word_measures(self.model, W)
+        return np.bincount(self._cls[self._pair(state, W[:, -1])], p / mu_A, self.size)
 
     def expected_absorption_times(self) -> np.ndarray:
         """Solve t = 1 + M_surv t (expected steps to first acceptance)."""
@@ -298,10 +329,7 @@ class TailEngine:
         if K > k0:
             B = self.chain.block
             k1 = k0 + -(-(K - k0) // B) * B
-            R, A = self.chain.block_rows
-            # The live vector lags one block behind, so a single-block tail
-            # never builds the block power.
-            push = self.chain.block_push if k1 > B else None
+            R, A, push = self.chain.blocks
             H = np.empty(k1 + 1)
             F = np.empty(k1 + 1)
             H[:k0 + 1] = self._H
@@ -341,14 +369,15 @@ def return_expectation(model: ProcessModel, target: TargetSet) -> float:
     mu_A = measure(model, target)
     if mu_A <= 0.0:
         raise ZeroMeasureSetError("target has zero measure")
-    aut = build_automaton(target, model.alphabet_size)
-    chain = _ComposedChain(model, aut)
+    chain = _ComposedChain(model, build_automaton(target, model.alphabet_size))
     v = chain.initial_return(target, mu_A)
     t = chain.expected_absorption_times()
     return float(v @ t)
 
 
 def _enumerate_measures(model: ProcessModel, arr: np.ndarray) -> np.ndarray:
+    # Kept apart from process.word_measures so the oracle shares no code
+    # with the engine it checks.
     if model.kind == "iid":
         return np.prod(model.iid_probs[arr], axis=1)
     w = model.stationary[arr[:, 0]]
@@ -364,7 +393,7 @@ def brute_force_tail(model: ProcessModel, target: TargetSet, K: int, kind: str =
     if K < 1:
         raise HorizonNonPositiveError("K must be >= 1")
     if kind not in ("hitting", "return"):
-        raise ValueError(f"kind must be hitting or return, got {kind!r}")
+        raise InvalidTailError(f"kind must be hitting or return, got {kind!r}")
     q = model.alphabet_size
     n = target.n
     L = K + n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridEmptyError, HorizonTooShortError
+from .errors import DomainError, GridEmptyError, HorizonTooShortError, InvalidTailError
 from .exact import TailDistribution, TailEngine
 from .process import ProcessModel
 from .scaling import ScaleCertificate, verification_tail
@@ -29,7 +29,7 @@ class StepLaw:
 
     def __init__(self, role: str, tail: TailDistribution, lam: float, mu_A: float):
         if role not in ("F", "G"):
-            raise ValueError(f"role must be F or G, got {role!r}")
+            raise InvalidTailError(f"role must be F or G, got {role!r}")
         self.role = role
         self.tail = tail
         self.lam = lam
@@ -42,7 +42,7 @@ class StepLaw:
 
     def _index(self, t: float) -> int:
         if t < 0:
-            raise ValueError("time must be non-negative")
+            raise DomainError("time must be non-negative")
         k = int(math.floor(t / self.step))
         if k > self.tail.horizon:
             raise HorizonTooShortError(f"t={t} beyond tail horizon")
@@ -59,7 +59,7 @@ class StepLaw:
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b] of the step function."""
         if b < a:
-            raise ValueError("need a <= b")
+            raise DomainError("need a <= b")
         return self._integral0(b) - self._integral0(a)
 
     def _integral0(self, t: float) -> float:
@@ -93,13 +93,13 @@ class ExponentialLaw:
 
 def make_F(hitting: TailDistribution, lam: float, mu_A: float) -> StepLaw:
     if hitting.kind != "hitting":
-        raise ValueError("make_F needs a hitting tail")
+        raise InvalidTailError("make_F needs a hitting tail")
     return StepLaw("F", hitting, lam, mu_A)
 
 
 def make_G(ret: TailDistribution, lam: float, mu_A: float) -> StepLaw:
     if ret.kind != "return":
-        raise ValueError("make_G needs a return tail")
+        raise InvalidTailError("make_G needs a return tail")
     return StepLaw("G", ret, lam, mu_A)
 
 
@@ -124,7 +124,7 @@ def check_sandwich(F, G, mu_A: float, pairs) -> float:
     worst = -math.inf
     for t, tp in pairs:
         if tp < t:
-            raise ValueError("need t <= t'")
+            raise DomainError("need t <= t'")
         dF = F.value(tp) - F.value(t)
         integ = G.integral(t, tp)
         worst = max(worst, (integ - mu_A) - dF, dF - (integ + mu_A))

@@ -127,24 +127,21 @@ def validate(model: ProcessModel) -> ProcessModel:
     return out
 
 
-def _check_word(model: ProcessModel, word) -> np.ndarray:
-    w = np.asarray(word, dtype=np.int64)
-    if w.size == 0:
-        raise SymbolOutOfRangeError("empty word")
-    if np.any(w < 0) or np.any(w >= model.alphabet_size):
-        raise SymbolOutOfRangeError(f"symbols must lie in 0..{model.alphabet_size - 1}")
-    return w
-
-
 def cylinder_measure(model: ProcessModel, word) -> float:
     """Exact measure of the rank-len(word) cylinder [word]."""
-    w = _check_word(model, word)
+    return float(word_measures(model, np.asarray(word, dtype=np.int64).reshape(1, -1))[0])
+
+
+def word_measures(model: ProcessModel, words: np.ndarray) -> np.ndarray:
+    """Cylinder measures of the rows of a (count, n) word array."""
+    if words.size == 0:
+        raise SymbolOutOfRangeError("empty word")
+    if words.min() < 0 or words.max() >= model.alphabet_size:
+        raise SymbolOutOfRangeError(f"symbols must lie in 0..{model.alphabet_size - 1}")
     if model.kind == "iid":
-        return float(np.prod(model.iid_probs[w]))
-    p = model.stationary[w[0]]
-    if w.size > 1:
-        p = p * np.prod(model.transition[w[:-1], w[1:]])
-    return float(p)
+        return np.prod(model.iid_probs[words], axis=1)
+    return model.stationary[words[:, 0]] * np.prod(
+        model.transition[words[:, :-1], words[:, 1:]], axis=1)
 
 
 def entropy(model: ProcessModel) -> float:

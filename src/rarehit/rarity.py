@@ -13,9 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConsistencyError, EnumerationTooLargeError, RateExceedsEntropyError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    EnumerationTooLargeError,
+    RankMismatchError,
+    RateExceedsEntropyError,
+)
 from .exact import hitting_tail
-from .process import ProcessModel, entropy
+from .process import ProcessModel, entropy, word_measures
 from .targets import TargetSet, measure, union
 
 AEP_ENUMERATION_CAP = 2 * 10 ** 7
@@ -55,13 +61,7 @@ def _aep_deficiency(model: ProcessModel, N: int, h: float,
     thresh = math.exp(-N * h)
     powers = q ** np.arange(N - 1, -1, -1, dtype=np.int64)
     idx = np.arange(q ** N, dtype=np.int64)
-    arr = (idx[:, None] // powers[None, :]) % q
-    if model.kind == "iid":
-        w = np.prod(model.iid_probs[arr], axis=1)
-    else:
-        w = model.stationary[arr[:, 0]]
-        for i in range(N - 1):
-            w = w * model.transition[arr[:, i], arr[:, i + 1]]
+    w = word_measures(model, (idx[:, None] // powers[None, :]) % q)
     return float(w[w > thresh].sum())
 
 
@@ -100,7 +100,7 @@ def hamming_kappa_bound(n: int, D: float, q: int) -> float:
     """Closed-form upper bound ((1 + D(q-1)) / D^D)^n on the number of words
     within Hamming distance D*n of a fixed word."""
     if not 0.0 < D < 1.0:
-        raise ValueError("D must lie in (0, 1)")
+        raise DomainError("D must lie in (0, 1)")
     base = (1.0 + D * (q - 1)) / D ** D
     return base ** n
 
@@ -112,7 +112,7 @@ def solve_D0(q: int, h: float, tol: float = 1e-6) -> float:
     1 < e^h.  Returns 1.0 when no crossing exists (D unconstrained).
     """
     if h <= 0:
-        raise ValueError("entropy level must be positive")
+        raise DomainError("entropy level must be positive")
 
     def g(D: float) -> float:
         return math.log1p(D * (q - 1)) - D * math.log(D) - h
@@ -134,7 +134,7 @@ def cardinality_rate(kappa_table: dict[int, int]) -> float:
     the largest-n half of the table."""
     ns = sorted(kappa_table)
     if not ns or any(kappa_table[n] < 1 for n in ns):
-        raise ValueError("need kappa_n >= 1 for a non-empty table")
+        raise DomainError("need kappa_n >= 1 for a non-empty table")
     half = ns[len(ns) // 2:]
     return max(math.log(kappa_table[n]) / n for n in half)
 
@@ -163,7 +163,7 @@ def mixed_union_check(model: ProcessModel,
             term1 = float(hitting_tail(model, a1, n).cdf[n])
         parts = [t for t in (a0, a1) if t is not None]
         if not parts:
-            raise ValueError(f"no target at n={n}")
+            raise RankMismatchError(f"no target at n={n}")
         combined = parts[0] if len(parts) == 1 else union(parts)
         true_value = float(hitting_tail(model, combined, n).cdf[n])
         bound = term0 + term1

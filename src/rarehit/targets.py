@@ -10,7 +10,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+
+import numpy as np
 
 from .errors import (
     ConsistencyError,
@@ -18,7 +21,7 @@ from .errors import (
     RankMismatchError,
     SymbolOutOfRangeError,
 )
-from .process import ProcessModel, cylinder_measure
+from .process import ProcessModel, word_measures
 
 HAMMING_EXPANSION_CAP = 10 ** 6
 
@@ -46,6 +49,13 @@ class TargetSet:
             ws = frozenset(self.words)
             object.__setattr__(self, "_ws", ws)
         return ws
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The words as a read-only (kappa, n) integer array, one word per row."""
+        a = np.array(self.words, dtype=np.int64)
+        a.flags.writeable = False
+        return a
 
 
 def _normalize(words, provenance: str) -> TargetSet:
@@ -108,7 +118,7 @@ def union(sets: list[TargetSet]) -> TargetSet:
 
 def measure(model: ProcessModel, target: TargetSet) -> float:
     """mu(A): sum of the disjoint cylinder measures."""
-    return float(sum(cylinder_measure(model, w) for w in target.words))
+    return float(word_measures(model, target.array).sum())
 
 
 @dataclass(frozen=True)

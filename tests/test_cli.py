@@ -132,6 +132,12 @@ def test_missing_subcommand_exit_config(capsys):
     assert main([]) == EXIT_CONFIG
 
 
+def test_format_flag_is_gone(tmp_path):
+    code, _ = run(["lambda", "--model", "iid-uniform-2", "--target", "cyl:1,1",
+                   "--format", "json"], tmp_path)
+    assert code == EXIT_CONFIG
+
+
 def test_help_exit_ok():
     assert main(["--help"]) == EXIT_OK
 

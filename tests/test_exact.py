@@ -224,7 +224,8 @@ def _step_by_step(chain, v, K):
 
 
 @st.composite
-def _engine_cases(draw):
+def _model_and_union(draw, max_words):
+    """An IID or Markov source on 2-3 symbols and a union of words of length 1-3."""
     q = draw(st.integers(2, 3))
     probs = st.floats(0.05, 1.0)
     if draw(st.booleans()):
@@ -235,7 +236,13 @@ def _engine_cases(draw):
         model = iid(p / p.sum())
     n = draw(st.integers(1, 3))
     word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-    target = union([cylinder(w) for w in draw(st.lists(word, min_size=1, max_size=3))])
+    return model, union([cylinder(w) for w in draw(st.lists(word, min_size=1,
+                                                            max_size=max_words))])
+
+
+@st.composite
+def _engine_cases(draw):
+    model, target = draw(_model_and_union(3))
     kind = draw(st.sampled_from(["hitting", "return"]))
     K2 = draw(st.integers(2, 400))
     return model, target, kind, draw(st.integers(1, K2 - 1)), K2
@@ -280,3 +287,91 @@ def test_invalid_tail_tables_raise_typed_errors():
         exact.TailDistribution("hitting", np.array([0.9, 0.5]), 0.1, "exact")
     with pytest.raises(errors.InvalidTailError):
         exact.TailDistribution("hitting", np.array([1.0, 0.5, 0.6]), 0.1, "exact")
+
+
+def test_brute_force_rejects_unknown_kind():
+    with pytest.raises(errors.InvalidTailError):
+        brute_force_tail(UNIFORM2, cylinder([1]), 3, "waiting")
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_model_and_union(6), kind=st.sampled_from(["hitting", "return"]))
+def test_lumped_chain_matches_brute_force(case, kind):
+    model, target = case
+    K = 6
+    t = exact.TailEngine(model, target, kind).extend(K)
+    b = brute_force_tail(model, target, K, kind)
+    assert np.max(np.abs(t.values - b.values)) <= 1e-12
+    assert np.max(np.abs(t.absorbed - (1.0 - b.values))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(2, 4), n=st.integers(1, 4), data=st.data())
+def test_automaton_accepts_exactly_target_windows(q, n, data):
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    target = union([cylinder(w) for w in data.draw(st.lists(word, min_size=1, max_size=8))])
+    aut = build_automaton(target, q)
+    stream = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=60))
+    state = 0
+    for t, sym in enumerate(stream):
+        state = aut.goto[state, sym]
+        expected = t >= n - 1 and tuple(stream[t - n + 1:t + 1]) in target
+        assert bool(aut.accepting[state]) == expected
+
+
+def test_automaton_does_not_need_sorted_words():
+    words = ((1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 1, 1))
+    aut = build_automaton(exact.TargetSet(3, words, "explicit"), 2)
+    stream = [0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1]
+    state = 0
+    for t, sym in enumerate(stream):
+        state = aut.goto[state, sym]
+        assert bool(aut.accepting[state]) == (t >= 2 and tuple(stream[t - 2:t + 1]) in words)
+
+
+@pytest.mark.parametrize("model, target, size", [
+    (uniform_iid(4), hamming_ball([0] * 8, 0.25, 4), 118),
+    (uniform_iid(4), hamming_ball([0] * 10, 0.3, 4), 493),
+    (markov([[0.9, 0.1], [0.5, 0.5]]), hamming_ball([0, 1] * 4, 0.13, 2), 34),
+    (UNIFORM2, cylinder([1] * 24), 25),
+])
+def test_lumped_chain_sizes(model, target, size):
+    chain = exact._ComposedChain(model, build_automaton(target, model.alphabet_size))
+    assert chain.size == size
+
+
+def test_kac_on_lumped_markov_ball():
+    model = markov([[0.9, 0.1], [0.5, 0.5]])
+    A = hamming_ball([0, 1] * 4, 0.13, 2)
+    assert return_expectation(model, A) * measure(model, A) == pytest.approx(1.0, abs=1e-9)
+
+
+def _moore_reference(key, succ):
+    """Moore refinement on tuples: split by (own class, successor classes)."""
+    cls = list(key)
+    while True:
+        sigs = [(cls[i], *(cls[j] for j in row)) for i, row in enumerate(succ)]
+        ids = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        if len(ids) == len(set(cls)):
+            return cls
+        cls = [ids[s] for s in sigs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 80), q=st.integers(1, 14), data=st.data())
+def test_coarsest_stable_matches_reference(N, q, data):
+    # Wide alphabets make the packed signature re-rank before it overflows.
+    key = np.array(data.draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)))
+    succ = np.array(data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=q, max_size=q),
+                                       min_size=N, max_size=N)))
+    got = exact._coarsest_stable(key, succ)
+    ref = _moore_reference(key.tolist(), succ.tolist())
+    assert len(set(zip(got.tolist(), ref))) == len(set(ref)) == int(got.max()) + 1
+
+
+def test_coarsest_stable_packing_never_wraps():
+    # 32 classes over 14 signature columns need 70 bits: a packing that
+    # wrapped modulo 2**64 would drop the own class and merge them all.
+    key = np.arange(32)
+    succ = np.zeros((32, 13), dtype=np.int64)
+    assert int(exact._coarsest_stable(key, succ).max()) + 1 == 32

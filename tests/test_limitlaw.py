@@ -156,3 +156,29 @@ def test_synthetic_self_consistency():
     F = make_F(tail, 1.0, mu)
     dev = max(abs((1.0 - F.value(t)) - np.exp(-t)) for t in np.linspace(0, 10, 500))
     assert dev <= mu
+
+
+def test_step_law_rejects_unknown_role_and_negative_time():
+    tail = hitting_tail(UNIFORM2, cylinder([1]), 8)
+    with pytest.raises(errors.InvalidTailError):
+        limitlaw.StepLaw("H", tail, 1.0, 0.5)
+    F = make_F(tail, 1.0, 0.5)
+    with pytest.raises(errors.DomainError):
+        F.value(-0.1)
+    with pytest.raises(errors.DomainError):
+        F.integral(1.0, 0.5)
+
+
+def test_make_F_and_make_G_reject_the_wrong_tail_kind():
+    hit = hitting_tail(UNIFORM2, cylinder([1]), 8)
+    ret = return_tail(UNIFORM2, cylinder([1]), 8)
+    with pytest.raises(errors.InvalidTailError):
+        make_F(ret, 1.0, 0.5)
+    with pytest.raises(errors.InvalidTailError):
+        make_G(hit, 1.0, 0.5)
+
+
+def test_sandwich_rejects_reversed_pair():
+    F, G = ExponentialLaw("F"), ExponentialLaw("G")
+    with pytest.raises(errors.DomainError):
+        check_sandwich(F, G, 0.1, [(1.0, 0.5)])

@@ -164,3 +164,25 @@ def test_mixed_union_violation_raises_typed_error(monkeypatch):
     monkeypatch.setattr(rarity, "measure", lambda model, target: 0.0)
     with pytest.raises(errors.ConsistencyError):
         rarity.mixed_union_check(UNIFORM2, {4: cylinder([1] * 4)}, {}, (4,))
+
+
+def test_hamming_kappa_bound_rejects_D_outside_unit_interval():
+    with pytest.raises(errors.DomainError):
+        hamming_kappa_bound(10, 1.0, 4)
+
+
+def test_solve_D0_rejects_nonpositive_entropy():
+    with pytest.raises(errors.DomainError):
+        solve_D0(4, 0.0)
+
+
+def test_cardinality_rate_rejects_empty_table():
+    with pytest.raises(errors.DomainError):
+        cardinality_rate({})
+    with pytest.raises(errors.DomainError):
+        cardinality_rate({4: 0})
+
+
+def test_mixed_union_check_rejects_missing_target():
+    with pytest.raises(errors.RankMismatchError):
+        rarity.mixed_union_check(UNIFORM2, {}, {}, (4,))
