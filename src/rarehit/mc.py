@@ -1,28 +1,37 @@
 """Seed-deterministic Monte Carlo estimation of hitting and return tails.
 
-Trajectories are generated symbol by symbol; window membership is tested
-with the occurrence automaton for explicit targets or with a sliding-window
-predicate for implicit ones, so memory per trajectory is O(1) resp. O(n).
+The trajectories of a row tile (at most _TILE rows) advance in lockstep.
+Each round draws the next _CHUNK uniforms of every live row, maps them to
+symbols with one searchsorted (IID) or one comparison per column (Markov),
+and tests the windows with one occurrence-automaton gather per column
+(explicit targets) or one predicate call on all windows of the chunk
+(implicit ones); rows that hit then leave.  Memory is O(_TILE * (_CHUNK + n))
+whatever N and the censoring cap.
 
-Per-trajectory seeds are derived from (master seed, trajectory index) by a
-fixed splitmix-style mix, so serial and parallel schedules produce
-identical batches.  The derivation below is part of the external contract.
+Trajectory i consumes the uniforms of its own PCG64 stream, seeded by
+derive_seed(master, i), in order, one per symbol.  The chunk and tile sizes
+set only how far ahead they are drawn and are not part of the contract, so
+serial and parallel schedules produce identical batches.  The seed
+derivation below is part of the external contract.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import HorizonMismatchError, RejectionBudgetExceededError
+from .errors import DomainError, HorizonMismatchError, RejectionBudgetExceededError
 from .exact import TailDistribution, build_automaton
-from .process import ProcessModel, cylinder_measure
+from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 _MASK64 = (1 << 64) - 1
 DEFAULT_REJECTION_BUDGET = 10 ** 7
+_TILE = 512   # rows scanned together: bounds memory at any N
+_CHUNK = 32   # uniforms drawn per live row and round
+_CSV_ROWS = 4096  # rows formatted per write
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -51,114 +60,137 @@ class SampleBatch:
         return int(self.censored.sum())
 
 
-class _SymbolStream:
-    """Buffered per-trajectory symbol source."""
-
-    def __init__(self, model: ProcessModel, rng: np.random.Generator):
-        self.rng = rng
-        self.q = model.alphabet_size
-        self.cum_first = np.cumsum(model.next_probs(None))
-        if model.kind == "markov":
-            self.cum_rows = np.cumsum(model.transition, axis=1)
-        else:
-            self.cum_rows = None
-        self.last: int | None = None
-        self._buf = rng.random(256)
-        self._pos = 0
-
-    def _u(self) -> float:
-        if self._pos == self._buf.size:
-            self._buf = self.rng.random(256)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-    def next(self) -> int:
-        if self.cum_rows is None or self.last is None:
-            cum = self.cum_first
-        else:
-            cum = self.cum_rows[self.last]
-        s = int(np.searchsorted(cum, self._u(), side="right"))
-        if s >= self.q:  # guard against u == 1.0 edge
-            s = self.q - 1
-        self.last = s
-        return s
+def _draw(gens, rows, width: int) -> np.ndarray:
+    """The next ``width`` uniforms of each listed trajectory, one row each."""
+    U = np.empty((len(rows), width))
+    for r, i in enumerate(rows):
+        gens[i].random(out=U[r])
+    return U
 
 
-class _AutomatonMatcher:
-    __slots__ = ("goto", "accepting", "state")
-
-    def __init__(self, aut):
-        self.goto = aut.goto
-        self.accepting = aut.accepting
-        self.state = 0
-
-    def feed(self, sym: int) -> bool:
-        self.state = self.goto[self.state, sym]
-        return bool(self.accepting[self.state])
+def _cum_table(model: ProcessModel) -> np.ndarray:
+    """Cumulative next-symbol laws: one row (the law) for IID sources; for
+    Markov sources a row per previous symbol and, last, the stationary law."""
+    cum_first = np.cumsum(model.next_probs(None))[None, :]
+    if model.kind != "markov":
+        return cum_first
+    return np.vstack([np.cumsum(model.transition, axis=1), cum_first])
 
 
-class _PredicateMatcher:
-    __slots__ = ("pred", "n", "window")
-
-    def __init__(self, pred):
-        self.pred = pred
-        self.n = pred.n
-        self.window = deque(maxlen=pred.n)
-
-    def feed(self, sym: int) -> bool:
-        self.window.append(sym)
-        return len(self.window) == self.n and self.pred(self.window)
+def _symbols(cum: np.ndarray, U: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Symbols of the uniforms U, row by row, each row continuing from its
+    ``last`` symbol (-1: none, draw from the stationary law)."""
+    q = cum.shape[1]
+    if len(cum) == 1:
+        return np.minimum(np.searchsorted(cum[0], U, side="right"), q - 1)
+    S = np.empty(U.shape, dtype=np.int64)
+    for c in range(U.shape[1]):  # min: guard against u == 1.0 edge
+        last = S[:, c] = np.minimum((cum[last] <= U[:, c, None]).sum(1), q - 1)
+    return S
 
 
 def _matcher_factory(model: ProcessModel, target):
+    """(init, match) for a target: ``init(words)`` is the matcher state of rows
+    whose last n symbols are the rows of ``words``; ``match(state, S)`` feeds
+    the (rows, width) symbols S and returns which of them end a window in the
+    target, and the new state."""
     if isinstance(target, TargetSet):
         aut = build_automaton(target, model.alphabet_size)
-        return target.n, (lambda: _AutomatonMatcher(aut))
+
+        def match(state, S):
+            hit = np.empty(S.shape, dtype=bool)
+            for c in range(S.shape[1]):
+                state = aut.goto[state, S[:, c]]
+                hit[:, c] = aut.accepting[state]
+            return hit, state
+
+        return (lambda words: match(np.zeros(len(words), dtype=np.int64), words)[1]), match
     if hasattr(target, "n") and callable(target):
-        return target.n, (lambda: _PredicateMatcher(target))
-    raise TypeError("target must be a TargetSet or a window predicate with .n")
+        n = target.n
+
+        def match(prev, S):  # state: each row's last n-1 symbols
+            W = np.concatenate([prev, S], axis=1)
+            windows = sliding_window_view(W, n, axis=1).reshape(-1, n)
+            return np.asarray(target(windows), dtype=bool).reshape(S.shape), W[:, S.shape[1]:]
+
+        return (lambda words: words[:, 1:]), match
+    raise DomainError("target must be a TargetSet or a window predicate with .n")
 
 
 def default_censor_cap(model: ProcessModel, target) -> int:
     """50 expected hits at the crude rate guess lambda = 1."""
     if not isinstance(target, TargetSet):
-        raise ValueError("censor_cap must be given explicitly for predicate targets")
+        raise DomainError("censor_cap must be given explicitly for predicate targets")
     return max(1, math.ceil(50.0 / measure(model, target)))
 
 
-def _scan(model, matcher, stream, n, cap, warmup_word=None):
-    """Feed the first window, then count steps to the first later match."""
-    if warmup_word is not None:
-        for sym in warmup_word:
-            matcher.feed(sym)
-            stream.last = sym
-    else:
-        for _ in range(n):
-            matcher.feed(stream.next())
-    for k in range(1, cap + 1):
-        if matcher.feed(stream.next()):
-            return k, False
-    return cap, True
+def _advance(gens, cum, match, state, last, cap: int):
+    """Scan the rows of one tile in lockstep, from their matcher states and
+    last symbols, to their first hit at a time in 1..cap.  Returns the hit
+    times (cap when censored) and the censored flags."""
+    times = np.full(len(gens), cap, dtype=np.int64)
+    cens = np.ones(len(gens), dtype=bool)
+    live = np.arange(len(gens))
+    for k in range(1, cap + 1, _CHUNK):  # k: time of the chunk's first window
+        S = _symbols(cum, _draw(gens, live, _CHUNK), last)
+        hit, state = match(state, S)
+        hit[:, cap + 1 - k:] = False
+        found = hit.any(axis=1)
+        times[live[found]] = k + hit[found].argmax(axis=1)
+        cens[live[found]] = False
+        live, state, last = live[~found], state[~found], S[~found, -1]
+        if not live.size:
+            break
+    return times, cens
+
+
+def _sample(kind, model, target, N, seed, censor_cap, rejection_budget=0) -> SampleBatch:
+    """The lockstep scanner behind sample_hitting and sample_return: per row
+    tile, draw each row's initial window, then advance the tile to its hits."""
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    if censor_cap is None:
+        censor_cap = default_censor_cap(model, target)
+    init, match = _matcher_factory(model, target)
+    cum, n = _cum_table(model), target.n
+    explicit_return = kind == "return" and isinstance(target, TargetSet)
+    if explicit_return:
+        weights = word_measures(model, target.array)
+        word_cum = np.cumsum(weights / weights.sum())
+    times = np.empty(N, dtype=np.int64)
+    cens = np.empty(N, dtype=bool)
+    rejections = 0
+    for lo in range(0, N, _TILE):
+        hi = min(lo + _TILE, N)
+        gens = [np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
+                for i in range(lo, hi)]
+        rows = np.arange(hi - lo)
+        if kind == "hitting":
+            words = _symbols(cum, _draw(gens, rows, n), np.full(rows.size, -1))
+        elif explicit_return:  # uniform 0 of each row picks the word
+            j = np.searchsorted(word_cum, _draw(gens, rows, 1)[:, 0], side="right")
+            words = target.array[np.minimum(j, target.kappa - 1)]
+        else:  # rounds of n symbols from the stationary law until one is in A
+            words = np.empty((rows.size, n), dtype=np.int64)
+            while rows.size:
+                W = _symbols(cum, _draw(gens, rows, n), np.full(rows.size, -1))
+                ok = np.asarray(target(W), dtype=bool)
+                words[rows[ok]] = W[ok]
+                rows = rows[~ok]
+                rejections += rows.size
+                if rejections > rejection_budget:
+                    raise RejectionBudgetExceededError(
+                        f"more than {rejection_budget} rejected initial windows")
+        times[lo:hi], cens[lo:hi] = _advance(gens, cum, match, init(words), words[:, -1],
+                                             censor_cap)
+    return SampleBatch(kind, N, seed, times, cens, censor_cap)
 
 
 def sample_hitting(model: ProcessModel, target, N: int, seed: int,
                    censor_cap: int | None = None) -> SampleBatch:
     """N independent stationary trajectories scanned for the first window
     match at position >= 1, right-censored at the cap."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if censor_cap is None:
-        censor_cap = default_censor_cap(model, target)
-    n, make_matcher = _matcher_factory(model, target)
-    times = np.empty(N, dtype=np.int64)
-    cens = np.zeros(N, dtype=bool)
-    for i in range(N):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
-        stream = _SymbolStream(model, rng)
-        times[i], cens[i] = _scan(model, make_matcher(), stream, n, censor_cap)
-    return SampleBatch("hitting", N, seed, times, cens, censor_cap)
+    return _sample("hitting", model, target, N, seed, censor_cap)
 
 
 def sample_return(model: ProcessModel, target, N: int, seed: int,
@@ -166,42 +198,7 @@ def sample_return(model: ProcessModel, target, N: int, seed: int,
                   rejection_budget: int = DEFAULT_REJECTION_BUDGET) -> SampleBatch:
     """As sample_hitting, with the initial window drawn from the conditional
     law on A: directly for explicit targets, by rejection for predicates."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if censor_cap is None:
-        censor_cap = default_censor_cap(model, target)
-    n, make_matcher = _matcher_factory(model, target)
-    explicit = isinstance(target, TargetSet)
-    if explicit:
-        weights = np.array([cylinder_measure(model, w) for w in target.words])
-        cum = np.cumsum(weights / weights.sum())
-    rejections = 0
-    times = np.empty(N, dtype=np.int64)
-    cens = np.zeros(N, dtype=bool)
-    for i in range(N):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
-        stream = _SymbolStream(model, rng)
-        matcher = make_matcher()
-        if explicit:
-            j = int(np.searchsorted(cum, stream._u(), side="right"))
-            word = target.words[min(j, len(target.words) - 1)]
-        else:
-            while True:
-                word = [stream.next() for _ in range(n)]
-                probe = make_matcher()
-                hit = False
-                for s in word:
-                    hit = probe.feed(s)
-                if hit:
-                    break
-                rejections += 1
-                if rejections > rejection_budget:
-                    raise RejectionBudgetExceededError(
-                        f"more than {rejection_budget} rejected initial windows")
-                stream.last = None
-        times[i], cens[i] = _scan(model, matcher, stream, n, censor_cap,
-                                  warmup_word=word)
-    return SampleBatch("return", N, seed, times, cens, censor_cap)
+    return _sample("return", model, target, N, seed, censor_cap, rejection_budget)
 
 
 def empirical_tail(batch: SampleBatch, K: int | None = None) -> TailDistribution:
@@ -230,5 +227,8 @@ def write_batch_csv(fp, batch: SampleBatch) -> None:
     fp.write(f"# kind={batch.kind}\n")
     fp.write(f"# censor_cap={batch.censor_cap}\n")
     fp.write("trajectory_index,time,censored\n")
-    for i in range(batch.N):
-        fp.write(f"{i},{batch.times[i]},{int(batch.censored[i])}\n")
+    for lo in range(0, batch.N, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, batch.N)
+        rows = zip(range(lo, hi), batch.times[lo:hi].tolist(),
+                   batch.censored[lo:hi].astype(np.int64).tolist())
+        fp.write("".join(f"{i},{t},{c}\n" for i, t, c in rows))

@@ -133,9 +133,10 @@ class HammingBallPredicate:
     def n(self) -> int:
         return len(self.center)
 
-    def __call__(self, window) -> bool:
-        d = sum(1 for a, b in zip(self.center, window) if a != b)
-        return d <= self.radius
+    def __call__(self, windows):
+        """Membership of one window, or of each row of an (m, n) array."""
+        d = np.count_nonzero(np.asarray(windows) != np.asarray(self.center), axis=-1)
+        return d <= self.radius if d.ndim else bool(d <= self.radius)
 
 
 def hamming_predicate(center, D: float, q: int) -> HammingBallPredicate:

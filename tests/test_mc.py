@@ -2,14 +2,18 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarehit import (
+    TargetSet,
     cylinder,
+    cylinder_measure,
     derive_seed,
     empirical_tail,
     errors,
     hamming_predicate,
     hitting_tail,
+    iid,
     ks_distance,
     markov,
     mc,
@@ -18,7 +22,9 @@ from rarehit import (
     sample_hitting,
     sample_return,
     uniform_iid,
+    union,
 )
+from rarehit.cli import EXIT_CONFIG, main
 
 UNIFORM2 = uniform_iid(2)
 
@@ -151,3 +157,129 @@ def test_batch_csv_deterministic():
     lines = dump(7).splitlines()
     assert lines[0] == "# seed=7"
     assert lines[3] == "trajectory_index,time,censored"
+
+
+def _reference_batch(model, target, kind, N, seed, cap):
+    """The per-symbol scanner: each trajectory draws one uniform per symbol
+    from its own stream and tests one window at a time.  Returns the times,
+    the censored flags and the number of rejected initial windows."""
+    q, n = model.alphabet_size, target.n
+    cum = np.cumsum(model.next_probs(None))
+    rows = np.cumsum(model.transition, axis=1) if model.kind == "markov" else None
+    explicit = isinstance(target, TargetSet)
+    inside = (lambda w: tuple(w) in target) if explicit else target
+    times, cens, rejections = [], [], 0
+    for i in range(N):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
+
+        def extend(w, length):  # `length` more symbols after the word w
+            w = list(w)
+            for _ in range(length):
+                c = cum if rows is None or not w else rows[w[-1]]
+                w.append(min(int(np.searchsorted(c, rng.random(), side="right")), q - 1))
+            return w
+
+        if kind == "hitting":
+            w = extend([], n)
+        elif explicit:
+            weights = np.array([cylinder_measure(model, v) for v in target.words])
+            j = np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(), side="right")
+            w = target.words[min(j, target.kappa - 1)]
+        else:
+            while not inside(w := extend([], n)):
+                rejections += 1
+        for k in range(1, cap + 1):
+            w = extend(w, 1)[1:]
+            if inside(w):
+                times.append(k), cens.append(False)
+                break
+        else:
+            times.append(cap), cens.append(True)
+    return np.array(times), np.array(cens), rejections
+
+
+@st.composite
+def _mc_cases(draw):
+    """A source on 2-4 symbols, a small union or a Hamming predicate, a kind,
+    N up to two row tiles and a cap up to three uniform chunks."""
+    q = draw(st.integers(2, 4))
+    weights = st.integers(1, 9)
+    if draw(st.booleans()):
+        P = np.array([[draw(weights) for _ in range(q)] for _ in range(q)], dtype=float)
+        model = markov(P / P.sum(axis=1, keepdims=True))
+    else:
+        p = np.array([draw(weights) for _ in range(q)], dtype=float)
+        model = iid(p / p.sum())
+    n = draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        target = union([cylinder(w) for w in draw(st.lists(word, min_size=1, max_size=4))])
+    else:
+        target = hamming_predicate(draw(word), draw(st.sampled_from([0.0, 0.3, 0.5])), q)
+    N = draw(st.one_of(st.integers(1, 60), st.integers(500, 1030)))
+    return (model, target, draw(st.sampled_from(["hitting", "return"])), N,
+            draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(1, 100)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mc_cases())
+def test_lockstep_batches_match_the_per_symbol_scanner(case):
+    model, target, kind, N, seed, cap = case
+    sampler = sample_hitting if kind == "hitting" else sample_return
+    batch = sampler(model, target, N, seed, censor_cap=cap)
+    times, cens, _ = _reference_batch(model, target, kind, N, seed, cap)
+    assert np.array_equal(batch.times, times)
+    assert np.array_equal(batch.censored, cens)
+
+
+def test_prefix_stability_across_a_row_tile():
+    mk = markov([[0.9, 0.1], [0.5, 0.5]])
+    for sampler in (sample_hitting, sample_return):
+        a = sampler(mk, cylinder([0, 1]), 1100, seed=4, censor_cap=50)
+        b = sampler(mk, cylinder([0, 1]), 512, seed=4, censor_cap=50)
+        assert np.array_equal(a.times[:512], b.times)
+        assert np.array_equal(a.censored[:512], b.censored)
+
+
+@pytest.mark.parametrize("sampler", [sample_hitting, sample_return])
+def test_censoring_at_every_cap_truncates_a_longer_batch(sampler):
+    # a row that hits exactly at the cap is not censored, whatever the cap
+    long = sampler(UNIFORM2, cylinder([1] * 4), 300, seed=12, censor_cap=150)
+    for cap in range(1, 100):
+        batch = sampler(UNIFORM2, cylinder([1] * 4), 300, seed=12, censor_cap=cap)
+        assert np.array_equal(batch.times, np.minimum(long.times, cap))
+        assert np.array_equal(batch.censored, long.censored | (long.times > cap))
+
+
+def test_rejection_budget_is_exact_across_tiles():
+    # raised exactly when the total over all rows and tiles exceeds the budget
+    pred = hamming_predicate([0] * 4, 0.0, 2)
+    N, cap = 600, 5
+    _, _, total = _reference_batch(UNIFORM2, pred, "return", N, 6, cap)
+    assert total > 0
+    sample_return(UNIFORM2, pred, N, seed=6, censor_cap=cap, rejection_budget=total)
+    with pytest.raises(errors.RejectionBudgetExceededError):
+        sample_return(UNIFORM2, pred, N, seed=6, censor_cap=cap,
+                      rejection_budget=total - 1)
+
+
+@pytest.mark.parametrize("sampler", [sample_hitting, sample_return])
+def test_batch_size_below_one_raises_typed_error(sampler):
+    with pytest.raises(errors.DomainError):
+        sampler(UNIFORM2, cylinder([1]), 0, seed=1, censor_cap=10)
+
+
+def test_predicate_without_cap_raises_typed_error():
+    with pytest.raises(errors.DomainError):
+        sample_hitting(UNIFORM2, hamming_predicate([0, 1], 0.5, 2), 10, seed=1)
+
+
+def test_target_of_unknown_type_raises_typed_error():
+    with pytest.raises(errors.DomainError):
+        sample_hitting(UNIFORM2, [[0, 1]], 10, seed=1, censor_cap=10)
+
+
+def test_cli_mc_rejects_empty_batch(tmp_path):
+    code = main(["mc", "--model", "iid-uniform-2", "--target", "cyl:1", "--N", "0",
+                 "--seed", "1", "--out", str(tmp_path / "mc.csv")])
+    assert code == EXIT_CONFIG

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rarehit import (
@@ -108,8 +109,11 @@ def test_hamming_predicate_agrees_with_expansion():
     pred = hamming_predicate([0, 1, 0, 1], 0.3, 2)
     t = hamming_ball([0, 1, 0, 1], 0.3, 2)
     import itertools
-    for w in itertools.product(range(2), repeat=4):
-        assert pred(w) == (w in t)
+    words = list(itertools.product(range(2), repeat=4))
+    for w in words:
+        assert pred(w) is (w in t)
+    # the batch form: one boolean per row of an (m, n) array
+    assert pred(np.array(words)).tolist() == [w in t for w in words]
 
 
 def test_from_dict_specs():
