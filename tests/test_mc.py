@@ -191,10 +191,11 @@ def _reference_batch(model, target, kind, N, seed, cap):
         for k in range(1, cap + 1):
             w = extend(w, 1)[1:]
             if inside(w):
-                times.append(k), cens.append(False)
                 break
         else:
-            times.append(cap), cens.append(True)
+            k = cap + 1
+        times.append(min(k, cap))
+        cens.append(k > cap)
     return np.array(times), np.array(cens), rejections
 
 
