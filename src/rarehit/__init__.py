@@ -29,14 +29,12 @@ from .mc import (
     sample_return,
 )
 from .process import (
-    MixingBound,
     ProcessModel,
     alpha_bound,
     cylinder_measure,
     entropy,
     iid,
     markov,
-    mixing_bound,
     uniform_iid,
     validate,
 )

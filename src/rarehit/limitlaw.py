@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, GridEmptyError, HorizonTooShortError, InvalidTailError
 from .exact import TailDistribution, TailEngine
 from .process import ProcessModel
-from .scaling import ScaleCertificate, verification_tail
+from .scaling import ScaleCertificate, sup_deviation, verification_tail
 from .targets import TargetSet
 
 
@@ -35,22 +35,21 @@ class StepLaw:
         self.lam = lam
         self.mu_A = mu_A
         self.step = lam * mu_A
+        self.levels = 1.0 - tail.values if role == "F" else tail.values / lam
 
     @property
     def t_max(self) -> float:
         return self.step * (self.tail.horizon + 1)
 
     def _index(self, t: float) -> int:
-        if t < 0:
+        if not t >= 0:  # NaN included
             raise DomainError("time must be non-negative")
-        k = int(math.floor(t / self.step))
-        if k > self.tail.horizon:
+        if t / self.step >= self.tail.horizon + 1:  # infinity included
             raise HorizonTooShortError(f"t={t} beyond tail horizon")
-        return k
+        return int(math.floor(t / self.step))
 
     def value(self, t: float) -> float:
-        H = self.tail.values[self._index(t)]
-        return 1.0 - H if self.role == "F" else H / self.lam
+        return float(self.levels[self._index(t)])
 
     def value_at_zero_plus(self) -> float:
         # H(0)=1, so F(0+)=0 and G(0+)=1/lam.
@@ -64,13 +63,8 @@ class StepLaw:
 
     def _integral0(self, t: float) -> float:
         j = self._index(t)
-        levels = self.tail.values[:j + 1].astype(float)
-        if self.role == "F":
-            levels = 1.0 - levels
-        else:
-            levels = levels / self.lam
-        full = self.step * float(levels[:j].sum())
-        return full + (t - j * self.step) * float(levels[j])
+        full = self.step * float(self.levels[:j].sum())
+        return full + (t - j * self.step) * float(self.levels[j])
 
 
 class ExponentialLaw:
@@ -149,29 +143,6 @@ class DiagnosticsRow:
     cert: ScaleCertificate
 
 
-def _sup_dev_hitting(tail: TailDistribution, lam: float, mu_A: float) -> float:
-    """sup_t |H(floor(t/(lam*mu))) - exp(-t)|, attained at flat endpoints."""
-    step = lam * mu_A
-    k = np.arange(tail.horizon + 1)
-    left = np.abs(tail.values - np.exp(-step * k))
-    right = np.abs(tail.values - np.exp(-step * (k + 1)))
-    trunc = max(float(tail.values[-1]), math.exp(-step * tail.horizon))
-    return max(float(left.max()), float(right.max()), trunc)
-
-
-def _sup_dev_return(tail: TailDistribution, lam: float, mu_A: float, s0: float) -> float:
-    """sup_{t >= s0} |H_ret(floor(t/(lam*mu)))/lam - exp(-t)|."""
-    step = lam * mu_A
-    G = tail.values / lam
-    k0 = int(math.floor(s0 / step))
-    k = np.arange(k0, tail.horizon + 1)
-    left_t = np.maximum(step * k, s0)
-    left = np.abs(G[k0:] - np.exp(-left_t))
-    right = np.abs(G[k0:] - np.exp(-step * (k + 1)))
-    trunc = max(float(G[-1]), math.exp(-step * tail.horizon))
-    return max(float(left.max()), float(right.max()), trunc)
-
-
 def certified_tails(model: ProcessModel, target: TargetSet,
                     ) -> tuple[ScaleCertificate, TailDistribution, TailDistribution]:
     """Scale certificate, the hitting tail extended for verification and the
@@ -189,8 +160,9 @@ def convergence_diagnostics(model: ProcessModel, targets_by_n: dict[int, TargetS
     for n in sorted(targets_by_n):
         target = targets_by_n[n]
         cert, tail, ret = certified_tails(model, target)
-        d_hit = _sup_dev_hitting(tail, cert.lam, cert.mu_A)
-        d_ret = _sup_dev_return(ret, cert.lam, cert.mu_A, s0)
+        step = cert.lam * cert.mu_A
+        d_hit = sup_deviation(tail.values, step)
+        d_ret = sup_deviation(ret.values / cert.lam, step, s0)
         bound = 12.0 * math.sqrt(cert.d) + 2.0 * cert.mu_A
         rows.append(DiagnosticsRow(n, cert.mu_A, cert.lam, cert.delta,
                                    d_hit, d_ret, bound, cert))

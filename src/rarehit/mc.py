@@ -207,9 +207,9 @@ def empirical_tail(batch: SampleBatch, K: int | None = None) -> TailDistribution
         K = batch.censor_cap
     if K > batch.censor_cap:
         raise HorizonMismatchError("K beyond the censoring cap is unobserved")
-    t_eff = np.where(batch.censored, np.inf, batch.times.astype(float))
-    k = np.arange(K + 1)
-    H = (t_eff[None, :] > k[:, None]).mean(axis=1)
+    # H(k) = (N - #{t <= k}) / N: one sort, then one binary search per k.
+    t_eff = np.sort(np.where(batch.censored, np.inf, batch.times.astype(float)))
+    H = (t_eff.size - np.searchsorted(t_eff, np.arange(K + 1), side="right")) / t_eff.size
     return TailDistribution(batch.kind, H, float("nan"),
                             f"empirical(N={batch.N},seed={batch.seed})")
 

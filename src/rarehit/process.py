@@ -177,25 +177,6 @@ def alpha_bound(model: ProcessModel, g: int) -> float:
     return float(np.dot(model.stationary, tv))
 
 
-@dataclass(frozen=True)
-class MixingBound:
-    """Evaluator g -> certified alpha upper bound, with decay metadata."""
-
-    model: ProcessModel
-    decay: str  # "zero" for IID, "geometric" for Markov
-    rate: float  # modulus of second-largest eigenvalue (0 for IID)
-
-    def __call__(self, g: int) -> float:
-        return alpha_bound(self.model, g)
-
-
-def mixing_bound(model: ProcessModel) -> MixingBound:
-    if model.kind == "iid":
-        return MixingBound(model, "zero", 0.0)
-    eig = np.sort(np.abs(np.linalg.eigvals(model.transition)))
-    return MixingBound(model, "geometric", float(eig[-2]))
-
-
 def from_dict(spec: dict) -> ProcessModel:
     """Model config: {"kind":"iid","probs":[...]} or {"kind":"markov","transition":[[...],...]}."""
     kind = spec.get("kind")

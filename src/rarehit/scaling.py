@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import HorizonTooShortError, InvalidTailError, ZeroTailError
+from .errors import DomainError, HorizonTooShortError, InvalidTailError, ZeroTailError
 from .exact import TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
 from .targets import TargetSet, measure
@@ -113,11 +113,8 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
                             tail.mu_A, checks)
 
 
-def compute_lambda(tail: TailDistribution, cert: ScaleCertificate,
-                   mu_A: float | None = None) -> ScaleCertificate:
+def compute_lambda(tail: TailDistribution, cert: ScaleCertificate) -> ScaleCertificate:
     """Fill in lambda(A) = -ln H(s-2n) / (s*mu_A) on a certificate."""
-    if mu_A is None:
-        mu_A = cert.mu_A
     if cert.s is None:
         # Threshold unreachable (delta >= 1/4 and sqrt(d) >= 1): the
         # explicit bound exceeds 3, so any lambda satisfies it.
@@ -130,7 +127,7 @@ def compute_lambda(tail: TailDistribution, cert: ScaleCertificate,
     # Whichever of F and H = 1 - F is below one half is the one known to
     # full relative precision.
     log_H = math.log1p(-Fval) if Fval < 0.5 else math.log(Hval)
-    lam = -log_H / (cert.s * mu_A)
+    lam = -log_H / (cert.s * cert.mu_A)
     checks = dict(cert.checks)
     checks["lambda_positive"] = lam > 0.0
     if cert.regime == "quantitative":
@@ -139,26 +136,23 @@ def compute_lambda(tail: TailDistribution, cert: ScaleCertificate,
 
 
 def scale_certificate(model: ProcessModel, target: TargetSet,
-                      alpha_n: float | None = None,
-                      max_steps: int = MAX_TAIL_STEPS,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
     """Full pipeline: exact hitting tail with auto-extended horizon, scale
     search, and lambda.  The horizon doubles until the search succeeds, on
     one engine that pushes each step once.
 
     Raises HorizonTooShortError before the doubling when the threshold
-    cannot be reached within ``max_steps``: by stationarity
+    cannot be reached within MAX_TAIL_STEPS: by stationarity
     mu(tau <= j) <= j*mu(A), so the crossing needs j >= sqrt(d)/mu(A).
     """
     n = target.n
-    if alpha_n is None:
-        alpha_n = alpha_bound(model, n)
+    alpha_n = alpha_bound(model, n)
     engine = TailEngine(model, target)
     sd = math.sqrt(_smallness(engine.extend(n).cdf, n, alpha_n))
-    if sd < 1.0 and sd > engine.mu_A * (max_steps - 2 * n):
+    if sd < 1.0 and sd > engine.mu_A * (MAX_TAIL_STEPS - 2 * n):
         raise HorizonTooShortError(
             f"threshold sqrt(d)={sd:.3g} with mu(A)={engine.mu_A:.3g} needs more "
-            f"than {max_steps} steps")
+            f"than {MAX_TAIL_STEPS} steps")
     K = max(4 * n, 64)
     while True:
         tail = engine.extend(K)
@@ -166,16 +160,15 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
             cert = scale_search(tail, n, alpha_n)
             break
         except HorizonTooShortError:
-            if K >= max_steps:
+            if K >= MAX_TAIL_STEPS:
                 raise
-            K = min(2 * K, max_steps)
-    cert = compute_lambda(tail, cert, engine.mu_A)
+            K = min(2 * K, MAX_TAIL_STEPS)
+    cert = compute_lambda(tail, cert)
     return cert, tail
 
 
 def extend_for_verification(model: ProcessModel, target: TargetSet,
                             tail: TailDistribution, lam: float,
-                            target_residual: float = TRUNCATION_TARGET,
                             max_steps: int = MAX_TAIL_STEPS) -> TailDistribution:
     """Grow the hitting tail until both H(K) and exp(-lam*mu*K) fall below
     the truncation target, resuming the tail's engine when it has one.
@@ -184,12 +177,12 @@ def extend_for_verification(model: ProcessModel, target: TargetSet,
     below the target within ``max_steps``.
     """
     mu = tail.mu_A
-    if math.log(1.0 / target_residual) > lam * mu * max_steps:
+    if math.log(1.0 / TRUNCATION_TARGET) > lam * mu * max_steps:
         raise HorizonTooShortError(
-            f"exp(-lam*mu*K) <= {target_residual:g} needs K > cap {max_steps}")
+            f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {max_steps}")
     engine = tail.engine or TailEngine(model, target)
     K = tail.horizon
-    while tail.values[-1] > target_residual or math.exp(-lam * mu * K) > target_residual:
+    while tail.values[-1] > TRUNCATION_TARGET or math.exp(-lam * mu * K) > TRUNCATION_TARGET:
         if K >= max_steps:
             raise HorizonTooShortError(f"needed horizon exceeds cap {max_steps}")
         K = min(2 * K, max_steps)
@@ -198,7 +191,6 @@ def extend_for_verification(model: ProcessModel, target: TargetSet,
 
 
 def verification_tail(model: ProcessModel, target: TargetSet,
-                      alpha_n: float | None = None,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
     """Scale certificate and the hitting tail extended for verification.
 
@@ -208,39 +200,57 @@ def verification_tail(model: ProcessModel, target: TargetSet,
     if 1.0 - TRUNCATION_TARGET > measure(model, target) * MAX_TAIL_STEPS:
         raise HorizonTooShortError(
             f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
-    cert, tail = scale_certificate(model, target, alpha_n=alpha_n)
+    cert, tail = scale_certificate(model, target)
     return cert, extend_for_verification(model, target, tail, cert.lam)
 
 
-def verify_exponential_bound(tail: TailDistribution, lam: float, mu_A: float,
-                         cert: ScaleCertificate,
-                         empirical_slack: float = 0.0) -> VerificationReport:
-    """Check sup_k |H(k) - exp(-lam*mu*k)| <= 12*sqrt(d) up to the horizon,
-    reporting the unchecked-tail contribution as a truncation residual."""
-    K = tail.horizon
-    exp_tail = math.exp(-lam * mu_A * K)
+def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
+    """sup_{t >= s0} |levels[floor(t/step)] - exp(-t)|, the truncation included.
+
+    The step function is flat on [k*step, (k+1)*step), so the sup is attained
+    at the two endpoints of a flat (the first flat starting at s0); past the
+    last flat both sides lie below max(levels[-1], exp(-step*K)).  The flats
+    are taken chunk by chunk, one exp array serving both endpoints, so memory
+    stays bounded at any horizon and the max equals a one-pass max bit for bit.
+    """
+    if not s0 >= 0.0:  # NaN included
+        raise DomainError(f"s0 must be non-negative, got {s0}")
+    K = levels.size - 1
+    if s0 / step >= K + 1:  # floor(s0/step) > K, infinity included
+        raise HorizonTooShortError(f"s0={s0} beyond tail horizon {K}")
+    k0 = int(math.floor(s0 / step))
+    sup = max(float(levels[-1]), math.exp(-step * K))
+    for lo in range(k0, K + 1, _SUP_CHUNK):
+        hi = min(lo + _SUP_CHUNK, K + 1)
+        t = step * np.arange(lo, hi + 1)
+        t[0] = max(t[0], s0)
+        e = np.exp(-t)
+        flats = levels[lo:hi]
+        sup = max(sup, float(np.abs(flats - e[:-1]).max()), float(np.abs(flats - e[1:]).max()))
+    return sup
+
+
+def verify_exponential_bound(tail: TailDistribution,
+                             cert: ScaleCertificate) -> VerificationReport:
+    """Check sup_t |H(floor(t/(lam*mu))) - exp(-t)| <= 12*sqrt(d) up to the
+    horizon, reporting the unchecked-tail contribution as a truncation residual."""
+    step = cert.lam * cert.mu_A
+    exp_tail = math.exp(-step * tail.horizon)
     if tail.values[-1] > TRUNCATION_TARGET or exp_tail > TRUNCATION_TARGET:
         raise HorizonTooShortError(
             "horizon too short: extend until H(K) and exp(-lam*mu*K) <= 1e-4")
-    # The sup is taken chunk by chunk: elementwise, so bit-identical to one
-    # pass, with memory bounded at any horizon.
-    H = tail.values
-    sup_dev = 0.0
-    for lo in range(0, K + 1, _SUP_CHUNK):
-        k = np.arange(lo, min(lo + _SUP_CHUNK, K + 1))
-        sup_dev = max(sup_dev, float(np.abs(H[lo:lo + k.size] - np.exp(-lam * mu_A * k)).max()))
-    truncation = max(float(H[-1]), exp_tail)
-    bound = 12.0 * math.sqrt(cert.d) + empirical_slack
+    sup_dev = sup_deviation(tail.values, step)
+    truncation = max(float(tail.values[-1]), exp_tail)
+    bound = 12.0 * math.sqrt(cert.d)
     passed = sup_dev <= bound + truncation
     return VerificationReport(sup_dev, bound, truncation, passed)
 
 
 def verify(model: ProcessModel, target: TargetSet,
-           alpha_n: float | None = None,
            ) -> tuple[ScaleCertificate, VerificationReport, TailDistribution]:
     """Certificate + explicit-bound verification on exact tails."""
-    cert, tail = verification_tail(model, target, alpha_n=alpha_n)
-    report = verify_exponential_bound(tail, cert.lam, cert.mu_A, cert)
+    cert, tail = verification_tail(model, target)
+    report = verify_exponential_bound(tail, cert)
     return cert, report, tail
 
 

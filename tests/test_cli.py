@@ -164,3 +164,12 @@ def test_sweep_assert_builds_each_certificate_once(tmp_path, monkeypatch):
                    "--n-min", "2", "--n-max", "6", "--assert"], tmp_path)
     assert code == EXIT_OK
     assert calls == [2, 3, 4, 5, 6]
+
+
+def test_sweep_s0_outside_the_table(tmp_path, capsys):
+    argv = ["sweep", "--model", "iid-uniform-2", "--point", "0", "--n-min", "2",
+            "--n-max", "3"]
+    assert run(argv + ["--s0", "-0.5"], tmp_path)[0] == EXIT_CONFIG
+    assert "s0 must be non-negative" in capsys.readouterr().err
+    assert run(argv + ["--s0", "1e9"], tmp_path)[0] == EXIT_RESOURCE
+    assert "beyond tail horizon" in capsys.readouterr().err

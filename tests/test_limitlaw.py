@@ -163,8 +163,12 @@ def test_step_law_rejects_unknown_role_and_negative_time():
     with pytest.raises(errors.InvalidTailError):
         limitlaw.StepLaw("H", tail, 1.0, 0.5)
     F = make_F(tail, 1.0, 0.5)
-    with pytest.raises(errors.DomainError):
-        F.value(-0.1)
+    for t in (-0.1, float("nan")):
+        with pytest.raises(errors.DomainError):
+            F.value(t)
+    for t in (4.5, float("inf")):
+        with pytest.raises(errors.HorizonTooShortError):
+            F.value(t)
     with pytest.raises(errors.DomainError):
         F.integral(1.0, 0.5)
 
@@ -182,3 +186,25 @@ def test_sandwich_rejects_reversed_pair():
     F, G = ExponentialLaw("F"), ExponentialLaw("G")
     with pytest.raises(errors.DomainError):
         check_sandwich(F, G, 0.1, [(1.0, 0.5)])
+
+
+def test_verify_and_sweep_share_the_hitting_deviation():
+    # The sweep value pinned for binary 0,0 in the benchmark reference.
+    target = cylinder([0, 0])
+    _, report, _ = scaling.verify(UNIFORM2, target)
+    (row,) = convergence_diagnostics(UNIFORM2, {2: target})
+    assert report.sup_dev == row.d_hit == 0.14380382468551522
+
+
+def test_return_deviation_starts_at_s0():
+    target = cylinder([0, 1])
+    cert, _, ret = limitlaw.certified_tails(UNIFORM2, target)
+    G = ret.values / cert.lam
+    step = cert.lam * cert.mu_A
+    for s0 in (0.0, 0.05, 0.5 * step, 3.0):
+        (row,) = convergence_diagnostics(UNIFORM2, {2: target}, s0=s0)
+        k0 = int(s0 // step)
+        k = np.arange(k0, ret.horizon + 1)
+        left = np.abs(G[k0:] - np.exp(-np.maximum(step * k, s0))).max()
+        right = np.abs(G[k0:] - np.exp(-step * (k + 1))).max()
+        assert row.d_ret == max(left, right, G[-1], np.exp(-step * ret.horizon))

@@ -119,6 +119,17 @@ def test_default_censor_cap():
     assert mc.default_censor_cap(UNIFORM2, cylinder([1])) == 100  # 50 / 0.5
 
 
+@pytest.mark.parametrize("K", [0, 7, 25, None])
+def test_empirical_tail_equals_the_matrix_formula(K):
+    # Censored rows (time == cap) count as survivors at every k <= cap.
+    batch = sample_hitting(UNIFORM2, cylinder([1] * 5), 700, seed=9, censor_cap=25)
+    assert 0 < batch.n_censored < 700
+    k = np.arange((batch.censor_cap if K is None else K) + 1)
+    t_eff = np.where(batch.censored, np.inf, batch.times.astype(float))
+    matrix = (t_eff[None, :] > k[:, None]).mean(axis=1)
+    assert np.array_equal(empirical_tail(batch, K).values, matrix)
+
+
 def test_empirical_tail_beyond_cap_rejected():
     batch = sample_hitting(UNIFORM2, cylinder([1]), 100, seed=4, censor_cap=10)
     with pytest.raises(errors.HorizonMismatchError):

@@ -12,7 +12,6 @@ from rarehit import (
     errors,
     iid,
     markov,
-    mixing_bound,
     process,
     uniform_iid,
     validate,
@@ -116,7 +115,6 @@ def test_alpha_bound_markov_geometric_decay():
     vals = [alpha_bound(m, g) for g in range(1, 12)]
     ratios = [b / a for a, b in zip(vals, vals[1:])]
     assert ratios[-1] == pytest.approx(0.4, abs=1e-9)
-    assert mixing_bound(m).rate == pytest.approx(0.4, abs=1e-12)
 
 
 def test_alpha_bound_monotone_to_zero():

@@ -17,6 +17,7 @@ from rarehit.scaling import (
     lambda_trajectory,
     scale_certificate,
     scale_search,
+    sup_deviation,
     verify,
     verify_exponential_bound,
 )
@@ -119,7 +120,7 @@ def test_verify_deep_cylinder_frozen_sup_dev():
 def test_verify_requires_long_horizon():
     cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 8))
     with pytest.raises(errors.HorizonTooShortError):
-        verify_exponential_bound(tail.truncated(20), cert.lam, cert.mu_A, cert)
+        verify_exponential_bound(tail.truncated(20), cert)
 
 
 def test_lambda_trajectory_periodic_point():
@@ -184,3 +185,79 @@ def test_certificate_reads_accumulated_F():
     j = cert.s - 2 * cert.n
     assert cert.d == 2.0 * tail.absorbed[cert.n]
     assert cert.lam == -math.log1p(-tail.absorbed[j]) / (cert.s * cert.mu_A)
+
+
+def _flat_endpoint_sup(levels, step, s0=0.0):
+    """Python-loop reference: both endpoints of every flat from s0 on."""
+    K = len(levels) - 1
+    best = max(levels[-1], math.exp(-step * K))
+    for k in range(int(math.floor(s0 / step)), K + 1):
+        left, right = max(step * k, s0), step * (k + 1)
+        best = max(best, abs(levels[k] - math.exp(-left)), abs(levels[k] - math.exp(-right)))
+    return best
+
+
+def test_sup_deviation_reaches_right_flat_endpoints():
+    # A tail lying above exp(-t): on each flat the gap is widest at the right
+    # end, which a check at integer k alone misses.
+    mu = 0.05
+    H = np.minimum(1.0, 1.05 * np.exp(-mu * np.arange(400)))
+    tail = TailDistribution("hitting", H, mu, "exact")
+    cert = scaling.ScaleCertificate(1, 1e-4, 0.03, "quantitative", 10, 1.0,
+                                    False, mu, {})
+    report = verify_exponential_bound(tail, cert)
+    assert report.sup_dev == pytest.approx(_flat_endpoint_sup(H, mu), rel=1e-14)
+    integer_k = float(np.abs(H - np.exp(-mu * np.arange(400))).max())
+    assert report.sup_dev > integer_k + 0.04
+    t = np.linspace(0.0, mu * 400, 20001)
+    sampled = np.abs(H[np.minimum((t / mu).astype(int), 399)] - np.exp(-t)).max()
+    assert sampled <= report.sup_dev <= sampled + (t[1] - t[0])
+
+
+def test_sup_deviation_chunked_equals_one_pass():
+    cert, report, tail = verify(UNIFORM2, cylinder([1] * 16))
+    assert tail.horizon > 1 << 16
+    step = cert.lam * cert.mu_A
+    k = np.arange(tail.horizon + 1)
+    H = tail.values
+    one_pass = max(float(np.abs(H - np.exp(-step * k)).max()),
+                   float(np.abs(H - np.exp(-step * (k + 1))).max()),
+                   float(H[-1]), math.exp(-step * tail.horizon))
+    assert report.sup_dev == one_pass
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+def test_sup_deviation_independent_of_chunk(monkeypatch, chunk):
+    rng = np.random.default_rng(5)
+    levels = np.sort(rng.random(300))[::-1] * 1.5
+    want = [sup_deviation(levels, 0.03, s0) for s0 in (0.0, 0.05, 2.0, 8.99)]
+    monkeypatch.setattr(scaling, "_SUP_CHUNK", chunk)
+    assert [sup_deviation(levels, 0.03, s0) for s0 in (0.0, 0.05, 2.0, 8.99)] == want
+    for s0, got in zip((0.0, 0.05, 2.0, 8.99), want):
+        assert got == pytest.approx(_flat_endpoint_sup(levels, 0.03, s0), rel=1e-14)
+
+
+def test_sup_deviation_clamps_first_flat_to_s0():
+    # levels[0] = 0 sits on [0, 1): from s0 = 0.5 its left end is exp(-0.5),
+    # not exp(0); later flats match exp(-t) at their left ends.
+    levels = np.exp(-np.arange(12.0))
+    levels[0] = 0.0
+    assert sup_deviation(levels, 1.0) == 1.0
+    assert sup_deviation(levels, 1.0, 0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    # From s0 = 1.5 the first flat is skipped; flat 1 starts at 1.5.
+    assert sup_deviation(levels, 1.0, 1.5) == pytest.approx(
+        max(math.exp(-1.5) - math.exp(-1), math.exp(-1) - math.exp(-2)), rel=1e-15)
+    assert sup_deviation(levels, 1.0, 1.5) == pytest.approx(
+        _flat_endpoint_sup(levels, 1.0, 1.5), rel=1e-15)
+
+
+def test_sup_deviation_rejects_s0_outside_the_table():
+    levels = np.exp(-np.arange(10.0))
+    for s0 in (-0.5, math.nan):
+        with pytest.raises(errors.DomainError):
+            sup_deviation(levels, 1.0, s0)
+    for s0 in (10.0, math.inf):
+        with pytest.raises(errors.HorizonTooShortError):
+            sup_deviation(levels, 1.0, s0)
+    assert sup_deviation(levels, 1.0, 9.5) == pytest.approx(
+        _flat_endpoint_sup(levels, 1.0, 9.5), rel=1e-15)
