@@ -20,6 +20,7 @@ import numpy as np
 from . import exact, limitlaw, mc, process, rarity, scaling, targets
 from .errors import (
     ConfigInvalidError,
+    DomainError,
     EnumerationTooLargeError,
     ExpansionTooLargeError,
     HorizonTooShortError,
@@ -131,6 +132,9 @@ def _cmd_limitlaw(args) -> int:
     F = limitlaw.make_F(tail, cert.lam, cert.mu_A)
     G = limitlaw.make_G(ret, cert.lam, cert.mu_A)
     t_max = 0.9 * F.t_max
+    if args.s0 >= t_max:
+        raise DomainError(f"s0 = {args.s0:g} must lie below the usable horizon "
+                          f"t_max = {t_max:g} (0.9 of the certified tail's)")
     t_grid = np.linspace(args.s0, t_max, 64)
     pairs = [(t_grid[i], t_grid[j]) for i in range(0, 64, 8) for j in range(i + 1, 64, 8)]
     result = {

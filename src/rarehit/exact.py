@@ -131,11 +131,6 @@ class OccurrenceAutomaton:
         self.last = last
         self.accepting = np.arange(S) >= first[n - 1]
 
-    def run(self, word, state: int = 0) -> int:
-        for sym in word:
-            state = self.goto[state, sym]
-        return int(state)
-
 
 def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
     return OccurrenceAutomaton(target, q)

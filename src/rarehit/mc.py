@@ -13,11 +13,18 @@ derive_seed(master, i), in order, one per symbol.  The chunk and tile sizes
 set only how far ahead they are drawn and are not part of the contract, so
 serial and parallel schedules produce identical batches.  The seed
 derivation below is part of the external contract.
+
+rarehit computes these streams itself, a round at a time for all rows of a
+tile (_TileStreams: numpy's SeedSequence seeding and the PCG64 step on
+uint32 / uint64 arrays).  Each row equals numpy's
+Generator(PCG64(derive_seed(master, i))).random bit for bit, as
+tests/test_mc.py::test_tile_streams_match_numpy_generators checks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +53,17 @@ def derive_seed(master: int, index: int) -> int:
     return z
 
 
+def derive_seeds(master: int, lo: int, hi: int) -> np.ndarray:
+    """derive_seed(master, i) for i in lo..hi-1, as uint64."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + (master & _MASK64)
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     kind: str  # "hitting" or "return"
@@ -60,12 +78,99 @@ class SampleBatch:
         return int(self.censored.sum())
 
 
-def _draw(gens, rows, width: int) -> np.ndarray:
-    """The next ``width`` uniforms of each listed trajectory, one row each."""
-    U = np.empty((len(rows), width))
-    for r, i in enumerate(rows):
-        gens[i].random(out=U[r])
-    return U
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR on a
+# 128-bit LCG), re-implemented on uint32 / uint64 arrays so that a whole
+# row tile is seeded and stepped at once.
+_MASK32 = (1 << 32) - 1
+_MOD128 = 1 << 128
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _halves(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as (high, low) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+# c steps of the LCG from state s give A_c s + inc G_c, with A_c = M^c and
+# G_c = 1 + M + ... + M^(c-1) mod 2^128 (Brown, Random number generation
+# with arbitrary strides, 1994); index c-1 holds step c.
+_POWERS = [pow(_PCG_MULT, c, _MOD128) for c in range(_CHUNK + 1)]
+_JUMP_A = _halves(_POWERS[1:])
+_JUMP_G = _halves([g % _MOD128 for g in accumulate(_POWERS[:-1])])
+
+
+def _mul128(xh, xl, ah, al):
+    """(xh, xl) * (ah, al) mod 2^128 on uint64 halves, broadcasting."""
+    x0, x1, a0, a1 = xl & _MASK32, xl >> 32, al & _MASK32, al >> 32
+    p01, p10 = x0 * a1, x1 * a0
+    mid = (x0 * a0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + xl * ah + xh * al
+    return hi, xl * al
+
+
+def _add128(xh, xl, ah, al):
+    lo = xl + al
+    return xh + ah + (lo < xl), lo
+
+
+def _seed_sequence_state(seeds: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each uint64 seed,
+    as four uint64 arrays (v0..v3)."""
+    hc = 0x43B0D7E5  # the hash constant depends on the call count only
+
+    def hashmix(v):
+        nonlocal hc
+        v = v ^ hc
+        hc = hc * 0x931E8875 & _MASK32
+        v = v * hc
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * 0xCA01F9DD - y * 0x4973F715
+        return r ^ (r >> 16)
+
+    zero = np.zeros(seeds.size, dtype=np.uint32)
+    pool = [hashmix(w) for w in ((seeds & _MASK32).astype(np.uint32),
+                                 (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hc, words = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ hc
+        hc = hc * 0x58F38DED & _MASK32
+        v = v * hc
+        words.append((v ^ (v >> 16)).astype(np.uint64))
+    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+
+
+class _TileStreams:
+    """The PCG64 streams of trajectories lo..hi-1: row r draws exactly what
+    numpy's Generator(PCG64(derive_seed(master, lo + r))).random would."""
+
+    def __init__(self, master: int, lo: int, hi: int):
+        v0, v1, v2, v3 = _seed_sequence_state(derive_seeds(master, lo, hi))
+        inc = (v2 << 1) | (v3 >> 63), (v3 << 1) | 1
+        # pcg64_srandom: state = inc (one step from 0), add initstate, step
+        h, l = _add128(*inc, v0, v1)
+        self.hi, self.lo = _add128(*_mul128(h, l, *_halves([_PCG_MULT])), *inc)
+        self.gh, self.gl = _mul128(inc[0][:, None], inc[1][:, None], *_JUMP_G)
+
+    def draw(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """The next ``width`` uniforms of each listed row, one row each."""
+        U = np.empty((len(rows), width))
+        for c in range(0, width, _CHUNK):
+            w = min(_CHUNK, width - c)
+            h, l = _mul128(self.hi[rows, None], self.lo[rows, None],
+                           _JUMP_A[0][:w], _JUMP_A[1][:w])
+            h, l = _add128(h, l, self.gh[rows, :w], self.gl[rows, :w])
+            self.hi[rows], self.lo[rows] = h[:, -1], l[:, -1]
+            x, rot = h ^ l, h >> 58  # XSL-RR output, then 53-bit double
+            U[:, c:c + w] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
+        U *= 2.0 ** -53
+        return U
 
 
 def _cum_table(model: ProcessModel) -> np.ndarray:
@@ -124,15 +229,15 @@ def default_censor_cap(model: ProcessModel, target) -> int:
     return max(1, math.ceil(50.0 / measure(model, target)))
 
 
-def _advance(gens, cum, match, state, last, cap: int):
+def _advance(streams, cum, match, state, last, cap: int):
     """Scan the rows of one tile in lockstep, from their matcher states and
     last symbols, to their first hit at a time in 1..cap.  Returns the hit
     times (cap when censored) and the censored flags."""
-    times = np.full(len(gens), cap, dtype=np.int64)
-    cens = np.ones(len(gens), dtype=bool)
-    live = np.arange(len(gens))
+    times = np.full(len(last), cap, dtype=np.int64)
+    cens = np.ones(len(last), dtype=bool)
+    live = np.arange(len(last))
     for k in range(1, cap + 1, _CHUNK):  # k: time of the chunk's first window
-        S = _symbols(cum, _draw(gens, live, _CHUNK), last)
+        S = _symbols(cum, streams.draw(live, _CHUNK), last)
         hit, state = match(state, S)
         hit[:, cap + 1 - k:] = False
         found = hit.any(axis=1)
@@ -162,18 +267,17 @@ def _sample(kind, model, target, N, seed, censor_cap, rejection_budget=0) -> Sam
     rejections = 0
     for lo in range(0, N, _TILE):
         hi = min(lo + _TILE, N)
-        gens = [np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
-                for i in range(lo, hi)]
+        streams = _TileStreams(seed, lo, hi)
         rows = np.arange(hi - lo)
         if kind == "hitting":
-            words = _symbols(cum, _draw(gens, rows, n), np.full(rows.size, -1))
+            words = _symbols(cum, streams.draw(rows, n), np.full(rows.size, -1))
         elif explicit_return:  # uniform 0 of each row picks the word
-            j = np.searchsorted(word_cum, _draw(gens, rows, 1)[:, 0], side="right")
+            j = np.searchsorted(word_cum, streams.draw(rows, 1)[:, 0], side="right")
             words = target.array[np.minimum(j, target.kappa - 1)]
         else:  # rounds of n symbols from the stationary law until one is in A
             words = np.empty((rows.size, n), dtype=np.int64)
             while rows.size:
-                W = _symbols(cum, _draw(gens, rows, n), np.full(rows.size, -1))
+                W = _symbols(cum, streams.draw(rows, n), np.full(rows.size, -1))
                 ok = np.asarray(target(W), dtype=bool)
                 words[rows[ok]] = W[ok]
                 rows = rows[~ok]
@@ -181,7 +285,7 @@ def _sample(kind, model, target, N, seed, censor_cap, rejection_budget=0) -> Sam
                 if rejections > rejection_budget:
                     raise RejectionBudgetExceededError(
                         f"more than {rejection_budget} rejected initial windows")
-        times[lo:hi], cens[lo:hi] = _advance(gens, cum, match, init(words), words[:, -1],
+        times[lo:hi], cens[lo:hi] = _advance(streams, cum, match, init(words), words[:, -1],
                                              censor_cap)
     return SampleBatch(kind, N, seed, times, cens, censor_cap)
 

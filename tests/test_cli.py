@@ -54,6 +54,15 @@ def test_limitlaw_assert(tmp_path):
     assert doc["result"]["sandwich_violation"] <= 1e-10
 
 
+def test_limitlaw_s0_beyond_the_usable_horizon(tmp_path, capsys):
+    # t_max of binary 1,1 is 0.9 * 10.09...: the grid from s0 would run backwards
+    code, _ = run(["limitlaw", "--model", "iid-uniform-2",
+                   "--target", "cyl:1,1", "--s0", "9.5"], tmp_path)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "s0 = 9.5 must lie below the usable horizon t_max = 9.08" in err
+
+
 def test_rarity_d0(tmp_path):
     code, text = run(["rarity", "d0", "--q", "4", "--h-bits", "1.7"], tmp_path)
     assert code == EXIT_OK

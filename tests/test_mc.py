@@ -36,6 +36,55 @@ def test_seed_derivation_frozen():
     assert derive_seed(0, 0) != derive_seed(0, 1)
 
 
+EDGE_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, -1, 2 ** 64 + 5]
+
+
+@pytest.mark.parametrize("master", EDGE_SEEDS + [1, 2 ** 63, 12345])
+def test_derive_seeds_equals_derive_seed(master):
+    expected = [derive_seed(master, i) for i in range(700, 1300)]
+    assert mc.derive_seeds(master, 700, 1300).tolist() == expected
+
+
+def _check_tile_streams(master, lo, rows, steps):
+    """Draw each (live rows, width) step from one tile's vectorized streams
+    and from numpy's per-trajectory Generators: the doubles must agree bit for
+    bit."""
+    streams = mc._TileStreams(master, lo, lo + rows)
+    gens = [np.random.Generator(np.random.PCG64(derive_seed(master, lo + r)))
+            for r in range(rows)]
+    for live, width in steps:
+        got = streams.draw(np.asarray(live, dtype=np.int64), width)
+        want = np.array([gens[r].random(width) for r in live]).reshape(len(live), width)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def _stream_cases(draw):
+    """A master seed, a tile offset, a row count and a sequence of draws,
+    each on a subset of the rows, with widths 1, a window length n, the
+    chunk (32) and wider than a chunk."""
+    rows = draw(st.integers(1, 40))
+    live = st.lists(st.booleans(), min_size=rows, max_size=rows).map(
+        lambda keep: np.flatnonzero(keep).tolist())
+    width = st.one_of(st.sampled_from([1, 32]), st.integers(2, 8), st.integers(33, 80))
+    steps = draw(st.lists(st.tuples(live, width), min_size=1, max_size=6))
+    return draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(1, 10 ** 6)), rows, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_stream_cases())
+def test_tile_streams_match_numpy_generators(case):
+    _check_tile_streams(*case)
+
+
+@pytest.mark.parametrize("master", EDGE_SEEDS)
+def test_tile_streams_match_numpy_generators_at_edge_seeds(master):
+    all_rows = list(range(50))
+    steps = [(all_rows, 1), (all_rows, 4), (all_rows, 32), (all_rows[::3], 45),
+             (all_rows[7:9], 32), (all_rows, 70)]
+    _check_tile_streams(master, 511, 50, steps)
+
+
 def test_hitting_determinism():
     a = sample_hitting(UNIFORM2, cylinder([1, 1]), 500, seed=42, censor_cap=100)
     b = sample_hitting(UNIFORM2, cylinder([1, 1]), 500, seed=42, censor_cap=100)
