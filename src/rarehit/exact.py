@@ -5,12 +5,14 @@ with a multi-pattern failure-link automaton (all patterns share length n, so
 the accepting states are exactly the word-terminal trie nodes).  The
 automaton is composed with the source memory (last emitted symbol, which is
 all a first-order Markov chain needs), and a resumable ``TailEngine`` pushes
-the state distribution through the survival kernel in blocks of steps,
+the state distribution through the survival kernel, one step at a time up to
+a switch point set by the chain size and in blocks of steps beyond it,
 accumulating the mass absorbed by the event beside the surviving mass.  A
 brute-force enumeration oracle provides an independent check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
@@ -31,7 +33,7 @@ from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 BRUTE_FORCE_CAP = 2 * 10 ** 7
-_DENSE_LIMIT = 600  # composed-state count below which dense matrices win
+_DENSE_LIMIT = 600  # largest chain whose block matrices are ever built
 _BLOCK = 128  # steps per block push on dense chains
 _MONOTONE_SLACK = 1e-12
 _CSV_ROWS = 4096  # rows formatted per write: bounded memory at any horizon
@@ -162,6 +164,22 @@ def _coarsest_stable(key: np.ndarray, succ: np.ndarray) -> np.ndarray:
         cls, count = new, new_count
 
 
+def _switch_point(size: int) -> float:
+    """Steps a chain of ``size`` states pushes one at a time before it
+    builds its block matrices and continues in blocks.
+
+    The build squares a dense size x size matrix seven times and costs about
+    size**3 / 36,000 single sparse steps (measured at 11, 218 and 493
+    states), so switching there costs at most about twice the cheaper
+    schedule for any horizon.  Rounded down to a multiple of _BLOCK (0 for
+    chains of up to 166 states); never (inf) above _DENSE_LIMIT, where
+    powers fill in.
+    """
+    if size > _DENSE_LIMIT:
+        return math.inf
+    return size ** 3 // 36_000 // _BLOCK * _BLOCK
+
+
 class _ComposedChain:
     """Markov chain over the classes of reachable (automaton state, last
     symbol) pairs.
@@ -177,8 +195,9 @@ class _ComposedChain:
     absorbed by the event, and ``absorb`` is each state's one-step
     probability of entering acceptance, summed from those transitions.
     Kernels are stored transposed so a push is a single matrix-vector
-    product.  Dense chains push ``block`` steps at a time; sparse ones one,
-    since powers of a sparse kernel fill in.
+    product.  Tails are pushed one step at a time up to ``switch`` and in
+    blocks of _BLOCK steps beyond it; the kernels are dense arrays when the
+    chain starts in blocks (``switch`` 0), else CSR matrices.
     """
 
     def __init__(self, model: ProcessModel, aut: OccurrenceAutomaton):
@@ -208,9 +227,8 @@ class _ComposedChain:
         self.aut = aut
         self.model = model
         self.absorb = (prob - surv).sum(axis=1)
-        self.dense = size <= _DENSE_LIMIT
-        self.block = _BLOCK if self.dense else 1
-        if self.dense:
+        self.switch = _switch_point(size)
+        if self.switch == 0:
             flat = (dst * size).ravel() + src
             self.fullT = np.bincount(flat, prob.ravel(), size * size).reshape(size, size)
             self.survT = np.bincount(flat, surv.ravel(), size * size).reshape(size, size)
@@ -229,16 +247,16 @@ class _ComposedChain:
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(R, A, P): (B, size) arrays R with rows (M_s^j 1)^T and A with
         rows (M_s^(j-1) a)^T for j = 1..B, and P = (M_s^T)^B, which moves the
-        live vector on by one block.
+        live vector on by one block (B = _BLOCK).
 
         For the live vector v at the start of a block, R @ v is H at the
         block's B steps and A @ v the mass absorbed at each of them.  Built
         by doubling: rows m+1..2m are rows 1..m times (M_s^T)^m, and the
         last squaring is P.
         """
-        X = np.stack((np.ones(self.size) @ self.survT, self.absorb))[:, None, :]
-        P = self.survT
-        while X.shape[1] < self.block:
+        P = self.survT if self.switch == 0 else self.survT.toarray()
+        X = np.stack((np.ones(self.size) @ P, self.absorb))[:, None, :]
+        while X.shape[1] < _BLOCK:
             X = np.concatenate((X, (X.reshape(-1, self.size) @ P).reshape(X.shape)), axis=1)
             P = P @ P
         return X[0], X[1], P
@@ -260,14 +278,9 @@ class _ComposedChain:
         return np.bincount(self._cls[self._pair(state, W[:, -1])], p / mu_A, self.size)
 
     def expected_absorption_times(self) -> np.ndarray:
-        """Solve t = 1 + M_surv t (expected steps to first acceptance)."""
-        if self.dense:
-            A = np.eye(self.size) - self.survT.T
-            try:
-                return np.linalg.solve(A, np.ones(self.size))
-            except np.linalg.LinAlgError as e:
-                raise SingularSystemError(str(e)) from e
-        A = sp.identity(self.size, format="csc") - self.survT.T.tocsc()
+        """Solve t = 1 + M_surv t (expected steps to first acceptance) by
+        sparse LU: the kernel has at most q entries per column."""
+        A = sp.identity(self.size, format="csc") - sp.csc_matrix(self.survT.T)
         t = spla.spsolve(A, np.ones(self.size))
         if not np.all(np.isfinite(t)):
             raise SingularSystemError("absorption-time system is singular")
@@ -279,8 +292,10 @@ class TailEngine:
     (model, target).
 
     The engine keeps the composed chain and the live vector and only ever
-    pushes steps it has not pushed before.  Blocks are aligned from k = 0,
-    so an engine extended in several calls matches a fresh one bit for bit.
+    pushes steps it has not pushed before: single steps up to the chain's
+    ``switch``, blocks from there on.  The switch depends on the chain size
+    alone, so an engine extended in several calls matches a fresh one bit
+    for bit.
     Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
     every increment is non-negative, so F never cancels.  Pass ``chain`` to
     share one chain (and its block matrices) between engines of the same
@@ -307,8 +322,8 @@ class TailEngine:
         self.kind = kind
         self.mu_A = mu_A
         self.chain = chain
-        self.steps = 0  # steps pushed so far, a multiple of the block length
-        self._v = v  # live vector at the start of the last pushed block
+        self.steps = 0  # steps pushed so far
+        self._v = v  # live vector after them
         self._H = np.ones(1)
         self._F = np.zeros(1)
 
@@ -322,19 +337,25 @@ class TailEngine:
             raise HorizonNonPositiveError("K must be >= 1")
         k0 = self.steps
         if K > k0:
-            B = self.chain.block
-            k1 = k0 + -(-(K - k0) // B) * B
-            R, A, push = self.chain.blocks
+            chain = self.chain
+            switch = chain.switch
+            k1 = K if K <= switch else switch + -(-(K - switch) // _BLOCK) * _BLOCK
             H = np.empty(k1 + 1)
             F = np.empty(k1 + 1)
             H[:k0 + 1] = self._H
             F[:k0 + 1] = self._F
             v = self._v
-            for k in range(k0, k1, B):
-                if k:
+            absorb, survT = chain.absorb, chain.survT
+            for k in range(k0, min(k1, switch)):
+                F[k + 1] = absorb @ v
+                v = survT @ v
+                H[k + 1] = v.sum()
+            if k1 > switch:
+                R, A, push = chain.blocks
+                for k in range(max(k0, switch), k1, _BLOCK):
+                    np.dot(R, v, out=H[k + 1:k + _BLOCK + 1])
+                    np.dot(A, v, out=F[k + 1:k + _BLOCK + 1])
                     v = push @ v
-                np.dot(R, v, out=H[k + 1:k + B + 1])
-                np.dot(A, v, out=F[k + 1:k + B + 1])
             # Clamp float dust so monotonicity holds exactly; both fix-ups
             # run left to right, so they agree with a single pass from k = 0.
             np.minimum.accumulate(H[k0:], out=H[k0:])

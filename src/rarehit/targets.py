@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DomainError,
     ExpansionTooLargeError,
     RankMismatchError,
     SymbolOutOfRangeError,
@@ -79,29 +80,51 @@ def hamming_ball_size(n: int, radius: int, q: int) -> int:
     return sum(math.comb(n, k) * (q - 1) ** k for k in range(radius + 1))
 
 
-def hamming_ball(center, D: float, q: int, cap: int = HAMMING_EXPANSION_CAP) -> TargetSet:
-    """All words within Hamming distance floor(D*n) of the center word."""
+def _radius(D: float, n: int) -> int:
+    """The Hamming radius floor(D*n) of a relative radius D >= 0."""
+    if not (math.isfinite(D) and D >= 0):
+        raise DomainError(f"Hamming radius D must be finite and >= 0, got {D!r}")
+    return math.floor(D * n)
+
+
+def _center(center, q: int) -> Word:
     c = tuple(int(s) for s in center)
-    n = len(c)
+    if not c:
+        raise RankMismatchError("all words must share a common positive length")
     if any(s < 0 or s >= q for s in c):
         raise SymbolOutOfRangeError("center symbols must lie in 0..q-1")
-    radius = math.floor(D * n)
+    return c
+
+
+def hamming_ball(center, D: float, q: int, cap: int = HAMMING_EXPANSION_CAP) -> TargetSet:
+    """All words within Hamming distance floor(D*n) of the center word."""
+    c = _center(center, q)
+    n = len(c)
+    radius = min(_radius(D, n), n)
     size = hamming_ball_size(n, radius, q)
     if size > cap:
         raise ExpansionTooLargeError(
             f"Hamming ball has {size} words, cap is {cap}")
-    words = []
-    for k in range(radius + 1):
-        for pos in combinations(range(n), k):
-            others = [[s for s in range(q) if s != c[i]] for i in pos]
-            for repl in product(*others):
-                w = list(c)
-                for i, s in zip(pos, repl):
-                    w[i] = s
-                words.append(tuple(w))
-    ts = _normalize(words, f"hamming_ball(center={''.join(map(str, c))},D={D})")
-    if ts.kappa != size:
-        raise ConsistencyError(f"expanded {ts.kappa} distinct words, the ball has {size}")
+    # k changed positions: every k-subset of positions times every vector of
+    # k offsets in 1..q-1, added to the center mod q.
+    c_arr = np.array(c, dtype=np.int64)
+    parts = [c_arr[None]]
+    for k in range(1, radius + 1):
+        pos = np.array(list(combinations(range(n), k)), dtype=np.int64)
+        off = np.array(list(product(range(1, q), repeat=k)), dtype=np.int64).reshape(-1, k)
+        pos, off = np.repeat(pos, len(off), axis=0), np.tile(off, (len(pos), 1))
+        words = np.tile(c_arr, (len(pos), 1))
+        np.put_along_axis(words, pos, (c_arr[pos] + off) % q, axis=1)
+        parts.append(words)
+    W = np.concatenate(parts)
+    W = W[np.lexsort(W.T[::-1])]
+    distinct = 1 + int(np.count_nonzero((W[1:] != W[:-1]).any(axis=1)))
+    if not distinct == len(W) == size:
+        raise ConsistencyError(f"expanded {distinct} distinct words, the ball has {size}")
+    W.flags.writeable = False
+    provenance = f"hamming_ball(center={''.join(map(str, c))},D={D})"
+    ts = TargetSet(n, tuple(zip(*W.T.tolist())), provenance)
+    ts.__dict__["array"] = W  # seeds the cached property
     return ts
 
 
@@ -129,6 +152,9 @@ class HammingBallPredicate:
     radius: int
     q: int
 
+    def __post_init__(self):
+        _center(self.center, self.q)
+
     @property
     def n(self) -> int:
         return len(self.center)
@@ -141,7 +167,7 @@ class HammingBallPredicate:
 
 def hamming_predicate(center, D: float, q: int) -> HammingBallPredicate:
     c = tuple(int(s) for s in center)
-    return HammingBallPredicate(c, math.floor(D * len(c)), q)
+    return HammingBallPredicate(c, _radius(D, len(c)), q)
 
 
 def _parse_word(text: str) -> Word:

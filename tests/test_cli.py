@@ -137,6 +137,14 @@ def test_expansion_too_large_exit_resource(tmp_path):
     assert code == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("D", ["inf", "nan", "-0.1"])
+def test_bad_hamming_radius_exit_config(tmp_path, capsys, D):
+    code, _ = run(["lambda", "--model", "iid-uniform-2", "--target", f"hamming:0,1,0:{D}"],
+                  tmp_path)
+    assert code == EXIT_CONFIG
+    assert "Hamming radius D must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exit_config(capsys):
     assert main([]) == EXIT_CONFIG
 

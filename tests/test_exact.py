@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -248,17 +249,11 @@ def _engine_cases(draw):
     return model, target, kind, draw(st.integers(1, K2 - 1)), K2
 
 
-@pytest.mark.parametrize("dense", [True, False])
-@settings(max_examples=25, deadline=None)
-@given(case=_engine_cases())
-def test_engine_matches_step_by_step_and_resumes_exactly(dense, case):
+def _check_engine(case):
+    """Resumed, fresh and step-by-step tails agree; returns the resumed engine."""
     model, target, kind, K1, K2 = case
-    with pytest.MonkeyPatch.context() as mp:
-        if not dense:
-            mp.setattr(exact, "_DENSE_LIMIT", 0)
-        engine = exact.TailEngine(model, target, kind)
-        fresh = exact.TailEngine(model, target, kind).extend(K2)
-    assert engine.chain.dense is dense
+    engine = exact.TailEngine(model, target, kind)
+    fresh = exact.TailEngine(model, target, kind).extend(K2)
     v = (engine.chain.initial_hitting() if kind == "hitting"
          else engine.chain.initial_return(target, engine.mu_A))
     for _ in range(target.n - 1 if kind == "hitting" else 0):
@@ -270,6 +265,34 @@ def test_engine_matches_step_by_step_and_resumes_exactly(dense, case):
     assert np.max(np.abs(resumed.absorbed - F)) <= 1e-12
     assert np.array_equal(resumed.values, fresh.values)
     assert np.array_equal(resumed.absorbed, fresh.absorbed)
+    return engine
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@settings(max_examples=25, deadline=None)
+@given(case=_engine_cases())
+def test_engine_matches_step_by_step_and_resumes_exactly(dense, case):
+    with pytest.MonkeyPatch.context() as mp:
+        if not dense:
+            mp.setattr(exact, "_DENSE_LIMIT", 0)
+        engine = _check_engine(case)
+    # These chains are small: blocks from step 0 when dense, never when sparse.
+    assert engine.chain.switch == (0 if dense else math.inf)
+
+
+@pytest.mark.parametrize("where", ["0", "inside", "beyond"])
+@settings(max_examples=25, deadline=None)
+@given(case=_engine_cases())
+def test_engine_resumes_exactly_across_the_switch_point(where, case):
+    # The switch at 0, between the two horizons (or at the first), or past
+    # the second: single steps and blocks meet anywhere without a seam.
+    K1, K2 = case[3], case[4]
+    switch = {"0": 0, "inside": (K1 + K2) // 2, "beyond": K2 + 1}[where]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_switch_point", lambda size: switch)
+        engine = _check_engine(case)
+    assert engine.chain.switch == switch
+    assert ("blocks" in vars(engine.chain)) is (switch < K2)
 
 
 def test_absorbed_mass_keeps_precision_for_tiny_mu():
@@ -344,6 +367,13 @@ def test_kac_on_lumped_markov_ball():
     model = markov([[0.9, 0.1], [0.5, 0.5]])
     A = hamming_ball([0, 1] * 4, 0.13, 2)
     assert return_expectation(model, A) * measure(model, A) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_kac_on_the_493_state_ball():
+    # Solved on the sparse kernel, like every chain.
+    A = hamming_ball([0] * 10, 0.3, 4)
+    assert return_expectation(uniform_iid(4), A) == pytest.approx(
+        1 / measure(uniform_iid(4), A), rel=1e-9)
 
 
 def _moore_reference(key, succ):

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarehit import (
     cylinder,
@@ -44,6 +46,46 @@ def test_hamming_ball_binomial_count():
 def test_hamming_ball_zero_radius():
     t = hamming_ball([1, 0, 1], 0.1, 2)
     assert t.words == ((1, 0, 1),)
+
+
+def _ball_reference(center, D, q):
+    """The ball by itertools: replace each position subset by every other symbol."""
+    n = len(center)
+    words = set()
+    for k in range(min(math.floor(D * n), n) + 1):
+        for pos in itertools.combinations(range(n), k):
+            others = [[s for s in range(q) if s != center[i]] for i in pos]
+            for repl in itertools.product(*others):
+                w = list(center)
+                for i, s in zip(pos, repl):
+                    w[i] = s
+                words.add(tuple(w))
+    return tuple(sorted(words))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.integers(1, 4), n=st.integers(1, 8), D=st.floats(0.0, 2.0), data=st.data())
+def test_hamming_ball_matches_itertools_reference(q, n, D, data):
+    center = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    t = hamming_ball(center, D, q)
+    assert t.words == _ball_reference(center, D, q)
+    assert t.array.tolist() == [list(w) for w in t.words]
+    assert t.array.dtype == np.int64 and not t.array.flags.writeable
+
+
+@pytest.mark.parametrize("D", [math.inf, math.nan, -0.1])
+def test_bad_hamming_radius_is_a_domain_error(D):
+    with pytest.raises(errors.DomainError):
+        hamming_ball([0, 1, 0], D, 2)
+    with pytest.raises(errors.DomainError):
+        hamming_predicate([0, 1, 0], D, 2)
+
+
+def test_hamming_predicate_checks_center_symbols():
+    with pytest.raises(errors.SymbolOutOfRangeError):
+        hamming_predicate([5, 5, 5], 0.34, 2)
+    with pytest.raises(errors.SymbolOutOfRangeError):
+        hamming_predicate([0, -1], 0.5, 2)
 
 
 def test_hamming_ball_cap():
