@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     EnumerationTooLargeError,
     ExpansionTooLargeError,
+    HorizonTooLongError,
     HorizonTooShortError,
     RarehitError,
     RejectionBudgetExceededError,
@@ -34,7 +35,7 @@ EXIT_ASSERTION = 2
 EXIT_RESOURCE = 3
 
 _RESOURCE_ERRORS = (EnumerationTooLargeError, ExpansionTooLargeError,
-                    RejectionBudgetExceededError, HorizonTooShortError)
+                    RejectionBudgetExceededError, HorizonTooShortError, HorizonTooLongError)
 
 
 def parse_model(text: str) -> process.ProcessModel:

@@ -45,6 +45,10 @@ class HorizonTooShortError(RarehitError):
     """The tail distribution does not extend far enough for the request."""
 
 
+class HorizonTooLongError(RarehitError):
+    """A tail horizon beyond the step cap was requested."""
+
+
 class InvalidTailError(RarehitError):
     """A tail table is not a survival function, or a tail request is malformed."""
 

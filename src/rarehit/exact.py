@@ -13,17 +13,18 @@ brute-force enumeration oracle provides an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._csvrows import rows_text
 from .errors import (
     EnumerationTooLargeError,
     HorizonNonPositiveError,
+    HorizonTooLongError,
     InvalidTailError,
     SingularSystemError,
     SymbolOutOfRangeError,
@@ -33,6 +34,7 @@ from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 BRUTE_FORCE_CAP = 2 * 10 ** 7
+MAX_TAIL_STEPS = 10 ** 8  # longest tail an engine pushes (16 bytes a step)
 _DENSE_LIMIT = 600  # largest chain whose block matrices are ever built
 _BLOCK = 128  # steps per block push on dense chains
 _MONOTONE_SLACK = 1e-12
@@ -74,12 +76,6 @@ class TailDistribution:
     def cdf(self) -> np.ndarray:
         """F(k) = mu(tau_A <= k): the absorbed mass when carried, else 1 - H."""
         return 1.0 - self.values if self.absorbed is None else self.absorbed
-
-    def truncated(self, K: int) -> "TailDistribution":
-        if K > self.horizon:
-            raise HorizonNonPositiveError(f"cannot truncate to {K} > horizon {self.horizon}")
-        absorbed = None if self.absorbed is None else self.absorbed[:K + 1].copy()
-        return replace(self, values=self.values[:K + 1].copy(), absorbed=absorbed)
 
 
 class OccurrenceAutomaton:
@@ -335,6 +331,8 @@ class TailEngine:
         """
         if K < 1:
             raise HorizonNonPositiveError("K must be >= 1")
+        if K > MAX_TAIL_STEPS:
+            raise HorizonTooLongError(f"K = {K} exceeds the step cap {MAX_TAIL_STEPS}")
         k0 = self.steps
         if K > k0:
             chain = self.chain
@@ -448,7 +446,8 @@ def brute_force_tail(model: ProcessModel, target: TargetSet, K: int, kind: str =
 
 
 def write_tails_csv(fp, hit: TailDistribution | None, ret: TailDistribution | None) -> None:
-    """Tail export: columns k, H_hit, H_ret with metadata header lines."""
+    """Tail export: columns k, H_hit, H_ret with metadata header lines; every
+    float exactly as ``repr`` prints it."""
     ref = hit or ret
     if ref is None:
         raise InvalidTailError("need at least one tail")
@@ -460,6 +459,5 @@ def write_tails_csv(fp, hit: TailDistribution | None, ret: TailDistribution | No
     rows = ref.horizon + 1
     for lo in range(0, rows, _CSV_ROWS):
         hi = min(lo + _CSV_ROWS, rows)
-        a, b = (repeat("", hi - lo) if t is None else map(repr, t.values[lo:hi].tolist())
-                for t in (hit, ret))
-        fp.write("".join(f"{k},{x},{y}\n" for k, x, y in zip(range(lo, hi), a, b)))
+        fp.write(rows_text([np.arange(lo, hi)] +
+                           [None if t is None else t.values[lo:hi] for t in (hit, ret)]))

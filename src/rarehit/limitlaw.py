@@ -98,11 +98,14 @@ def make_G(ret: TailDistribution, lam: float, mu_A: float) -> StepLaw:
 
 
 def kac_bound_violation(G, s_grid) -> float:
-    """Worst violation of G(s) <= 1/s over the grid (negative = satisfied)."""
+    """Worst violation of G(s) <= 1/s over the grid (negative = satisfied).
+
+    At s = 0 the bound is 1/0 = inf and holds trivially; such points count
+    as -inf, without dividing by zero."""
     s_grid = list(s_grid)
     if not s_grid:
         raise GridEmptyError("empty s grid")
-    return max(G.value(s) - 1.0 / s for s in s_grid)
+    return max(G.value(s) - 1.0 / s if s > 0 else -math.inf for s in s_grid)
 
 
 def check_sandwich(F, G, mu_A: float, pairs) -> float:

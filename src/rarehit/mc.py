@@ -29,6 +29,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._csvrows import rows_text
 from .errors import DomainError, HorizonMismatchError, RejectionBudgetExceededError
 from .exact import TailDistribution, build_automaton
 from .process import ProcessModel, word_measures
@@ -333,6 +334,5 @@ def write_batch_csv(fp, batch: SampleBatch) -> None:
     fp.write("trajectory_index,time,censored\n")
     for lo in range(0, batch.N, _CSV_ROWS):
         hi = min(lo + _CSV_ROWS, batch.N)
-        rows = zip(range(lo, hi), batch.times[lo:hi].tolist(),
-                   batch.censored[lo:hi].astype(np.int64).tolist())
-        fp.write("".join(f"{i},{t},{c}\n" for i, t, c in rows))
+        fp.write(rows_text([np.arange(lo, hi), batch.times[lo:hi],
+                            batch.censored[lo:hi].astype(np.int64)]))

@@ -172,11 +172,3 @@ def mixed_union_check(model: ProcessModel,
                 f"union bound violated at n={n}: {true_value} > {bound}")
         rows.append(MixedUnionRow(n, term0, term1, bound, true_value))
     return rows
-
-
-def write_rarity_csv(fp, model: ProcessModel, rows: list[tuple[RarityBound, float]]) -> None:
-    """Rows pair a RarityBound with the measured mu(tau <= n)."""
-    fp.write("n,kappa,h,k,m,epsilon_n,mu_tau_le_n,surrogate\n")
-    for rb, mu_tau in rows:
-        fp.write(f"{rb.n},{rb.kappa_n},{rb.h!r},{rb.k},{rb.m},"
-                 f"{rb.epsilon_n!r},{mu_tau!r},{int(rb.surrogate)}\n")

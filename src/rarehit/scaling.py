@@ -20,12 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, HorizonTooShortError, InvalidTailError, ZeroTailError
-from .exact import TailDistribution, TailEngine
+from .exact import MAX_TAIL_STEPS, TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
 from .targets import TargetSet, measure
 
 DELTA_QUANTITATIVE = 0.25
-MAX_TAIL_STEPS = 10 ** 8
 TRUNCATION_TARGET = 1e-4
 _CHECK_SLACK = 1e-12
 _SUP_CHUNK = 1 << 16  # horizon entries per chunk of the sup-deviation

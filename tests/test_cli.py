@@ -1,9 +1,11 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from rarehit import cli, cylinder, hitting_tail, scaling, uniform_iid
+from rarehit import cli, cylinder, exact, hitting_tail, scaling, uniform_iid
 from rarehit.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -61,6 +63,16 @@ def test_limitlaw_s0_beyond_the_usable_horizon(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "s0 = 9.5 must lie below the usable horizon t_max = 9.08" in err
+
+
+def test_limitlaw_s0_zero_warns_nothing(tmp_path):
+    # the Kac bound G(s) <= 1/s holds trivially at s = 0: no division by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["limitlaw", "--model", "iid-uniform-2",
+                          "--target", "cyl:1,1", "--s0", "0", "--assert"], tmp_path)
+    assert code == EXIT_OK
+    assert json.loads(text)["result"]["kac_violation"] <= 1e-10
 
 
 def test_rarity_d0(tmp_path):
@@ -135,6 +147,21 @@ def test_expansion_too_large_exit_resource(tmp_path):
     code, _ = run(["tail", "--model", "iid-uniform-2",
                    "--target", f"hamming:{center}:0.5", "--K", "3"], tmp_path)
     assert code == EXIT_RESOURCE
+
+
+def test_tail_beyond_the_step_cap_exit_resource(tmp_path, capsys):
+    # refused before the engine allocates its 16 bytes a step
+    K = exact.MAX_TAIL_STEPS + 1
+    tracemalloc.start()
+    try:
+        code, text = run(["tail", "--model", "iid-uniform-2", "--target", "cyl:1,1",
+                          "--K", str(K)], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE and text == ""
+    assert peak < 1 << 20
+    assert f"K = {K} exceeds the step cap {exact.MAX_TAIL_STEPS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("D", ["inf", "nan", "-0.1"])

@@ -159,6 +159,13 @@ def test_zero_measure_set():
         return_expectation(degenerate, cylinder([1]))
 
 
+def test_engine_refuses_horizon_beyond_the_step_cap():
+    engine = exact.TailEngine(UNIFORM2, cylinder([1]))
+    with pytest.raises(errors.HorizonTooLongError):
+        engine.extend(exact.MAX_TAIL_STEPS + 1)
+    assert engine.steps == 0
+
+
 def test_enumeration_cap():
     with pytest.raises(errors.EnumerationTooLargeError):
         brute_force_tail(UNIFORM2, cylinder([1]), 10, "hitting", cap=100)
@@ -210,6 +217,48 @@ def test_write_tails_csv_golden():
         "d2f22bb0a9d5cb7ce60a8cb5e6a9c810b6a9548403f512d32889d7e7612da078",
         "8e4a394149864a4b679b9fba16a2ef179ea6cf9bda4f6133d8419892f4fbdc6b",
         "b1a7e7705be0e7ca359effe748857ed02af789ed92316399c25eb8f74082ec65",
+    ]
+
+
+def test_tail_cli_output_golden_across_chunks(tmp_path):
+    # 20,001 rows span several write chunks and reach e-05 values, so the
+    # bytes pin the fixed/exponent switch of the float layout.
+    out = tmp_path / "tail.csv"
+    assert cli.main(["tail", "--model", "iid-uniform-2", "--target", "cyl:1,1,1,1,1,1,1,1,1,1",
+                     "--K", "20000", "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "51c95d78b343941f6fbe13d5181211dca3318d08cede536fd903321fae551608")
+
+
+class _Column:
+    """Anything with values, mu_A, source and horizon exports as a column;
+    a stand-in can carry values above 1, which no tail holds."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+        self.mu_A = 0.25
+        self.source = "exact"
+        self.horizon = self.values.size - 1
+
+
+def test_write_tails_csv_golden_edge_values():
+    # zero, subnormals, the smallest normal, the fixed/exponent boundaries of
+    # repr (1e-05 vs 0.0001, 1e16) and a 2^53 + 1 round-off
+    edge = [1.0, 0.0001, 1e-05, 2.2250738585072014e-308, 1e-310, 5e-324, 0.0]
+    hit = exact.TailDistribution("hitting", np.array(edge), 0.25, "exact")
+    ret = exact.TailDistribution("return", np.array([1.0, 0.5, 0.5, 1e-300, 1e-310, 0.0, 0.0]),
+                                 0.25, "exact")
+    big = _Column([1e16, 1.2345678901234567e20, 9007199254740993.0, 1.7976931348623157e308,
+                   9999999999999998.0, 1e22, 123456789012345.67])
+    digests = []
+    for pair in ((hit, ret), (hit, None), (big, hit)):
+        buf = io.StringIO()
+        exact.write_tails_csv(buf, *pair)
+        digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    assert digests == [
+        "2174cec32d335cfb802860c8e5c19449e776852b86502be430d8e00d6ba72fc4",
+        "c774fe4f571c2a6084d6f6d1173832025d1f31be4cf19084536b5cc699026566",
+        "1dff5c604f64537c73aac4914132b07e74b40479d19e25ce5208ff67df657000",
     ]
 
 

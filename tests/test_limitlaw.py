@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ def test_G_kac_bound_on_grid():
         cert, _, G = _laws(model, target)
         grid = np.linspace(0.01, 0.9 * G.t_max, 200)
         assert kac_bound_violation(G, grid) <= 1e-12
+
+
+def test_kac_bound_holds_trivially_at_zero():
+    cert, _, G = _laws(UNIFORM2, cylinder([1, 1]))
+    grid = np.linspace(0.0, 0.9 * G.t_max, 50)
+    with np.errstate(divide="raise"):
+        assert kac_bound_violation(G, grid) == kac_bound_violation(G, grid[1:])
+        assert kac_bound_violation(G, [0.0]) == -math.inf
 
 
 def test_G_at_zero_plus_is_inverse_lambda():

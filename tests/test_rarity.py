@@ -142,16 +142,6 @@ def test_mixed_union_degenerate_families():
         assert r.true_value <= r.n_mu_A0 + 1e-12
 
 
-def test_rarity_csv():
-    import io
-    rb = epsilon_bound(UNIFORM2, 1, 10)
-    buf = io.StringIO()
-    rarity.write_rarity_csv(buf, UNIFORM2, [(rb, 0.005)])
-    lines = buf.getvalue().splitlines()
-    assert lines[0].startswith("n,kappa,h,k,m,epsilon_n")
-    assert lines[1].startswith("10,1,")
-
-
 def test_invalid_rarity_bound_raises_typed_error():
     with pytest.raises(errors.ConsistencyError):
         rarity.RarityBound(10, 1, 0.3, 2, 4, 0.0, 0.1, False)  # m*k < n

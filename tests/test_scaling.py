@@ -120,7 +120,8 @@ def test_verify_deep_cylinder_frozen_sup_dev():
 def test_verify_requires_long_horizon():
     cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 8))
     with pytest.raises(errors.HorizonTooShortError):
-        verify_exponential_bound(tail.truncated(20), cert)
+        verify_exponential_bound(TailDistribution(tail.kind, tail.values[:21], tail.mu_A,
+                                                  tail.source), cert)
 
 
 def test_lambda_trajectory_periodic_point():
