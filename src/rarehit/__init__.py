@@ -43,7 +43,6 @@ from .rarity import (
     cardinality_rate,
     epsilon_bound,
     hamming_kappa_bound,
-    mixed_union_check,
     solve_D0,
 )
 from .scaling import (

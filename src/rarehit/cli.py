@@ -164,29 +164,29 @@ def _entropy_nats(args) -> float:
 
 
 def _cmd_rarity(args) -> int:
-    with _output(args.out) as fp:
-        if args.rarity_cmd == "d0":
-            h = _entropy_nats(args)
-            config = {"analysis": "rarity.d0", "q": args.q, "h_nats": h}
-            _emit_json(fp, config, {"D0": rarity.solve_D0(args.q, h)})
-        elif args.rarity_cmd == "kappa":
-            config = {"analysis": "rarity.kappa", "n": args.n, "D": args.D, "q": args.q}
-            _emit_json(fp, config,
-                       {"kappa_bound": rarity.hamming_kappa_bound(args.n, args.D, args.q)})
-        elif args.rarity_cmd == "rate":
-            table = {int(k): int(v) for k, v in json.loads(args.kappa_table).items()}
-            config = {"analysis": "rarity.rate", "kappa_table": table}
-            _emit_json(fp, config, {"rate": rarity.cardinality_rate(table)})
-        else:  # epsilon
-            model = parse_model(args.model)
-            config = {"analysis": "rarity.epsilon", "model": process.to_dict(model),
-                      "kappa": args.kappa, "n": args.n}
-            rb = rarity.epsilon_bound(model, args.kappa, args.n)
-            _emit_json(fp, config, {
-                "n": rb.n, "kappa": rb.kappa_n, "h": rb.h, "k": rb.k, "m": rb.m,
-                "aep_deficiency": rb.aep_deficiency, "epsilon_n": rb.epsilon_n,
-                "surrogate": rb.surrogate,
-            })
+    if args.rarity_cmd == "d0":
+        h = _entropy_nats(args)
+        config = {"analysis": "rarity.d0", "q": args.q, "h_nats": h}
+        result = {"D0": rarity.solve_D0(args.q, h)}
+    elif args.rarity_cmd == "kappa":
+        config = {"analysis": "rarity.kappa", "n": args.n, "D": args.D, "q": args.q}
+        result = {"kappa_bound": rarity.hamming_kappa_bound(args.n, args.D, args.q)}
+    elif args.rarity_cmd == "rate":
+        table = {int(k): int(v) for k, v in json.loads(args.kappa_table).items()}
+        config = {"analysis": "rarity.rate", "kappa_table": table}
+        result = {"rate": rarity.cardinality_rate(table)}
+    else:  # epsilon
+        model = parse_model(args.model)
+        config = {"analysis": "rarity.epsilon", "model": process.to_dict(model),
+                  "kappa": args.kappa, "n": args.n}
+        rb = rarity.epsilon_bound(model, args.kappa, args.n)
+        result = {
+            "n": rb.n, "kappa": rb.kappa_n, "h": rb.h, "k": rb.k, "m": rb.m,
+            "aep_deficiency": rb.aep_deficiency, "epsilon_n": rb.epsilon_n,
+            "surrogate": rb.surrogate,
+        }
+    with _output(args.out) as fp:  # opened only once there is a result to write
+        _emit_json(fp, config, result)
     return EXIT_OK
 
 

@@ -261,8 +261,7 @@ class _ComposedChain:
         """Distribution after emitting the first symbol from stationarity."""
         first = self.aut.goto[0]
         sym = np.arange(self.q)
-        return np.bincount(self._cls[self._pair(first, sym)], self.model.next_probs(None),
-                           self.size)
+        return np.bincount(self._cls[self._pair(first, sym)], self.model.stationary, self.size)
 
     def initial_return(self, target: TargetSet, mu_A: float) -> np.ndarray:
         """Conditional law on {window 0 in A}, mapped to composed states."""

@@ -30,7 +30,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csvrows import rows_text
-from .errors import DomainError, HorizonMismatchError, RejectionBudgetExceededError
+from .errors import (
+    DomainError,
+    HorizonMismatchError,
+    RejectionBudgetExceededError,
+    ZeroMeasureSetError,
+)
 from .exact import TailDistribution, build_automaton
 from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
@@ -177,7 +182,7 @@ class _TileStreams:
 def _cum_table(model: ProcessModel) -> np.ndarray:
     """Cumulative next-symbol laws: one row (the law) for IID sources; for
     Markov sources a row per previous symbol and, last, the stationary law."""
-    cum_first = np.cumsum(model.next_probs(None))[None, :]
+    cum_first = np.cumsum(model.stationary)[None, :]
     if model.kind != "markov":
         return cum_first
     return np.vstack([np.cumsum(model.transition, axis=1), cum_first])
@@ -227,7 +232,10 @@ def default_censor_cap(model: ProcessModel, target) -> int:
     """50 expected hits at the crude rate guess lambda = 1."""
     if not isinstance(target, TargetSet):
         raise DomainError("censor_cap must be given explicitly for predicate targets")
-    return max(1, math.ceil(50.0 / measure(model, target)))
+    mu_A = measure(model, target)
+    if mu_A <= 0.0:
+        raise ZeroMeasureSetError("target has zero measure; no hit is expected")
+    return max(1, math.ceil(50.0 / mu_A))
 
 
 def _advance(streams, cum, match, state, last, cap: int):
@@ -257,12 +265,17 @@ def _sample(kind, model, target, N, seed, censor_cap, rejection_budget=0) -> Sam
         raise DomainError("N must be >= 1")
     if censor_cap is None:
         censor_cap = default_censor_cap(model, target)
+    if censor_cap < 1:
+        raise DomainError(f"censor_cap must be >= 1, got {censor_cap}")
     init, match = _matcher_factory(model, target)
     cum, n = _cum_table(model), target.n
     explicit_return = kind == "return" and isinstance(target, TargetSet)
     if explicit_return:
         weights = word_measures(model, target.array)
-        word_cum = np.cumsum(weights / weights.sum())
+        mu_A = weights.sum()
+        if mu_A <= 0.0:
+            raise ZeroMeasureSetError("target has zero measure; returns are undefined")
+        word_cum = np.cumsum(weights / mu_A)
     times = np.empty(N, dtype=np.int64)
     cens = np.empty(N, dtype=bool)
     rejections = 0

@@ -38,15 +38,6 @@ class ProcessModel:
     transition: np.ndarray | None
     stationary: np.ndarray
 
-    def next_probs(self, last: int | None = None) -> np.ndarray:
-        """Distribution of the next symbol given the previous one.
-
-        ``last=None`` means no history yet, i.e. the stationary law.
-        """
-        if self.kind == "iid" or last is None:
-            return self.stationary
-        return self.transition[last]
-
     @property
     def is_uniform_iid(self) -> bool:
         if self.kind != "iid":

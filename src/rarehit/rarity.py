@@ -17,15 +17,13 @@ from .errors import (
     ConsistencyError,
     DomainError,
     EnumerationTooLargeError,
-    RankMismatchError,
     RateExceedsEntropyError,
 )
-from .exact import hitting_tail
 from .process import ProcessModel, entropy, word_measures
-from .targets import TargetSet, measure, union
 
 AEP_ENUMERATION_CAP = 2 * 10 ** 7
 _D0_SCAN_POINTS = 10 ** 4
+_D0_XTOL = 1e-8  # brentq's absolute tolerance on D0
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,8 @@ def epsilon_bound(model: ProcessModel, kappa_n: int, n: int) -> RarityBound:
     ((1/n) ln kappa_n, h_mu) and k the smallest integer with
     (1/n) ln kappa_n < (1 - 1/k) h.
     """
+    if n < 1 or kappa_n < 1:
+        raise DomainError(f"need n >= 1 and kappa_n >= 1, got n={n}, kappa_n={kappa_n}")
     h_mu = entropy(model)
     h0n = math.log(kappa_n) / n
     if h0n >= h_mu:
@@ -99,18 +99,22 @@ def epsilon_bound(model: ProcessModel, kappa_n: int, n: int) -> RarityBound:
 def hamming_kappa_bound(n: int, D: float, q: int) -> float:
     """Closed-form upper bound ((1 + D(q-1)) / D^D)^n on the number of words
     within Hamming distance D*n of a fixed word."""
+    if n < 1 or q < 2:
+        raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
     if not 0.0 < D < 1.0:
         raise DomainError("D must lie in (0, 1)")
     base = (1.0 + D * (q - 1)) / D ** D
     return base ** n
 
 
-def solve_D0(q: int, h: float, tol: float = 1e-6) -> float:
+def solve_D0(q: int, h: float) -> float:
     """Smallest D in (0,1) with (1 + D(q-1)) / D^D = e^h.
 
     Scan-then-bisect, in log space; the left limit of the left-hand side is
     1 < e^h.  Returns 1.0 when no crossing exists (D unconstrained).
     """
+    if q < 2:
+        raise DomainError(f"need an alphabet of q >= 2 symbols, got {q}")
     if h <= 0:
         raise DomainError("entropy level must be positive")
 
@@ -126,49 +130,15 @@ def solve_D0(q: int, h: float, tol: float = 1e-6) -> float:
     if i == 0:
         return float(grid[0])
     lo, hi = float(grid[i - 1]), float(grid[i])
-    return float(brentq(g, lo, hi, xtol=tol * 1e-2))
+    return float(brentq(g, lo, hi, xtol=_D0_XTOL))
 
 
 def cardinality_rate(kappa_table: dict[int, int]) -> float:
     """Finite-sample limsup surrogate of (1/n) ln kappa_n: the maximum over
     the largest-n half of the table."""
     ns = sorted(kappa_table)
-    if not ns or any(kappa_table[n] < 1 for n in ns):
-        raise DomainError("need kappa_n >= 1 for a non-empty table")
+    if not ns or any(n < 1 or kappa_table[n] < 1 for n in ns):
+        raise DomainError("need n >= 1 and kappa_n >= 1 for a non-empty table")
     half = ns[len(ns) // 2:]
     return max(math.log(kappa_table[n]) / n for n in half)
 
-
-@dataclass(frozen=True)
-class MixedUnionRow:
-    n: int
-    n_mu_A0: float
-    tau_term_A1: float
-    bound: float
-    true_value: float
-
-
-def mixed_union_check(model: ProcessModel,
-                      a0_by_n: dict[int, TargetSet | None],
-                      a1_by_n: dict[int, TargetSet | None],
-                      n_range) -> list[MixedUnionRow]:
-    """Per-n check of mu(tau_{A0 u A1} <= n) <= n*mu(A0) + mu(tau_{A1} <= n)."""
-    rows = []
-    for n in n_range:
-        a0 = a0_by_n.get(n)
-        a1 = a1_by_n.get(n)
-        term0 = n * measure(model, a0) if a0 is not None else 0.0
-        term1 = 0.0
-        if a1 is not None:
-            term1 = float(hitting_tail(model, a1, n).cdf[n])
-        parts = [t for t in (a0, a1) if t is not None]
-        if not parts:
-            raise RankMismatchError(f"no target at n={n}")
-        combined = parts[0] if len(parts) == 1 else union(parts)
-        true_value = float(hitting_tail(model, combined, n).cdf[n])
-        bound = term0 + term1
-        if true_value > bound + 1e-10:
-            raise ConsistencyError(
-                f"union bound violated at n={n}: {true_value} > {bound}")
-        rows.append(MixedUnionRow(n, term0, term1, bound, true_value))
-    return rows

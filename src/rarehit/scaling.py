@@ -13,13 +13,18 @@ nominal lambda = 1 is emitted so downstream rescaling stays total.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, HorizonTooShortError, InvalidTailError, ZeroTailError
+from .errors import (
+    DomainError,
+    HorizonTooShortError,
+    InvalidTailError,
+    ZeroMeasureSetError,
+    ZeroTailError,
+)
 from .exact import MAX_TAIL_STEPS, TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
 from .targets import TargetSet, measure
@@ -42,19 +47,12 @@ class ScaleCertificate:
     mu_A: float
     checks: dict
 
-    @property
-    def sqrt_d(self) -> float:
-        return math.sqrt(self.d)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n, "d": self.d, "delta": self.delta, "regime": self.regime,
             "s": self.s, "lambda": self.lam, "nominal": self.nominal,
             "mu_A": self.mu_A, "checks": dict(self.checks),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,8 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
     """
     if tail.kind != "hitting":
         raise InvalidTailError("scale_search needs a hitting tail")
+    if tail.mu_A <= 0.0:
+        raise ZeroMeasureSetError("target has zero measure; no scale exists")
     if tail.horizon < n:
         raise HorizonTooShortError(f"horizon {tail.horizon} < n={n}")
     F = tail.cdf  # F[j] = mu(tau <= j)
@@ -140,13 +140,16 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
     search, and lambda.  The horizon doubles until the search succeeds, on
     one engine that pushes each step once.
 
-    Raises HorizonTooShortError before the doubling when the threshold
-    cannot be reached within MAX_TAIL_STEPS: by stationarity
-    mu(tau <= j) <= j*mu(A), so the crossing needs j >= sqrt(d)/mu(A).
+    Raises ZeroMeasureSetError before any push when mu(A) = 0, and
+    HorizonTooShortError before the doubling when the threshold cannot be
+    reached within MAX_TAIL_STEPS: by stationarity mu(tau <= j) <= j*mu(A),
+    so the crossing needs j >= sqrt(d)/mu(A).
     """
     n = target.n
     alpha_n = alpha_bound(model, n)
     engine = TailEngine(model, target)
+    if engine.mu_A <= 0.0:
+        raise ZeroMeasureSetError("target has zero measure; no scale exists")
     sd = math.sqrt(_smallness(engine.extend(n).cdf, n, alpha_n))
     if sd < 1.0 and sd > engine.mu_A * (MAX_TAIL_STEPS - 2 * n):
         raise HorizonTooShortError(
@@ -166,26 +169,26 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
     return cert, tail
 
 
-def extend_for_verification(model: ProcessModel, target: TargetSet,
-                            tail: TailDistribution, lam: float,
-                            max_steps: int = MAX_TAIL_STEPS) -> TailDistribution:
-    """Grow the hitting tail until both H(K) and exp(-lam*mu*K) fall below
-    the truncation target, resuming the tail's engine when it has one.
+def extend_for_verification(tail: TailDistribution, lam: float) -> TailDistribution:
+    """Grow an engine-built hitting tail, on its engine, until both H(K) and
+    exp(-lam*mu*K) fall below the truncation target.
 
-    Raises HorizonTooShortError at once when exp(-lam*mu*K) cannot fall
-    below the target within ``max_steps``.
+    Raises InvalidTailError for a tail without an engine, and
+    HorizonTooShortError at once when exp(-lam*mu*K) cannot fall below the
+    target within MAX_TAIL_STEPS.
     """
+    if tail.engine is None:
+        raise InvalidTailError("extend_for_verification needs a tail built by a TailEngine")
     mu = tail.mu_A
-    if math.log(1.0 / TRUNCATION_TARGET) > lam * mu * max_steps:
+    if math.log(1.0 / TRUNCATION_TARGET) > lam * mu * MAX_TAIL_STEPS:
         raise HorizonTooShortError(
-            f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {max_steps}")
-    engine = tail.engine or TailEngine(model, target)
+            f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
     K = tail.horizon
     while tail.values[-1] > TRUNCATION_TARGET or math.exp(-lam * mu * K) > TRUNCATION_TARGET:
-        if K >= max_steps:
-            raise HorizonTooShortError(f"needed horizon exceeds cap {max_steps}")
-        K = min(2 * K, max_steps)
-        tail = engine.extend(K)
+        if K >= MAX_TAIL_STEPS:
+            raise HorizonTooShortError(f"needed horizon exceeds cap {MAX_TAIL_STEPS}")
+        K = min(2 * K, MAX_TAIL_STEPS)
+        tail = tail.engine.extend(K)
     return tail
 
 
@@ -193,14 +196,18 @@ def verification_tail(model: ProcessModel, target: TargetSet,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
     """Scale certificate and the hitting tail extended for verification.
 
-    Refuses with HorizonTooShortError before any push when H(K) cannot reach
-    the truncation target within the step cap: H(K) >= 1 - K*mu(A).
+    Refuses before any push: with ZeroMeasureSetError when mu(A) = 0, and
+    with HorizonTooShortError when H(K) cannot reach the truncation target
+    within the step cap, since H(K) >= 1 - K*mu(A).
     """
-    if 1.0 - TRUNCATION_TARGET > measure(model, target) * MAX_TAIL_STEPS:
+    mu = measure(model, target)
+    if mu <= 0.0:
+        raise ZeroMeasureSetError("target has zero measure; no scale exists")
+    if 1.0 - TRUNCATION_TARGET > mu * MAX_TAIL_STEPS:
         raise HorizonTooShortError(
             f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
     cert, tail = scale_certificate(model, target)
-    return cert, extend_for_verification(model, target, tail, cert.lam)
+    return cert, extend_for_verification(tail, cert.lam)
 
 
 def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:

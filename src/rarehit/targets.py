@@ -1,9 +1,9 @@
 """Rare event sets: unions of distinct rank-n words.
 
 A target is always an explicit, lexicographically sorted list of words of a
-common length n.  Hamming balls are expanded into that form up to a
-configurable cap; past the cap a membership predicate is available for the
-Monte Carlo module.
+common length n.  Hamming balls are expanded into that form up to
+HAMMING_EXPANSION_CAP words; past the cap a membership predicate is
+available for the Monte Carlo module.
 """
 from __future__ import annotations
 
@@ -33,23 +33,11 @@ Word = tuple[int, ...]
 class TargetSet:
     n: int
     words: tuple[Word, ...]
-    provenance: str
 
     @property
     def kappa(self) -> int:
         """Number of rank-n cylinders composing the set."""
         return len(self.words)
-
-    def __contains__(self, window) -> bool:
-        return tuple(window) in self._word_set()
-
-    def _word_set(self) -> frozenset:
-        # cached lazily; frozen dataclass, so stash on the instance dict via object.__setattr__
-        ws = self.__dict__.get("_ws")
-        if ws is None:
-            ws = frozenset(self.words)
-            object.__setattr__(self, "_ws", ws)
-        return ws
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -59,7 +47,7 @@ class TargetSet:
         return a
 
 
-def _normalize(words, provenance: str) -> TargetSet:
+def _normalize(words) -> TargetSet:
     ws = sorted({tuple(int(s) for s in w) for w in words})
     if not ws:
         raise RankMismatchError("target set must be non-empty")
@@ -68,12 +56,12 @@ def _normalize(words, provenance: str) -> TargetSet:
         raise RankMismatchError("all words must share a common positive length")
     if any(s < 0 for w in ws for s in w):
         raise SymbolOutOfRangeError("negative symbol in target word")
-    return TargetSet(n, tuple(ws), provenance)
+    return TargetSet(n, tuple(ws))
 
 
 def cylinder(word) -> TargetSet:
     """Singleton target: the rank-n cylinder of one word."""
-    return _normalize([word], "cylinder")
+    return _normalize([word])
 
 
 def hamming_ball_size(n: int, radius: int, q: int) -> int:
@@ -96,15 +84,15 @@ def _center(center, q: int) -> Word:
     return c
 
 
-def hamming_ball(center, D: float, q: int, cap: int = HAMMING_EXPANSION_CAP) -> TargetSet:
+def hamming_ball(center, D: float, q: int) -> TargetSet:
     """All words within Hamming distance floor(D*n) of the center word."""
     c = _center(center, q)
     n = len(c)
     radius = min(_radius(D, n), n)
     size = hamming_ball_size(n, radius, q)
-    if size > cap:
+    if size > HAMMING_EXPANSION_CAP:
         raise ExpansionTooLargeError(
-            f"Hamming ball has {size} words, cap is {cap}")
+            f"Hamming ball has {size} words, cap is {HAMMING_EXPANSION_CAP}")
     # k changed positions: every k-subset of positions times every vector of
     # k offsets in 1..q-1, added to the center mod q.
     c_arr = np.array(c, dtype=np.int64)
@@ -122,8 +110,7 @@ def hamming_ball(center, D: float, q: int, cap: int = HAMMING_EXPANSION_CAP) -> 
     if not distinct == len(W) == size:
         raise ConsistencyError(f"expanded {distinct} distinct words, the ball has {size}")
     W.flags.writeable = False
-    provenance = f"hamming_ball(center={''.join(map(str, c))},D={D})"
-    ts = TargetSet(n, tuple(zip(*W.T.tolist())), provenance)
+    ts = TargetSet(n, tuple(zip(*W.T.tolist())))
     ts.__dict__["array"] = W  # seeds the cached property
     return ts
 
@@ -136,7 +123,7 @@ def union(sets: list[TargetSet]) -> TargetSet:
     if any(t.n != n for t in sets):
         raise RankMismatchError("union requires equal ranks")
     words = [w for t in sets for w in t.words]
-    return _normalize(words, "explicit_union")
+    return _normalize(words)
 
 
 def measure(model: ProcessModel, target: TargetSet) -> float:
@@ -174,15 +161,15 @@ def _parse_word(text: str) -> Word:
     return tuple(int(s) for s in text.split(","))
 
 
-def from_dict(spec: dict, q: int, cap: int = HAMMING_EXPANSION_CAP) -> TargetSet:
+def from_dict(spec: dict, q: int) -> TargetSet:
     """Target spec: {"cylinder":"0,1,1"} | {"hamming":{"center":"0,0,0","D":0.2}} | {"union":[...]}."""
     if "cylinder" in spec:
         return cylinder(_parse_word(spec["cylinder"]))
     if "hamming" in spec:
         h = spec["hamming"]
-        return hamming_ball(_parse_word(h["center"]), float(h["D"]), q, cap)
+        return hamming_ball(_parse_word(h["center"]), float(h["D"]), q)
     if "union" in spec:
-        return union([from_dict(s, q, cap) for s in spec["union"]])
+        return union([from_dict(s, q) for s in spec["union"]])
     raise RankMismatchError(f"unrecognized target spec: {spec!r}")
 
 

@@ -128,7 +128,7 @@ def test_criterion_6_limit_law_relations():
                      (markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1])),
                      (iid([0.8, 0.2]), cylinder([1, 1, 1]))]:
         cert, tail = scaling.scale_certificate(model, A)
-        tail = scaling.extend_for_verification(model, A, tail, cert.lam)
+        tail = scaling.extend_for_verification(tail, cert.lam)
         ret = return_tail(model, A, tail.horizon)
         F = make_F(tail, cert.lam, cert.mu_A)
         G = make_G(ret, cert.lam, cert.mu_A)

@@ -217,3 +217,41 @@ def test_sweep_s0_outside_the_table(tmp_path, capsys):
     assert "s0 must be non-negative" in capsys.readouterr().err
     assert run(argv + ["--s0", "1e9"], tmp_path)[0] == EXIT_RESOURCE
     assert "beyond tail horizon" in capsys.readouterr().err
+
+
+NEVER_ONE = '{"kind":"iid","probs":[1.0,0.0]}'  # mu([1,1]) = 0
+NULL_TARGET = ["--model", NEVER_ONE, "--target", "cyl:1,1"]
+MC_CYL = ["mc", "--model", "iid-uniform-2", "--target", "cyl:1,1", "--N", "5", "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["lambda", *NULL_TARGET], EXIT_CONFIG, "zero measure", id="lambda-null-set"),
+    pytest.param(["verify", *NULL_TARGET], EXIT_CONFIG, "zero measure", id="verify-null-set"),
+    pytest.param(["limitlaw", *NULL_TARGET], EXIT_CONFIG, "zero measure",
+                 id="limitlaw-null-set"),
+    pytest.param(["sweep", "--model", NEVER_ONE, "--point", "1", "--n-min", "2",
+                  "--n-max", "3"], EXIT_CONFIG, "zero measure", id="sweep-null-set"),
+    pytest.param([*MC_CYL, "--cap", "0"], EXIT_CONFIG, "censor_cap must be >= 1",
+                 id="mc-cap-0"),
+    pytest.param([*MC_CYL, "--cap", "-3"], EXIT_CONFIG, "censor_cap must be >= 1",
+                 id="mc-cap-negative"),
+    pytest.param(["mc", *NULL_TARGET, "--kind", "return", "--N", "5", "--seed", "0",
+                  "--cap", "10"], EXIT_CONFIG, "zero measure", id="mc-return-null-set"),
+    pytest.param(["mc", *NULL_TARGET, "--N", "5", "--seed", "0"], EXIT_CONFIG,
+                 "zero measure", id="mc-default-cap-null-set"),
+    pytest.param(["rarity", "epsilon", "--model", "iid-uniform-2", "--kappa", "1",
+                  "--n", "0"], EXIT_CONFIG, "need n >= 1", id="epsilon-n-0"),
+    pytest.param(["rarity", "epsilon", "--model", "iid-uniform-2", "--kappa", "0",
+                  "--n", "20"], EXIT_CONFIG, "kappa_n >= 1", id="epsilon-kappa-0"),
+    pytest.param(["rarity", "rate", "--kappa-table", '{"0":4}'], EXIT_CONFIG,
+                 "need n >= 1", id="rate-n-0"),
+    pytest.param(["rarity", "kappa", "--n", "-3", "--D", "0.2", "--q", "4"], EXIT_CONFIG,
+                 "need n >= 1", id="kappa-n-negative"),
+    pytest.param(["rarity", "d0", "--q", "1", "--h-bits", "0.5"], EXIT_CONFIG, "q >= 2",
+                 id="d0-q-1"),
+])
+def test_refusals_exit_with_a_typed_error(tmp_path, capsys, argv, code, message):
+    assert run(argv, tmp_path) == (code, "")
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out.txt").exists()  # a refusal leaves --out untouched

@@ -53,7 +53,7 @@ def test_automaton_vs_direct_window_scan():
         state = 0
         for t in range(20):
             state = aut.goto[state, s[t]]
-            expected = t >= 1 and tuple(s[t - 1:t + 1]) in target
+            expected = t >= 1 and tuple(s[t - 1:t + 1]) in target.words
             assert bool(aut.accepting[state]) == expected
 
 
@@ -387,13 +387,13 @@ def test_automaton_accepts_exactly_target_windows(q, n, data):
     state = 0
     for t, sym in enumerate(stream):
         state = aut.goto[state, sym]
-        expected = t >= n - 1 and tuple(stream[t - n + 1:t + 1]) in target
+        expected = t >= n - 1 and tuple(stream[t - n + 1:t + 1]) in target.words
         assert bool(aut.accepting[state]) == expected
 
 
 def test_automaton_does_not_need_sorted_words():
     words = ((1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 1, 1))
-    aut = build_automaton(exact.TargetSet(3, words, "explicit"), 2)
+    aut = build_automaton(exact.TargetSet(3, words), 2)
     stream = [0, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1]
     state = 0
     for t, sym in enumerate(stream):

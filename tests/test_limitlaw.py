@@ -29,7 +29,7 @@ UNIFORM2 = uniform_iid(2)
 
 def _laws(model, target):
     cert, tail = scaling.scale_certificate(model, target)
-    tail = scaling.extend_for_verification(model, target, tail, cert.lam)
+    tail = scaling.extend_for_verification(tail, cert.lam)
     ret = return_tail(model, target, tail.horizon)
     F = make_F(tail, cert.lam, cert.mu_A)
     G = make_G(ret, cert.lam, cert.mu_A)

@@ -224,10 +224,10 @@ def _reference_batch(model, target, kind, N, seed, cap):
     from its own stream and tests one window at a time.  Returns the times,
     the censored flags and the number of rejected initial windows."""
     q, n = model.alphabet_size, target.n
-    cum = np.cumsum(model.next_probs(None))
+    cum = np.cumsum(model.stationary)
     rows = np.cumsum(model.transition, axis=1) if model.kind == "markov" else None
     explicit = isinstance(target, TargetSet)
-    inside = (lambda w: tuple(w) in target) if explicit else target
+    inside = (lambda w: tuple(w) in target.words) if explicit else target
     times, cens, rejections = [], [], 0
     for i in range(N):
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, i)))
@@ -344,3 +344,21 @@ def test_cli_mc_rejects_empty_batch(tmp_path):
     code = main(["mc", "--model", "iid-uniform-2", "--target", "cyl:1", "--N", "0",
                  "--seed", "1", "--out", str(tmp_path / "mc.csv")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("sampler", [sample_hitting, sample_return])
+def test_cap_below_one_raises_typed_error(sampler, cap):
+    with pytest.raises(errors.DomainError):
+        sampler(UNIFORM2, cylinder([1]), 10, seed=1, censor_cap=cap)
+
+
+def test_zero_measure_target_raises_typed_error():
+    never_one = iid([1.0, 0.0])
+    with pytest.raises(errors.ZeroMeasureSetError):  # the default cap is 50 / mu(A)
+        sample_hitting(never_one, cylinder([1, 1]), 10, seed=1)
+    with pytest.raises(errors.ZeroMeasureSetError):  # no return conditioned on A
+        sample_return(never_one, cylinder([1, 1]), 10, seed=1, censor_cap=10)
+    # With a cap given, hitting a null set is well defined: never, so censored.
+    batch = sample_hitting(never_one, cylinder([1, 1]), 10, seed=1, censor_cap=10)
+    assert batch.censored.all()

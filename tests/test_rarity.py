@@ -119,41 +119,11 @@ def test_cardinality_rate_examples():
     assert cardinality_rate(ball_counts) <= base
 
 
-def test_mixed_union_check():
-    a0 = {n: cylinder([1] * n) for n in range(4, 9)}
-    a1 = {n: cylinder([0] * n) for n in range(4, 9)}
-    rows = rarity.mixed_union_check(UNIFORM2, a0, a1, range(4, 9))
-    for r in rows:
-        assert r.true_value <= r.bound + 1e-10
-    sums = [r.bound for r in rows]
-    assert all(b <= a for a, b in zip(sums, sums[1:]))
-
-
-def test_mixed_union_degenerate_families():
-    a1 = {n: cylinder([0] * n) for n in (4, 6)}
-    rows = rarity.mixed_union_check(UNIFORM2, {}, a1, (4, 6))
-    for r in rows:
-        assert r.n_mu_A0 == 0.0
-        assert r.true_value <= r.tau_term_A1 + 1e-12
-    a0 = {n: cylinder([1] * n) for n in (4, 6)}
-    rows = rarity.mixed_union_check(UNIFORM2, a0, {}, (4, 6))
-    for r in rows:
-        assert r.tau_term_A1 == 0.0
-        assert r.true_value <= r.n_mu_A0 + 1e-12
-
-
 def test_invalid_rarity_bound_raises_typed_error():
     with pytest.raises(errors.ConsistencyError):
         rarity.RarityBound(10, 1, 0.3, 2, 4, 0.0, 0.1, False)  # m*k < n
     with pytest.raises(errors.ConsistencyError):
         rarity.RarityBound(10, 1, 0.3, 2, 5, 0.0, -0.1, False)
-
-
-def test_mixed_union_violation_raises_typed_error(monkeypatch):
-    # With mu(A0) reported as 0 the bound drops below the true hitting mass.
-    monkeypatch.setattr(rarity, "measure", lambda model, target: 0.0)
-    with pytest.raises(errors.ConsistencyError):
-        rarity.mixed_union_check(UNIFORM2, {4: cylinder([1] * 4)}, {}, (4,))
 
 
 def test_hamming_kappa_bound_rejects_D_outside_unit_interval():
@@ -173,6 +143,14 @@ def test_cardinality_rate_rejects_empty_table():
         cardinality_rate({4: 0})
 
 
-def test_mixed_union_check_rejects_missing_target():
-    with pytest.raises(errors.RankMismatchError):
-        rarity.mixed_union_check(UNIFORM2, {}, {}, (4,))
+@pytest.mark.parametrize("call", [
+    lambda: epsilon_bound(UNIFORM2, 1, 0),           # n < 1: (1/n) ln kappa_n
+    lambda: epsilon_bound(UNIFORM2, 0, 20),          # kappa < 1: ln 0
+    lambda: hamming_kappa_bound(-3, 0.2, 4),         # n < 1
+    lambda: hamming_kappa_bound(10, 0.2, 1),         # q < 2
+    lambda: solve_D0(1, 0.5),                        # q < 2
+    lambda: cardinality_rate({0: 4}),                # n < 1: (1/n) ln kappa_n
+])
+def test_rarity_inputs_outside_the_domain_raise_typed_error(call):
+    with pytest.raises(errors.DomainError):
+        call()

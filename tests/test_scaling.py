@@ -9,6 +9,7 @@ from rarehit import (
     errors,
     exact,
     hitting_tail,
+    iid,
     scaling,
     uniform_iid,
 )
@@ -147,7 +148,7 @@ def test_certificate_json():
     assert d["regime"] == "quantitative"
     assert isinstance(d["checks"]["minimality"], bool)
     import json
-    json.loads(cert.to_json())
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_unreachable_threshold_refused_before_doubling(monkeypatch):
@@ -168,17 +169,23 @@ def test_unreachable_threshold_refused_before_doubling(monkeypatch):
     assert horizons == [60]
 
 
-def test_unverifiable_horizon_refused_at_once():
+def test_unverifiable_horizon_refused_at_once(monkeypatch):
     # H(K) >= 1 - K*mu(A) needs K ~ 2^40 for H(K) <= 1e-4.
     with pytest.raises(errors.HorizonTooShortError):
         verify(UNIFORM2, cylinder([1] * 40))
     # exp(-lam*mu*K) <= 1e-4 needs K ~ 9.2/(lam*2^-12) > 1000: no push.
     cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 12))
     steps = tail.engine.steps
+    monkeypatch.setattr(scaling, "MAX_TAIL_STEPS", 1000)
     with pytest.raises(errors.HorizonTooShortError):
-        scaling.extend_for_verification(UNIFORM2, cylinder([1] * 12), tail, cert.lam,
-                                        max_steps=1000)
+        scaling.extend_for_verification(tail, cert.lam)
     assert tail.engine.steps == steps
+
+
+def test_extension_needs_an_engine_built_tail():
+    tail = exact.brute_force_tail(UNIFORM2, cylinder([1, 1]), 8)
+    with pytest.raises(errors.InvalidTailError):
+        scaling.extend_for_verification(tail, 1.0)
 
 
 def test_certificate_reads_accumulated_F():
@@ -262,3 +269,20 @@ def test_sup_deviation_rejects_s0_outside_the_table():
             sup_deviation(levels, 1.0, s0)
     assert sup_deviation(levels, 1.0, 9.5) == pytest.approx(
         _flat_endpoint_sup(levels, 1.0, 9.5), rel=1e-15)
+
+
+def test_zero_measure_target_refused_before_any_push(monkeypatch):
+    # iid(1, 0) never emits 1, so mu([1,1]) = 0 and no scale s exists.
+    never_one = iid([1.0, 0.0])
+    pushed = []
+    monkeypatch.setattr(exact.TailEngine, "extend", lambda self, K: pushed.append(K))
+    for call in (scale_certificate, scaling.verification_tail, verify):
+        with pytest.raises(errors.ZeroMeasureSetError):
+            call(never_one, cylinder([1, 1]))
+    assert pushed == []
+
+
+def test_scale_search_refuses_a_zero_measure_tail():
+    tail = hitting_tail(iid([1.0, 0.0]), cylinder([1, 1]), 64)
+    with pytest.raises(errors.ZeroMeasureSetError):
+        scale_search(tail, 2, 0.0)

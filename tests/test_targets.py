@@ -89,8 +89,9 @@ def test_hamming_predicate_checks_center_symbols():
 
 
 def test_hamming_ball_cap():
+    # 0^14 at D = 0.5 on q = 4 has 10,273,228 words: refused before expansion.
     with pytest.raises(errors.ExpansionTooLargeError):
-        hamming_ball([0] * 12, 0.5, 4, cap=100)
+        hamming_ball([0] * 14, 0.5, 4)
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -143,8 +144,8 @@ def test_ball_measure_monotone_in_D():
 
 def test_membership():
     t = hamming_ball([0, 0, 0], 0.34, 2)
-    assert (0, 1, 0) in t
-    assert (1, 1, 0) not in t
+    assert (0, 1, 0) in t.words
+    assert (1, 1, 0) not in t.words
 
 
 def test_hamming_predicate_agrees_with_expansion():
@@ -153,9 +154,9 @@ def test_hamming_predicate_agrees_with_expansion():
     import itertools
     words = list(itertools.product(range(2), repeat=4))
     for w in words:
-        assert pred(w) is (w in t)
+        assert pred(w) is (w in t.words)
     # the batch form: one boolean per row of an (m, n) array
-    assert pred(np.array(words)).tolist() == [w in t for w in words]
+    assert pred(np.array(words)).tolist() == [w in t.words for w in words]
 
 
 def test_from_dict_specs():
