@@ -4,8 +4,8 @@ Subcommands: tail, lambda, verify, limitlaw, rarity (epsilon|d0|rate|kappa),
 mc, sweep.  Every run emits its fully resolved configuration alongside the
 results so a report can be reproduced from its own header.
 
-Exit codes: 0 ok, 1 config error, 2 failed assertion (--assert), 3 resource
-cap exceeded.
+Exit codes: 0 ok, 1 config error, 2 failed assertion (--assert, taken by
+lambda, verify, limitlaw and sweep), 3 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -89,8 +89,9 @@ def _cmd_tail(args) -> int:
     config = {"analysis": "tail", "model": process.to_dict(model),
               "target": {"n": target.n, "words": ["".join(map(str, w)) for w in target.words]},
               "K": args.K}
-    hit = exact.hitting_tail(model, target, args.K)
-    ret = exact.return_tail(model, target, args.K)
+    engine = exact.TailEngine(model, target)
+    hit = engine.extend(args.K)
+    ret = exact.TailEngine(model, target, "return", chain=engine.chain).extend(args.K)
     with _output(args.out) as fp:
         _config_header(fp, config)
         exact.write_tails_csv(fp, hit, ret)
@@ -230,15 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Hitting/return time statistics of rare events")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, target=True):
+    def common(sp, assertable=True):
         sp.add_argument("--model", required=True)
-        if target:
-            sp.add_argument("--target", required=True)
+        sp.add_argument("--target", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--assert", dest="assert_", action="store_true")
+        if assertable:
+            sp.add_argument("--assert", dest="assert_", action="store_true")
 
     sp = sub.add_parser("tail", help="exact hitting/return tail CSV")
-    common(sp)
+    common(sp, assertable=False)
     sp.add_argument("--K", type=int, required=True)
     sp.set_defaults(func=_cmd_tail)
 
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     spk.set_defaults(func=_cmd_rarity)
 
     sp = sub.add_parser("mc", help="Monte Carlo sample batch CSV")
-    common(sp)
+    common(sp, assertable=False)
     sp.add_argument("--kind", choices=["hitting", "return"], default="hitting")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)

@@ -41,7 +41,7 @@ from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 _MASK64 = (1 << 64) - 1
-DEFAULT_REJECTION_BUDGET = 10 ** 7
+REJECTION_BUDGET = 10 ** 7  # rejected initial windows per return batch
 _TILE = 512   # rows scanned together: bounds memory at any N
 _CHUNK = 32   # uniforms drawn per live row and round
 _CSV_ROWS = 4096  # rows formatted per write
@@ -258,7 +258,7 @@ def _advance(streams, cum, match, state, last, cap: int):
     return times, cens
 
 
-def _sample(kind, model, target, N, seed, censor_cap, rejection_budget=0) -> SampleBatch:
+def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
     """The lockstep scanner behind sample_hitting and sample_return: per row
     tile, draw each row's initial window, then advance the tile to its hits."""
     if N < 1:
@@ -296,9 +296,9 @@ def _sample(kind, model, target, N, seed, censor_cap, rejection_budget=0) -> Sam
                 words[rows[ok]] = W[ok]
                 rows = rows[~ok]
                 rejections += rows.size
-                if rejections > rejection_budget:
+                if rejections > REJECTION_BUDGET:
                     raise RejectionBudgetExceededError(
-                        f"more than {rejection_budget} rejected initial windows")
+                        f"more than {REJECTION_BUDGET} rejected initial windows")
         times[lo:hi], cens[lo:hi] = _advance(streams, cum, match, init(words), words[:, -1],
                                              censor_cap)
     return SampleBatch(kind, N, seed, times, cens, censor_cap)
@@ -312,11 +312,11 @@ def sample_hitting(model: ProcessModel, target, N: int, seed: int,
 
 
 def sample_return(model: ProcessModel, target, N: int, seed: int,
-                  censor_cap: int | None = None,
-                  rejection_budget: int = DEFAULT_REJECTION_BUDGET) -> SampleBatch:
+                  censor_cap: int | None = None) -> SampleBatch:
     """As sample_hitting, with the initial window drawn from the conditional
-    law on A: directly for explicit targets, by rejection for predicates."""
-    return _sample("return", model, target, N, seed, censor_cap, rejection_budget)
+    law on A: directly for explicit targets, by rejection for predicates,
+    refused once the batch rejects more than REJECTION_BUDGET windows."""
+    return _sample("return", model, target, N, seed, censor_cap)
 
 
 def empirical_tail(batch: SampleBatch, K: int | None = None) -> TailDistribution:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConsistencyError,
@@ -22,8 +21,6 @@ from .errors import (
 from .process import ProcessModel, entropy, word_measures
 
 AEP_ENUMERATION_CAP = 2 * 10 ** 7
-_D0_SCAN_POINTS = 10 ** 4
-_D0_XTOL = 1e-8  # brentq's absolute tolerance on D0
 
 
 @dataclass(frozen=True)
@@ -44,6 +41,17 @@ class RarityBound:
             raise ConsistencyError(f"blocks m*k = {self.m * self.k} do not cover n = {self.n}")
         if not self.epsilon_n >= 0.0:
             raise ConsistencyError(f"epsilon_n = {self.epsilon_n!r} is not a probability bound")
+
+
+def _finite(name: str, f, *args) -> float:
+    """f(*args), or a DomainError naming the quantity if it leaves the float range."""
+    try:
+        x = f(*args)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"{name} exceeds the float range")
+    return x
 
 
 def _aep_deficiency(model: ProcessModel, N: int, h: float,
@@ -73,6 +81,7 @@ def epsilon_bound(model: ProcessModel, kappa_n: int, n: int) -> RarityBound:
     """
     if n < 1 or kappa_n < 1:
         raise DomainError(f"need n >= 1 and kappa_n >= 1, got n={n}, kappa_n={kappa_n}")
+    _finite("n", float, n)
     h_mu = entropy(model)
     h0n = math.log(kappa_n) / n
     if h0n >= h_mu:
@@ -92,7 +101,7 @@ def epsilon_bound(model: ProcessModel, kappa_n: int, n: int) -> RarityBound:
     else:
         deficiency = _aep_deficiency(model, n - m, h)
         surrogate = True
-    eps = k * (m * kappa_n * math.exp(-(n - m) * h) + deficiency)
+    eps = k * (_finite("m*kappa_n", float, m * kappa_n) * math.exp(-(n - m) * h) + deficiency)
     return RarityBound(n, kappa_n, h, k, m, deficiency, eps, surrogate)
 
 
@@ -103,34 +112,37 @@ def hamming_kappa_bound(n: int, D: float, q: int) -> float:
         raise DomainError(f"need n >= 1 and q >= 2, got n={n}, q={q}")
     if not 0.0 < D < 1.0:
         raise DomainError("D must lie in (0, 1)")
-    base = (1.0 + D * (q - 1)) / D ** D
-    return base ** n
+    base = (1.0 + D * _finite("alphabet size q", float, q - 1)) / D ** D
+    return _finite("kappa bound ((1 + D(q-1)) / D^D)^n", pow, base, n)
+
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Halve [lo, hi], where the monotone test ``holds`` fails at lo and passes
+    at hi, until the ends are adjacent floats; return the upper end."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def solve_D0(q: int, h: float) -> float:
-    """Smallest D in (0,1) with (1 + D(q-1)) / D^D = e^h.
+    """Smallest D in (0,1) with (1 + D(q-1)) / D^D = e^h, to one ulp, or 1.0
+    when there is none (D unconstrained).
 
-    Scan-then-bisect, in log space; the left limit of the left-hand side is
-    1 < e^h.  Returns 1.0 when no crossing exists (D unconstrained).
+    g(D) = ln(1 + D(q-1)) - D ln D - h is strictly concave on (0,1) and tends
+    to -h < 0 at 0: one bisection finds its peak D*, where g' turns
+    non-positive, and a second the first D <= D* with g(D) >= 0.
     """
     if q < 2:
         raise DomainError(f"need an alphabet of q >= 2 symbols, got {q}")
-    if h <= 0:
-        raise DomainError("entropy level must be positive")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"entropy level must be positive and finite, got {h!r}")
+    b = _finite("alphabet size q", float, q - 1)
 
     def g(D: float) -> float:
-        return math.log1p(D * (q - 1)) - D * math.log(D) - h
+        return math.log1p(D * b) - D * math.log(D) - h
 
-    grid = np.linspace(0.0, 1.0, _D0_SCAN_POINTS + 1)[1:]
-    vals = np.array([g(D) for D in grid])
-    crossing = np.nonzero(vals >= 0.0)[0]
-    if crossing.size == 0:
-        return 1.0
-    i = int(crossing[0])
-    if i == 0:
-        return float(grid[0])
-    lo, hi = float(grid[i - 1]), float(grid[i])
-    return float(brentq(g, lo, hi, xtol=_D0_XTOL))
+    peak = _bisect(lambda D: b / (1.0 + D * b) - math.log(D) <= 1.0, 0.0, 1.0)
+    return _bisect(lambda D: g(D) >= 0.0, 0.0, peak) if g(peak) >= 0.0 else 1.0
 
 
 def cardinality_rate(kappa_table: dict[int, int]) -> float:
@@ -139,6 +151,7 @@ def cardinality_rate(kappa_table: dict[int, int]) -> float:
     ns = sorted(kappa_table)
     if not ns or any(n < 1 or kappa_table[n] < 1 for n in ns):
         raise DomainError("need n >= 1 and kappa_n >= 1 for a non-empty table")
+    _finite("n", float, ns[-1])
     half = ns[len(ns) // 2:]
     return max(math.log(kappa_table[n]) / n for n in half)
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,23 @@ def test_format_flag_is_gone(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["tail", "--model", "iid-uniform-2", "--target", "cyl:1,1", "--K", "6"],
+    ["mc", "--model", "iid-uniform-2", "--target", "cyl:1,1", "--N", "5", "--seed", "0"],
+])
+def test_assert_flag_only_where_it_is_honoured(tmp_path, argv):
+    # tail and mc check nothing, so they do not accept --assert
+    assert run(argv + ["--assert"], tmp_path) == (EXIT_CONFIG, "")
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = ("import sys, rarehit.cli; "
+            "sys.exit(any(m.split('.')[:2] == ['scipy', 'optimize'] for m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_help_exit_ok():
     assert main(["--help"]) == EXIT_OK
 
@@ -249,6 +270,19 @@ MC_CYL = ["mc", "--model", "iid-uniform-2", "--target", "cyl:1,1", "--N", "5", "
                  "need n >= 1", id="kappa-n-negative"),
     pytest.param(["rarity", "d0", "--q", "1", "--h-bits", "0.5"], EXIT_CONFIG, "q >= 2",
                  id="d0-q-1"),
+    *[pytest.param(["rarity", "d0", "--q", "4", flag], EXIT_CONFIG,
+                   "entropy level must be positive and finite", id=f"d0-{flag[2:]}")
+      for flag in ("--h-bits=nan", "--h-nats=inf", "--h-bits=-inf", "--h-nats=0")],
+    pytest.param(["rarity", "kappa", "--n", "2000", "--D", "0.2", "--q", "4"], EXIT_CONFIG,
+                 "kappa bound ((1 + D(q-1)) / D^D)^n exceeds the float range",
+                 id="kappa-bound-overflow"),
+    pytest.param(["rarity", "epsilon", "--model", "iid-uniform-2", "--kappa", str(2 ** 1100),
+                  "--n", "2000"], EXIT_CONFIG, "m*kappa_n exceeds the float range",
+                 id="epsilon-kappa-overflow"),
+    pytest.param(["rarity", "d0", "--q", str(10 ** 400), "--h-bits", "1"], EXIT_CONFIG,
+                 "alphabet size q exceeds the float range", id="d0-q-overflow"),
+    pytest.param(["rarity", "kappa", "--n", "10", "--D", "0.2", "--q", str(10 ** 400)],
+                 EXIT_CONFIG, "alphabet size q exceeds the float range", id="kappa-q-overflow"),
 ])
 def test_refusals_exit_with_a_typed_error(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == (code, "")

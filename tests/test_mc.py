@@ -140,11 +140,11 @@ def test_return_rejection_for_predicate():
     assert ks_distance(emp, ref) <= 0.06
 
 
-def test_rejection_budget():
+def test_rejection_budget(monkeypatch):
     pred = hamming_predicate([0] * 14, 0.01, 2)  # acceptance 2^-14
+    monkeypatch.setattr(mc, "REJECTION_BUDGET", 20)
     with pytest.raises(errors.RejectionBudgetExceededError):
-        sample_return(UNIFORM2, pred, 50, seed=1, censor_cap=10,
-                      rejection_budget=20)
+        sample_return(UNIFORM2, pred, 50, seed=1, censor_cap=10)
 
 
 def test_predicate_hitting_matches_explicit():
@@ -312,16 +312,17 @@ def test_censoring_at_every_cap_truncates_a_longer_batch(sampler):
         assert np.array_equal(batch.censored, long.censored | (long.times > cap))
 
 
-def test_rejection_budget_is_exact_across_tiles():
+def test_rejection_budget_is_exact_across_tiles(monkeypatch):
     # raised exactly when the total over all rows and tiles exceeds the budget
     pred = hamming_predicate([0] * 4, 0.0, 2)
     N, cap = 600, 5
     _, _, total = _reference_batch(UNIFORM2, pred, "return", N, 6, cap)
     assert total > 0
-    sample_return(UNIFORM2, pred, N, seed=6, censor_cap=cap, rejection_budget=total)
+    monkeypatch.setattr(mc, "REJECTION_BUDGET", total)
+    sample_return(UNIFORM2, pred, N, seed=6, censor_cap=cap)
+    monkeypatch.setattr(mc, "REJECTION_BUDGET", total - 1)
     with pytest.raises(errors.RejectionBudgetExceededError):
-        sample_return(UNIFORM2, pred, N, seed=6, censor_cap=cap,
-                      rejection_budget=total - 1)
+        sample_return(UNIFORM2, pred, N, seed=6, censor_cap=cap)
 
 
 @pytest.mark.parametrize("sampler", [sample_hitting, sample_return])

@@ -154,3 +154,80 @@ def test_cardinality_rate_rejects_empty_table():
 def test_rarity_inputs_outside_the_domain_raise_typed_error(call):
     with pytest.raises(errors.DomainError):
         call()
+
+
+def _g(q, h, D):
+    return math.log1p(D * (q - 1)) - D * math.log(D) - h
+
+
+def _dense(q):
+    """g + h on a uniform grid of (0, 1], refined around its argmax."""
+    D = np.linspace(0.0, 1.0, 200_001)[1:]
+    i = int(np.argmax(np.log1p(D * (q - 1)) - D * np.log(D)))
+    fine = np.linspace(D[max(i - 1, 0)], D[min(i + 1, D.size - 1)], 20_001)
+    D = np.union1d(D, fine)
+    return D, np.log1p(D * (q - 1)) - D * np.log(D)
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_solve_D0_is_the_first_crossing_to_one_ulp(q):
+    D, gh = _dense(q)
+    for h in [*np.geomspace(1e-300, 1e-3, 30), *np.linspace(1e-3, gh.max() + 0.5, 60)]:
+        h = float(h)
+        d0 = solve_D0(q, h)
+        if d0 == 1.0:
+            continue
+        assert _g(q, h, d0) >= 0.0 > _g(q, h, math.nextafter(d0, 0.0))
+        assert not (gh[D < d0] > h + 1e-12).any()  # no grid crossing below D0
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_solve_D0_is_one_exactly_when_g_stays_negative(q):
+    _, gh = _dense(q)
+    top = float(gh.max())
+    for h in [top - 1e-6, top - 1e-9, top + 1e-9, top + 1e-6, top + 1.0,
+              *np.linspace(0.05, top + 0.5, 40)]:
+        assert (solve_D0(q, float(h)) == 1.0) == (top < h)
+
+
+def test_solve_D0_tiny_entropy_is_the_root_not_the_first_grid_point():
+    d0 = solve_D0(4, 1e-4)
+    assert d0 == pytest.approx(6.706e-6, rel=1e-4)
+    assert _g(4, 1e-4, d0) >= 0.0 > _g(4, 1e-4, math.nextafter(d0, 0.0))
+
+
+def test_solve_D0_finds_crossings_just_below_the_peak():
+    _, gh = _dense(2)
+    d0 = solve_D0(2, float(gh.max()) - 1e-11)
+    assert d0 == pytest.approx(0.6696, abs=1e-4)
+
+
+def test_solve_D0_dna_entropy_moves_below_1e_8():
+    # 0.4188600616011069 came from the former scan-then-brentq solver (xtol 1e-8)
+    assert abs(solve_D0(4, 1.7 * math.log(2)) - 0.4188600616011069) < 1e-8
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_solve_D0_refuses_nonfinite_or_nonpositive_entropy(h):
+    with pytest.raises(errors.DomainError, match="entropy level"):
+        solve_D0(4, h)
+
+
+@pytest.mark.parametrize("call, quantity", [
+    (lambda: hamming_kappa_bound(2000, 0.2, 4), "kappa bound"),
+    (lambda: hamming_kappa_bound(10, 0.2, 10 ** 400), "alphabet size q"),
+    (lambda: solve_D0(10 ** 400, 1.0), "alphabet size q"),
+    (lambda: epsilon_bound(UNIFORM2, 2 ** 1100, 2000), "m*kappa_n"),
+    (lambda: epsilon_bound(UNIFORM2, 1, 10 ** 400), "n"),
+    (lambda: cardinality_rate({10 ** 400: 4}), "n"),
+])
+def test_rarity_results_beyond_the_float_range_raise_typed_error(call, quantity):
+    with pytest.raises(errors.DomainError, match="exceeds the float range") as refusal:
+        call()
+    assert str(refusal.value).startswith(quantity)
+
+
+def test_rarity_results_inside_the_float_range_keep_their_expressions():
+    assert hamming_kappa_bound(10, 0.2, 4) == ((1.0 + 0.2 * 3) / 0.2 ** 0.2) ** 10
+    rb = epsilon_bound(UNIFORM2, 2 ** 100, 400)
+    assert rb.epsilon_n == rb.k * (rb.m * 2 ** 100 * math.exp(-(400 - rb.m) * rb.h) + 0.0)
