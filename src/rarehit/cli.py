@@ -45,8 +45,9 @@ def parse_model(text: str) -> process.ProcessModel:
             text = f.read()
     if text.lstrip().startswith("{"):
         return process.from_json(text)
-    if text.startswith("iid-uniform-"):
-        return process.uniform_iid(int(text.rsplit("-", 1)[1]))
+    q = text.removeprefix("iid-uniform-")
+    if q != text and q.isdecimal() and int(q) >= 2:
+        return process.uniform_iid(int(q))
     raise ConfigInvalidError(f"cannot parse model spec {text!r}")
 
 
@@ -83,12 +84,17 @@ def _config_header(fp, config: dict) -> None:
     fp.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
 
 
-def _cmd_tail(args) -> int:
+def _inputs(args, analysis: str, **extra) -> tuple:
+    """The model and target of a subcommand, and the head of its config."""
     model = parse_model(args.model)
     target = parse_target(args.target, model.alphabet_size)
-    config = {"analysis": "tail", "model": process.to_dict(model),
-              "target": {"n": target.n, "words": ["".join(map(str, w)) for w in target.words]},
-              "K": args.K}
+    return model, target, {"analysis": analysis, "model": process.to_dict(model),
+                           "target": {"n": target.n, "kappa": target.kappa}, **extra}
+
+
+def _cmd_tail(args) -> int:
+    model, target, config = _inputs(args, "tail", K=args.K)
+    config["target"] = {"n": target.n, "words": ["".join(map(str, w)) for w in target.words]}
     engine = exact.TailEngine(model, target)
     hit = engine.extend(args.K)
     ret = exact.TailEngine(model, target, "return", chain=engine.chain).extend(args.K)
@@ -99,10 +105,7 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    model = parse_model(args.model)
-    target = parse_target(args.target, model.alphabet_size)
-    config = {"analysis": "lambda", "model": process.to_dict(model),
-              "target": {"n": target.n, "kappa": target.kappa}}
+    model, target, config = _inputs(args, "lambda")
     cert, _ = scaling.scale_certificate(model, target)
     with _output(args.out) as fp:
         _emit_json(fp, config, cert.to_dict())
@@ -112,10 +115,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model = parse_model(args.model)
-    target = parse_target(args.target, model.alphabet_size)
-    config = {"analysis": "verify", "model": process.to_dict(model),
-              "target": {"n": target.n, "kappa": target.kappa}}
+    model, target, config = _inputs(args, "verify")
     cert, report, _ = scaling.verify(model, target)
     result = {"certificate": cert.to_dict(), "report": report.to_dict()}
     with _output(args.out) as fp:
@@ -126,10 +126,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_limitlaw(args) -> int:
-    model = parse_model(args.model)
-    target = parse_target(args.target, model.alphabet_size)
-    config = {"analysis": "limitlaw", "model": process.to_dict(model),
-              "target": {"n": target.n, "kappa": target.kappa}, "s0": args.s0}
+    model, target, config = _inputs(args, "limitlaw", s0=args.s0)
     cert, tail, ret = limitlaw.certified_tails(model, target)
     F = limitlaw.make_F(tail, cert.lam, cert.mu_A)
     G = limitlaw.make_G(ret, cert.lam, cert.mu_A)
@@ -192,11 +189,8 @@ def _cmd_rarity(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    model = parse_model(args.model)
-    target = parse_target(args.target, model.alphabet_size)
-    config = {"analysis": "mc", "model": process.to_dict(model),
-              "target": {"n": target.n, "kappa": target.kappa},
-              "kind": args.kind, "N": args.N, "seed": args.seed, "cap": args.cap}
+    model, target, config = _inputs(args, "mc", kind=args.kind, N=args.N, seed=args.seed,
+                                    cap=args.cap)
     sampler = mc.sample_hitting if args.kind == "hitting" else mc.sample_return
     batch = sampler(model, target, args.N, args.seed, censor_cap=args.cap)
     with _output(args.out) as fp:

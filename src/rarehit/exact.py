@@ -3,8 +3,8 @@
 The event {window of length n starting at position k lies in A} is tracked
 with a multi-pattern failure-link automaton (all patterns share length n, so
 the accepting states are exactly the word-terminal trie nodes).  The
-automaton is composed with the source memory (last emitted symbol, which is
-all a first-order Markov chain needs), and a resumable ``TailEngine`` pushes
+automaton is composed with the source memory (last emitted symbol, whose
+transition row is the next symbol's law), and a resumable ``TailEngine`` pushes
 the state distribution through the survival kernel, one step at a time up to
 a switch point set by the chain size and in blocks of steps beyond it,
 accumulating the mass absorbed by the event beside the surviving mass.  A
@@ -182,9 +182,10 @@ class _ComposedChain:
 
     A non-root automaton state fixes the last symbol; the root pairs with
     the symbols on which some transition falls back to it.  These pairs are
-    lumped to the coarsest partition that separates acceptance (and, for a
-    Markov source, the last symbol) and is stable under every symbol: a
-    strong lumping, so tails and absorption times are those of the pairs.
+    lumped to the coarsest partition that separates acceptance and the
+    next-symbol law (the first symbol with the last symbol's transition row:
+    always 0 for IID) and is stable under every symbol: a strong lumping, so
+    tails and absorption times are those of the pairs.
 
     ``fullT`` is the one-step kernel; ``survT`` drops every transition into
     an accepting automaton state, so pushing with it loses exactly the mass
@@ -206,14 +207,13 @@ class _ComposedChain:
         last = np.concatenate((aut.last[1:], root_syms))
         succ = self._pair(aut.goto[state], np.arange(q))  # (pairs, q)
         into_accept = aut.accepting[aut.goto[state]]      # (pairs, q)
-        key = aut.accepting[state].astype(np.int64)
-        if model.kind == "markov":
-            key = key * q + last
+        P = model.transition
+        first = (P[:, None] == P).all(axis=2).argmax(axis=1)  # first symbol with an equal row
+        key = aut.accepting[state] * q + first[last]
         cls = _coarsest_stable(key, succ)
         size = int(cls.max()) + 1
         rep = np.unique(cls, return_index=True)[1]  # one pair per class
-        R = model.transition[last[rep]] if model.kind == "markov" else model.iid_probs
-        prob = np.broadcast_to(R, (size, q))
+        prob = P[last[rep]]
         surv = np.where(into_accept[rep], 0.0, prob)
         dst = cls[succ[rep]]
         src = np.repeat(np.arange(size), q)
@@ -391,8 +391,6 @@ def return_expectation(model: ProcessModel, target: TargetSet) -> float:
 def _enumerate_measures(model: ProcessModel, arr: np.ndarray) -> np.ndarray:
     # Kept apart from process.word_measures so the oracle shares no code
     # with the engine it checks.
-    if model.kind == "iid":
-        return np.prod(model.iid_probs[arr], axis=1)
     w = model.stationary[arr[:, 0]]
     for i in range(arr.shape[1] - 1):
         w = w * model.transition[arr[:, i], arr[:, i + 1]]

@@ -180,10 +180,10 @@ class _TileStreams:
 
 
 def _cum_table(model: ProcessModel) -> np.ndarray:
-    """Cumulative next-symbol laws: one row (the law) for IID sources; for
-    Markov sources a row per previous symbol and, last, the stationary law."""
+    """Cumulative next-symbol laws: one row (the law) for an IID source; else
+    a row per previous symbol and, last, the stationary law."""
     cum_first = np.cumsum(model.stationary)[None, :]
-    if model.kind != "markov":
+    if model.is_iid:
         return cum_first
     return np.vstack([np.cumsum(model.transition, axis=1), cum_first])
 

@@ -1,9 +1,10 @@
 """Finite-alphabet stationary sources.
 
-Two model kinds are supported: IID sources and irreducible aperiodic
-first-order Markov chains started from their stationary distribution.
-Both expose exact cylinder measures, entropy per symbol, and a certified
-upper bound on the strong-mixing coefficient of the process.
+Every source is a row-stochastic matrix P started from its stationary law
+pi: an IID source with law p is the matrix whose rows all equal p, any other
+an irreducible aperiodic first-order Markov chain.  Each exposes exact
+cylinder measures, entropy per symbol, and a certified upper bound on the
+strong-mixing coefficient of the process.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigInvalidError,
     EmptyAlphabetError,
     GapNonPositiveError,
     NonStochasticError,
@@ -26,30 +28,29 @@ STATIONARY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ProcessModel:
-    """A validated stationary source over symbols 0..q-1.
-
-    For IID models ``stationary`` equals ``iid_probs``; for Markov models it
-    is the left fixed point of the transition matrix.
-    """
+    """A validated stationary source over symbols 0..q-1: the transition
+    matrix ``transition`` and its stationary law ``stationary``."""
 
     alphabet_size: int
-    kind: str  # "iid" or "markov"
-    iid_probs: np.ndarray | None
-    transition: np.ndarray | None
+    transition: np.ndarray
     stationary: np.ndarray
 
     @property
+    def is_iid(self) -> bool:
+        """Every transition row is the stationary law: symbols are independent."""
+        return bool(np.all(self.transition == self.stationary))
+
+    @property
     def is_uniform_iid(self) -> bool:
-        if self.kind != "iid":
-            return False
-        return bool(np.allclose(self.iid_probs, 1.0 / self.alphabet_size, atol=1e-14))
+        return self.is_iid and bool(
+            np.allclose(self.stationary, 1.0 / self.alphabet_size, atol=1e-14))
 
 
 def _check_prob_row(row: np.ndarray, what: str) -> None:
-    if np.any(row < 0):
-        raise NonStochasticError(f"{what} has negative entries")
+    if not np.all(row >= 0):  # NaN compares false
+        raise NonStochasticError(f"{what} has negative or NaN entries")
     if abs(row.sum() - 1.0) > ROW_SUM_TOL:
-        raise NonStochasticError(f"{what} sums to {row.sum()!r}, not 1")
+        raise NonStochasticError(f"{what} sums to {float(row.sum())!r}, not 1")
 
 
 def _check_primitive(P: np.ndarray) -> None:
@@ -79,12 +80,13 @@ def _stationary_of(P: np.ndarray) -> np.ndarray:
 
 
 def iid(probs) -> ProcessModel:
-    """Build and validate an IID model from a probability table."""
+    """Build and validate an IID model: every transition row is the table.
+    No primitivity check runs, so zero-probability symbols stay legal."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise EmptyAlphabetError("need a 1-d probability table with q >= 2")
     _check_prob_row(p, "iid probability table")
-    return ProcessModel(int(p.size), "iid", p, None, p.copy())
+    return ProcessModel(int(p.size), np.tile(p, (p.size, 1)), p.copy())
 
 
 def uniform_iid(q: int) -> ProcessModel:
@@ -102,19 +104,14 @@ def markov(transition) -> ProcessModel:
     pi = _stationary_of(P)
     if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
         raise NonStochasticError("stationary fixed point residual too large")
-    return ProcessModel(int(P.shape[0]), "markov", None, P, pi)
+    return ProcessModel(int(P.shape[0]), P, pi)
 
 
 def validate(model: ProcessModel) -> ProcessModel:
     """Re-run all invariants on an externally constructed model."""
-    if model.kind == "iid":
-        out = iid(model.iid_probs)
-    elif model.kind == "markov":
-        out = markov(model.transition)
-        if np.max(np.abs(out.stationary - model.stationary)) > STATIONARY_TOL:
-            raise NonStochasticError("supplied stationary vector is not the fixed point")
-    else:
-        raise NonStochasticError(f"unknown model kind {model.kind!r}")
+    out = iid(model.stationary) if model.is_iid else markov(model.transition)
+    if np.max(np.abs(out.stationary - model.stationary)) > STATIONARY_TOL:
+        raise NonStochasticError("supplied stationary vector is not the fixed point")
     return out
 
 
@@ -124,63 +121,62 @@ def cylinder_measure(model: ProcessModel, word) -> float:
 
 
 def word_measures(model: ProcessModel, words: np.ndarray) -> np.ndarray:
-    """Cylinder measures of the rows of a (count, n) word array."""
+    """Cylinder measures of the rows of a (count, n) word array: the product
+    pi[w0] P[w0, w1] ... P[w(n-2), w(n-1)], taken left to right."""
     if words.size == 0:
         raise SymbolOutOfRangeError("empty word")
     if words.min() < 0 or words.max() >= model.alphabet_size:
         raise SymbolOutOfRangeError(f"symbols must lie in 0..{model.alphabet_size - 1}")
-    if model.kind == "iid":
-        return np.prod(model.iid_probs[words], axis=1)
-    return model.stationary[words[:, 0]] * np.prod(
-        model.transition[words[:, :-1], words[:, 1:]], axis=1)
+    mu = model.stationary[words[:, 0]]
+    for i in range(1, words.shape[1]):
+        mu = mu * model.transition[words[:, i - 1], words[:, i]]
+    return mu
 
 
 def entropy(model: ProcessModel) -> float:
-    """Entropy in nats per symbol, in [0, ln q]."""
-
-    def h(row: np.ndarray) -> float:
-        nz = row[row > 0]
-        return float(-np.sum(nz * np.log(nz)))
-
-    if model.kind == "iid":
-        return h(model.iid_probs)
-    return float(sum(model.stationary[i] * h(model.transition[i])
-                     for i in range(model.alphabet_size)))
+    """Entropy in nats per symbol, sum_i pi_i H(P[i]), in [0, ln q]."""
+    P = model.transition
+    h = -np.sum(P * np.log(P, out=np.zeros_like(P), where=P > 0), axis=1)
+    return float(h[0] + model.stationary @ (h - h[0]))  # equal rows give h[0] exactly
 
 
 def alpha_bound(model: ProcessModel, g: int) -> float:
     """Certified upper bound on the strong-mixing coefficient at gap g.
 
-    IID sources mix perfectly (bound 0).  For Markov chains we return the
-    beta-mixing dominating quantity
+    Returns the beta-mixing dominating quantity
 
         sum_i pi_i * (1/2) sum_j |P^g(i,j) - pi_j|
 
-    computed by exact matrix power; it dominates the strong-mixing
-    coefficient, which is all downstream bound checks need.
+    computed as (P - 1 pi)^g = P^g - 1 pi, exactly 0 for IID sources; it
+    dominates the strong-mixing coefficient, which downstream checks need.
     """
     if g < 1:
         raise GapNonPositiveError("gap must be >= 1")
-    if model.kind == "iid":
-        return 0.0
-    Pg = np.linalg.matrix_power(model.transition, g)
-    tv = 0.5 * np.sum(np.abs(Pg - model.stationary[None, :]), axis=1)
+    Dg = np.linalg.matrix_power(model.transition - model.stationary, g)
+    tv = 0.5 * np.sum(np.abs(Dg), axis=1)
     return float(np.dot(model.stationary, tv))
+
+
+_SPEC_KEYS = {"iid": (iid, "probs"), "markov": (markov, "transition")}
 
 
 def from_dict(spec: dict) -> ProcessModel:
     """Model config: {"kind":"iid","probs":[...]} or {"kind":"markov","transition":[[...],...]}."""
     kind = spec.get("kind")
-    if kind == "iid":
-        return iid(spec["probs"])
-    if kind == "markov":
-        return markov(spec["transition"])
-    raise NonStochasticError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise NonStochasticError(f"unknown model kind {kind!r}")
+    build, key = _SPEC_KEYS[kind]
+    try:
+        table = np.asarray(spec[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigInvalidError(f"{kind} model needs a numeric array under {key!r}") from None
+    return build(table)
 
 
 def to_dict(model: ProcessModel) -> dict:
-    if model.kind == "iid":
-        return {"kind": "iid", "probs": [float(p) for p in model.iid_probs]}
+    """The spec of the model: "iid" when every row equals the stationary law."""
+    if model.is_iid:
+        return {"kind": "iid", "probs": [float(p) for p in model.stationary]}
     return {"kind": "markov", "transition": [[float(p) for p in row] for row in model.transition]}
 
 

@@ -16,6 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import (
+    ConfigInvalidError,
     ConsistencyError,
     DomainError,
     ExpansionTooLargeError,
@@ -161,15 +162,25 @@ def _parse_word(text: str) -> Word:
     return tuple(int(s) for s in text.split(","))
 
 
+def _get(spec, key: str, types, what: str):
+    """spec[key], refused unless it is there and of one of those types."""
+    if not isinstance(spec.get(key), types):
+        raise ConfigInvalidError(f"target spec needs {what} under {key!r}, got {spec!r}")
+    return spec[key]
+
+
 def from_dict(spec: dict, q: int) -> TargetSet:
     """Target spec: {"cylinder":"0,1,1"} | {"hamming":{"center":"0,0,0","D":0.2}} | {"union":[...]}."""
+    if not isinstance(spec, dict):
+        raise ConfigInvalidError(f"target spec must be a JSON object, got {spec!r}")
     if "cylinder" in spec:
-        return cylinder(_parse_word(spec["cylinder"]))
+        return cylinder(_parse_word(_get(spec, "cylinder", str, "a word string")))
     if "hamming" in spec:
-        h = spec["hamming"]
-        return hamming_ball(_parse_word(h["center"]), float(h["D"]), q)
+        h = _get(spec, "hamming", dict, "an object")
+        return hamming_ball(_parse_word(_get(h, "center", str, "a word string")),
+                            float(_get(h, "D", (int, float, str), "a number")), q)
     if "union" in spec:
-        return union([from_dict(s, q) for s in spec["union"]])
+        return union([from_dict(s, q) for s in _get(spec, "union", list, "a list")])
     raise RankMismatchError(f"unrecognized target spec: {spec!r}")
 
 

@@ -243,6 +243,26 @@ def test_sweep_s0_outside_the_table(tmp_path, capsys):
 NEVER_ONE = '{"kind":"iid","probs":[1.0,0.0]}'  # mu([1,1]) = 0
 NULL_TARGET = ["--model", NEVER_ONE, "--target", "cyl:1,1"]
 MC_CYL = ["mc", "--model", "iid-uniform-2", "--target", "cyl:1,1", "--N", "5", "--seed", "0"]
+BAD_MODELS = [
+    *[(f"uniform-{q}", f"iid-uniform-{q}", f"cannot parse model spec 'iid-uniform-{q}'")
+      for q in ("0", "1", "-2", "four")],
+    ("iid-nan", '{"kind":"iid","probs":[NaN,0.5]}', "NaN entries"),
+    ("markov-nan", '{"kind":"markov","transition":[[NaN,1],[0.5,0.5]]}', "NaN entries"),
+    ("iid-no-probs", '{"kind":"iid"}', "numeric array under 'probs'"),
+    ("markov-no-transition", '{"kind":"markov"}', "numeric array under 'transition'"),
+    ("iid-probs-object", '{"kind":"iid","probs":{"a":1}}', "numeric array under 'probs'"),
+    ("iid-probs-of-objects", '{"kind":"iid","probs":[{"a":1},0.5]}', "numeric array"),
+    ("markov-ragged", '{"kind":"markov","transition":[[0.5,0.5],[1]]}', "numeric array"),
+]
+BAD_TARGETS = [
+    ("hamming-no-D", '{"hamming":{"center":"0,1"}}', "needs a number under 'D'"),
+    ("hamming-D-list", '{"hamming":{"center":"0,1","D":[1]}}', "needs a number under 'D'"),
+    ("hamming-center-list", '{"hamming":{"center":[0,1],"D":0.5}}',
+     "needs a word string under 'center'"),
+    ("cylinder-number", '{"cylinder":5}', "needs a word string under 'cylinder'"),
+    ("union-object", '{"union":{"cylinder":"0,1"}}', "needs a list under 'union'"),
+    ("union-of-numbers", '{"union":[5]}', "target spec must be a JSON object"),
+]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -283,6 +303,10 @@ MC_CYL = ["mc", "--model", "iid-uniform-2", "--target", "cyl:1,1", "--N", "5", "
                  "alphabet size q exceeds the float range", id="d0-q-overflow"),
     pytest.param(["rarity", "kappa", "--n", "10", "--D", "0.2", "--q", str(10 ** 400)],
                  EXIT_CONFIG, "alphabet size q exceeds the float range", id="kappa-q-overflow"),
+    *[pytest.param(["lambda", "--model", model, "--target", "cyl:1,1"], EXIT_CONFIG, message,
+                   id=f"model-{name}") for name, model, message in BAD_MODELS],
+    *[pytest.param(["lambda", "--model", "iid-uniform-2", "--target", target], EXIT_CONFIG,
+                   message, id=f"target-{name}") for name, target, message in BAD_TARGETS],
 ])
 def test_refusals_exit_with_a_typed_error(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == (code, "")

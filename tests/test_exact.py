@@ -28,6 +28,7 @@ from rarehit import (
 UNIFORM2 = uniform_iid(2)
 MODELS = [iid([0.2, 0.8]), UNIFORM2, iid([0.8, 0.2]),
           markov([[0.9, 0.1], [0.5, 0.5]]), markov([[0.6, 0.4], [0.3, 0.7]])]
+EQUAL_ROWS = markov([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
 
 
 def test_automaton_single_pattern_shape():
@@ -406,10 +407,22 @@ def test_automaton_does_not_need_sorted_words():
     (uniform_iid(4), hamming_ball([0] * 10, 0.3, 4), 493),
     (markov([[0.9, 0.1], [0.5, 0.5]]), hamming_ball([0, 1] * 4, 0.13, 2), 34),
     (UNIFORM2, cylinder([1] * 24), 25),
+    (EQUAL_ROWS, cylinder([2, 2, 2]), 4),  # symbols 0 and 1 share a class
 ])
 def test_lumped_chain_sizes(model, target, size):
     chain = exact._ComposedChain(model, build_automaton(target, model.alphabet_size))
     assert chain.size == size
+
+
+def test_markov_with_equal_rows_matches_the_oracle():
+    # Rows 0 and 1 are equal, so the chain forgets which of them came last.
+    A = cylinder([2, 2, 2])
+    for kind, fn in (("hitting", hitting_tail), ("return", return_tail)):
+        t = fn(EQUAL_ROWS, A, 8)
+        b = brute_force_tail(EQUAL_ROWS, A, 8, kind)
+        assert np.max(np.abs(t.values - b.values)) <= 1e-12
+    assert return_expectation(EQUAL_ROWS, A) * measure(EQUAL_ROWS, A) == pytest.approx(
+        1.0, abs=1e-9)
 
 
 def test_kac_on_lumped_markov_ball():

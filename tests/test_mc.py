@@ -225,7 +225,7 @@ def _reference_batch(model, target, kind, N, seed, cap):
     the censored flags and the number of rejected initial windows."""
     q, n = model.alphabet_size, target.n
     cum = np.cumsum(model.stationary)
-    rows = np.cumsum(model.transition, axis=1) if model.kind == "markov" else None
+    rows = np.cumsum(model.transition, axis=1)
     explicit = isinstance(target, TargetSet)
     inside = (lambda w: tuple(w) in target.words) if explicit else target
     times, cens, rejections = [], [], 0
@@ -235,7 +235,7 @@ def _reference_batch(model, target, kind, N, seed, cap):
         def extend(w, length):  # `length` more symbols after the word w
             w = list(w)
             for _ in range(length):
-                c = cum if rows is None or not w else rows[w[-1]]
+                c = rows[w[-1]] if w else cum
                 w.append(min(int(np.searchsorted(c, rng.random(), side="right")), q - 1))
             return w
 

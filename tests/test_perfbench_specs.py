@@ -1,27 +1,32 @@
-"""The benchmark's traced names resolve against the library.
+"""The benchmark's traced names and model specs resolve against the library.
 
 ``perfbench/tracing.py`` wraps rarehit functions by module and name when a
 pass runs with ``--trace 1``; a deleted or renamed function would only show
-there.  This loads the module by path and resolves every name at once.
+there.  This loads the module by path and resolves every name at once.  The
+model specs of ``perfbench/jobs.py`` reach the config headers through
+``process.to_dict``, which must give them back unchanged.
 """
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import rarehit
+from rarehit import cli, process
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_is_a_library_function():
-    specs = _tracing()._attr_specs()
+    specs = _load("tracing")._attr_specs()
     assert specs
     for name, (fn, attrs) in specs.items():
         module, attr = name.split(".")
@@ -35,3 +40,12 @@ def test_traced_arguments_exist():
         assert {"target", "K"} <= set(inspect.signature(fn).parameters)
     for fn in (rarehit.sample_hitting, rarehit.sample_return):
         assert "target" in inspect.signature(fn).parameters
+
+
+def test_benchmark_model_specs_round_trip():
+    jobs = _load("jobs")
+    for spec in (jobs.IID82, jobs.MK):
+        assert process.to_dict(process.from_dict(spec)) == spec
+    u4 = process.to_dict(cli.parse_model(jobs.U4))
+    assert u4 == {"kind": "iid", "probs": [0.25] * 4}
+    assert process.to_dict(process.from_dict(u4)) == u4

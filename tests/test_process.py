@@ -20,8 +20,9 @@ from rarehit import (
 
 def test_iid_uniform_valid():
     m = uniform_iid(2)
-    assert m.kind == "iid"
-    assert np.allclose(m.stationary, [0.5, 0.5])
+    assert m.is_iid
+    assert np.array_equal(m.transition, [[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(m.stationary, [0.5, 0.5])
 
 
 def test_markov_stationary_derived():
@@ -42,6 +43,15 @@ def test_non_stochastic_rejected():
         markov([[0.9, 0.2], [0.5, 0.5]])
     with pytest.raises(errors.NonStochasticError):
         iid([1.2, -0.2])
+
+
+def test_non_finite_probabilities_rejected():
+    with pytest.raises(errors.NonStochasticError, match="NaN entries"):
+        iid([math.nan, 0.5])
+    with pytest.raises(errors.NonStochasticError, match="NaN entries"):
+        markov([[math.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(errors.NonStochasticError, match="sums to inf"):
+        iid([math.inf, 0.5])
 
 
 def test_empty_alphabet_rejected():
@@ -105,6 +115,8 @@ def test_entropy_in_range():
 def test_alpha_bound_iid_zero():
     m = iid([0.2, 0.8])
     assert all(alpha_bound(m, g) == 0.0 for g in (1, 5, 50))
+    m = iid([0.1, 0.25, 0.65])  # P - 1 pi is exactly zero, at every gap
+    assert all(alpha_bound(m, g) == 0.0 for g in range(1, 65))
 
 
 def test_alpha_bound_markov_geometric_decay():
@@ -133,7 +145,15 @@ def test_alpha_bound_rejects_nonpositive_gap():
 def test_json_roundtrip():
     for m in (iid([0.25, 0.75]), markov([[0.9, 0.1], [0.5, 0.5]])):
         m2 = process.from_dict(process.to_dict(m))
-        assert m2.kind == m.kind
+        assert m2.is_iid == m.is_iid
         assert np.allclose(m2.stationary, m.stationary)
     m3 = process.from_json('{"kind":"iid","probs":[0.5,0.5]}')
     assert m3.alphabet_size == 2
+
+
+def test_spec_missing_its_table_names_the_key():
+    for spec, key in (({"kind": "iid"}, "'probs'"), ({"kind": "markov"}, "'transition'")):
+        with pytest.raises(errors.ConfigInvalidError, match=key):
+            process.from_dict(spec)
+    with pytest.raises(errors.ConfigInvalidError, match="'probs'"):
+        process.from_dict({"kind": "iid", "probs": {"a": 1}})
