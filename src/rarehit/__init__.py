@@ -16,8 +16,6 @@ from .limitlaw import (
     check_integral_relation,
     check_sandwich,
     kac_bound_violation,
-    make_F,
-    make_G,
     convergence_diagnostics,
 )
 from .mc import (
@@ -48,7 +46,6 @@ from .rarity import (
 from .scaling import (
     ScaleCertificate,
     VerificationReport,
-    compute_lambda,
     lambda_trajectory,
     scale_certificate,
     scale_search,

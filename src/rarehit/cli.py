@@ -128,8 +128,8 @@ def _cmd_verify(args) -> int:
 def _cmd_limitlaw(args) -> int:
     model, target, config = _inputs(args, "limitlaw", s0=args.s0)
     cert, tail, ret = limitlaw.certified_tails(model, target)
-    F = limitlaw.make_F(tail, cert.lam, cert.mu_A)
-    G = limitlaw.make_G(ret, cert.lam, cert.mu_A)
+    F = limitlaw.StepLaw(tail, cert.lam)
+    G = limitlaw.StepLaw(ret, cert.lam)
     t_max = 0.9 * F.t_max
     if args.s0 >= t_max:
         raise DomainError(f"s0 = {args.s0:g} must lie below the usable horizon "
@@ -201,16 +201,11 @@ def _cmd_mc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = parse_model(args.model)
-    n_range = range(args.n_min, args.n_max + 1)
     config = {"analysis": "sweep", "model": process.to_dict(model),
               "point": args.point, "n_min": args.n_min, "n_max": args.n_max,
               "s0": args.s0}
-    point = [int(s) for s in args.point.split(",")]
-    by_n = {}
-    for n in n_range:
-        word = [point[i % len(point)] for i in range(n)]
-        by_n[n] = targets.cylinder(word)
-    rows = limitlaw.convergence_diagnostics(model, by_n, s0=args.s0) if by_n else []
+    by_n = targets.point_cylinders(args.point, range(args.n_min, args.n_max + 1))
+    rows = limitlaw.convergence_diagnostics(model, by_n, s0=args.s0)
     with _output(args.out) as fp:
         _config_header(fp, config)
         limitlaw.write_diagnostics_csv(fp, rows)
@@ -286,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="per-n convergence diagnostics for a point")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--point", required=True, help="finite word recycled, e.g. 0 or 0,1")
+    sp.add_argument("--point", required=True, help="comma-separated word recycled, e.g. 0 or 0,1")
     sp.add_argument("--n-min", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--s0", type=float, default=0.05)

@@ -183,8 +183,8 @@ class _ComposedChain:
     A non-root automaton state fixes the last symbol; the root pairs with
     the symbols on which some transition falls back to it.  These pairs are
     lumped to the coarsest partition that separates acceptance and the
-    next-symbol law (the first symbol with the last symbol's transition row:
-    always 0 for IID) and is stable under every symbol: a strong lumping, so
+    next-symbol law (``first_equal_row`` of the last symbol: always 0 for
+    IID) and is stable under every symbol: a strong lumping, so
     tails and absorption times are those of the pairs.
 
     ``fullT`` is the one-step kernel; ``survT`` drops every transition into
@@ -207,13 +207,11 @@ class _ComposedChain:
         last = np.concatenate((aut.last[1:], root_syms))
         succ = self._pair(aut.goto[state], np.arange(q))  # (pairs, q)
         into_accept = aut.accepting[aut.goto[state]]      # (pairs, q)
-        P = model.transition
-        first = (P[:, None] == P).all(axis=2).argmax(axis=1)  # first symbol with an equal row
-        key = aut.accepting[state] * q + first[last]
+        key = aut.accepting[state] * q + model.first_equal_row[last]
         cls = _coarsest_stable(key, succ)
         size = int(cls.max()) + 1
         rep = np.unique(cls, return_index=True)[1]  # one pair per class
-        prob = P[last[rep]]
+        prob = model.transition[last[rep]]
         surv = np.where(into_accept[rep], 0.0, prob)
         dst = cls[succ[rep]]
         src = np.repeat(np.arange(size), q)
@@ -397,10 +395,10 @@ def _enumerate_measures(model: ProcessModel, arr: np.ndarray) -> np.ndarray:
     return w
 
 
-def brute_force_tail(model: ProcessModel, target: TargetSet, K: int, kind: str = "hitting",
-                     cap: int = BRUTE_FORCE_CAP) -> TailDistribution:
+def brute_force_tail(model: ProcessModel, target: TargetSet, K: int,
+                     kind: str = "hitting") -> TailDistribution:
     """Independent oracle: enumerate all words of length K+n with their
-    measures and locate window matches directly."""
+    measures and locate window matches directly, up to BRUTE_FORCE_CAP words."""
     if K < 1:
         raise HorizonNonPositiveError("K must be >= 1")
     if kind not in ("hitting", "return"):
@@ -409,8 +407,8 @@ def brute_force_tail(model: ProcessModel, target: TargetSet, K: int, kind: str =
     n = target.n
     L = K + n
     total = q ** L
-    if total > cap:
-        raise EnumerationTooLargeError(f"{total} words exceeds cap {cap}")
+    if total > BRUTE_FORCE_CAP:
+        raise EnumerationTooLargeError(f"{total} words exceeds cap {BRUTE_FORCE_CAP}")
     word_codes = np.sort(np.array(
         [sum(s * q ** (n - 1 - j) for j, s in enumerate(w)) for w in target.words],
         dtype=np.int64))

@@ -4,7 +4,9 @@ F(t) is the CDF of the rescaled hitting time lam*mu(A)*tau_A and G(s) the
 normalized return tail (1/lam)*mu(lam*mu(A)*tau_A > s | A).  Both are step
 functions on the grid t_k = lam*mu(A)*k, so integrals of G are computed
 exactly as sums over flats and suprema against the exponential are taken at
-flat endpoints, never sampled.
+flat endpoints, never sampled.  A ``StepLaw`` is built from its tail alone
+and lambda: a hitting tail gives F and a return tail G, and mu(A) is the
+tail's own.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridEmptyError, HorizonTooShortError, InvalidTailError
+from .errors import DomainError, GridEmptyError, HorizonTooShortError
 from .exact import TailDistribution, TailEngine
 from .process import ProcessModel
 from .scaling import ScaleCertificate, sup_deviation, verification_tail
@@ -21,21 +23,17 @@ from .targets import TargetSet
 
 
 class StepLaw:
-    """Rescaled law backed by a tail table.
+    """Rescaled law backed by a tail table, on the grid step lam*mu(A).
 
-    role "F": value(t) = 1 - H_hit(floor(t/step));
-    role "G": value(s) = H_ret(floor(s/step)) / lam.
+    A hitting tail gives F: value(t) = 1 - H_hit(floor(t/step));
+    a return tail gives G: value(s) = H_ret(floor(s/step)) / lam.
     """
 
-    def __init__(self, role: str, tail: TailDistribution, lam: float, mu_A: float):
-        if role not in ("F", "G"):
-            raise InvalidTailError(f"role must be F or G, got {role!r}")
-        self.role = role
+    def __init__(self, tail: TailDistribution, lam: float):
         self.tail = tail
         self.lam = lam
-        self.mu_A = mu_A
-        self.step = lam * mu_A
-        self.levels = 1.0 - tail.values if role == "F" else tail.values / lam
+        self.step = lam * tail.mu_A
+        self.levels = 1.0 - tail.values if tail.kind == "hitting" else tail.values / lam
 
     @property
     def t_max(self) -> float:
@@ -50,10 +48,6 @@ class StepLaw:
 
     def value(self, t: float) -> float:
         return float(self.levels[self._index(t)])
-
-    def value_at_zero_plus(self) -> float:
-        # H(0)=1, so F(0+)=0 and G(0+)=1/lam.
-        return self.value(0.0)
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b] of the step function."""
@@ -76,25 +70,10 @@ class ExponentialLaw:
     def value(self, t: float) -> float:
         return 1.0 - math.exp(-t) if self.role == "F" else math.exp(-t)
 
-    def value_at_zero_plus(self) -> float:
-        return 0.0 if self.role == "F" else 1.0
-
     def integral(self, a: float, b: float) -> float:
         if self.role == "F":
             return (b - a) - (math.exp(-a) - math.exp(-b))
         return math.exp(-a) - math.exp(-b)
-
-
-def make_F(hitting: TailDistribution, lam: float, mu_A: float) -> StepLaw:
-    if hitting.kind != "hitting":
-        raise InvalidTailError("make_F needs a hitting tail")
-    return StepLaw("F", hitting, lam, mu_A)
-
-
-def make_G(ret: TailDistribution, lam: float, mu_A: float) -> StepLaw:
-    if ret.kind != "return":
-        raise InvalidTailError("make_G needs a return tail")
-    return StepLaw("G", ret, lam, mu_A)
 
 
 def kac_bound_violation(G, s_grid) -> float:
@@ -129,21 +108,18 @@ def check_sandwich(F, G, mu_A: float, pairs) -> float:
 
 
 def check_integral_relation(F, G, t_grid) -> np.ndarray:
-    """Residuals |F(t) - F(0+) - int_0^t G| over the grid."""
-    f0 = F.value_at_zero_plus()
+    """Residuals |F(t) - F(0+) - int_0^t G| over the grid.  F(0+) is read
+    as F(0): a step law is flat on [0, step) and the exponential continuous."""
+    f0 = F.value(0.0)
     return np.array([abs(F.value(t) - f0 - G.integral(0.0, t)) for t in t_grid])
 
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
-    n: int
-    mu_A: float
-    lam: float
-    delta: float
+    cert: ScaleCertificate
     d_hit: float
     d_ret: float
     bound: float
-    cert: ScaleCertificate
 
 
 def certified_tails(model: ProcessModel, target: TargetSet,
@@ -167,12 +143,12 @@ def convergence_diagnostics(model: ProcessModel, targets_by_n: dict[int, TargetS
         d_hit = sup_deviation(tail.values, step)
         d_ret = sup_deviation(ret.values / cert.lam, step, s0)
         bound = 12.0 * math.sqrt(cert.d) + 2.0 * cert.mu_A
-        rows.append(DiagnosticsRow(n, cert.mu_A, cert.lam, cert.delta,
-                                   d_hit, d_ret, bound, cert))
+        rows.append(DiagnosticsRow(cert, d_hit, d_ret, bound))
     return rows
 
 
 def write_diagnostics_csv(fp, rows: list[DiagnosticsRow]) -> None:
     fp.write("n,mu_A,lambda,D_hit,D_ret,bound\n")
     for r in rows:
-        fp.write(f"{r.n},{r.mu_A!r},{r.lam!r},{r.d_hit!r},{r.d_ret!r},{r.bound!r}\n")
+        c = r.cert
+        fp.write(f"{c.n},{c.mu_A!r},{c.lam!r},{r.d_hit!r},{r.d_ret!r},{r.bound!r}\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,15 @@ class ProcessModel:
     def is_iid(self) -> bool:
         """Every transition row is the stationary law: symbols are independent."""
         return bool(np.all(self.transition == self.stationary))
+
+    @cached_property
+    def first_equal_row(self) -> np.ndarray:
+        """For each symbol, the first symbol whose transition row equals its
+        row: all 0 for an IID source, the identity for distinct rows."""
+        P = self.transition
+        first = (P[:, None] == P).all(axis=2).argmax(axis=1)
+        first.flags.writeable = False
+        return first
 
     @property
     def is_uniform_iid(self) -> bool:
@@ -147,12 +157,16 @@ def alpha_bound(model: ProcessModel, g: int) -> float:
 
         sum_i pi_i * (1/2) sum_j |P^g(i,j) - pi_j|
 
-    computed as (P - 1 pi)^g = P^g - 1 pi, exactly 0 for IID sources; it
-    dominates the strong-mixing coefficient, which downstream checks need.
+    computed as (P - 1 pi)^g = P^g - 1 pi; it dominates the strong-mixing
+    coefficient, which downstream checks need.  When P - 1 pi is exactly
+    zero (every row is pi: an IID source) the bound is 0.0 with no power.
     """
     if g < 1:
         raise GapNonPositiveError("gap must be >= 1")
-    Dg = np.linalg.matrix_power(model.transition - model.stationary, g)
+    D = model.transition - model.stationary
+    if not D.any():
+        return 0.0
+    Dg = np.linalg.matrix_power(D, g)
     tv = 0.5 * np.sum(np.abs(Dg), axis=1)
     return float(np.dot(model.stationary, tv))
 

@@ -54,16 +54,16 @@ def _finite(name: str, f, *args) -> float:
     return x
 
 
-def _aep_deficiency(model: ProcessModel, N: int, h: float,
-                    cap: int = AEP_ENUMERATION_CAP) -> float:
+def _aep_deficiency(model: ProcessModel, N: int, h: float) -> float:
     """Total measure of length-N words with mu([w]) > e^{-N h}.
 
     Single-N proxy for the full almost-sure event, hence a lower bound on
     the true deficiency; callers flag results built on it as surrogate.
     """
     q = model.alphabet_size
-    if q ** N > cap:
-        raise EnumerationTooLargeError(f"{q ** N} words exceeds AEP cap {cap}")
+    if q ** N > AEP_ENUMERATION_CAP:
+        raise EnumerationTooLargeError(
+            f"{q ** N} words exceeds AEP cap {AEP_ENUMERATION_CAP}")
     thresh = math.exp(-N * h)
     powers = q ** np.arange(N - 1, -1, -1, dtype=np.int64)
     idx = np.arange(q ** N, dtype=np.int64)

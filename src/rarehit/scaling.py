@@ -8,13 +8,16 @@ Quantities, from the hitting tail H and the mixing bound at gap n:
     s     = smallest integer > 2n with mu(tau_A <= s-2n) >= sqrt(d)
     lambda(A) = -ln H(s-2n) / (s * mu(A))
 
-For delta >= 1/4 the explicit bound exceeds 3 and nothing is asserted; a
-nominal lambda = 1 is emitted so downstream rescaling stays total.
+``scale_search`` builds the whole certificate from one tail, lambda and its
+checks included; delta, the regime and the nominal flag are derived from d.
+For delta >= 1/4 the explicit bound exceeds 3 and nothing is asserted; when
+the threshold sqrt(d) is unreachable there is no s, and a nominal
+lambda = 1 is emitted so downstream rescaling stays total.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .exact import MAX_TAIL_STEPS, TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
-from .targets import TargetSet, measure
+from .targets import TargetSet, measure, point_cylinders
 
 DELTA_QUANTITATIVE = 0.25
 TRUNCATION_TARGET = 1e-4
@@ -39,13 +42,24 @@ _SUP_CHUNK = 1 << 16  # horizon entries per chunk of the sup-deviation
 class ScaleCertificate:
     n: int
     d: float
-    delta: float
-    regime: str  # "quantitative" or "trivial"
     s: int | None
-    lam: float | None
-    nominal: bool
+    lam: float
     mu_A: float
     checks: dict
+
+    @property
+    def delta(self) -> float:
+        return 3.0 * math.sqrt(self.d)
+
+    @property
+    def regime(self) -> str:
+        """"quantitative" when delta < 1/4, else "trivial"."""
+        return "quantitative" if self.delta < DELTA_QUANTITATIVE else "trivial"
+
+    @property
+    def nominal(self) -> bool:
+        """Nothing is asserted of lambda in the trivial regime."""
+        return self.regime == "trivial"
 
     def to_dict(self) -> dict:
         return {
@@ -73,11 +87,11 @@ def _smallness(F: np.ndarray, n: int, alpha_n: float) -> float:
 
 
 def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertificate:
-    """Select the scale s from a hitting tail; lambda is left unset.
+    """The scale certificate of a hitting tail: s, lambda and their checks.
 
     Raises HorizonTooShortError when the tail table ends before the
     defining threshold crossing (or before s itself, which the
-    certificate checks need).
+    certificate checks need), and ZeroTailError when H(s-2n) = 0.
     """
     if tail.kind != "hitting":
         raise InvalidTailError("scale_search needs a hitting tail")
@@ -87,13 +101,11 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
         raise HorizonTooShortError(f"horizon {tail.horizon} < n={n}")
     F = tail.cdf  # F[j] = mu(tau <= j)
     d = _smallness(F, n, alpha_n)
-    delta = 3.0 * math.sqrt(d)
-    regime = "quantitative" if delta < DELTA_QUANTITATIVE else "trivial"
     sd = math.sqrt(d)
-    if regime == "trivial" and sd >= 1.0:
-        # The defining threshold is unreachable; nothing pins lambda down.
-        return ScaleCertificate(n, d, delta, regime, None, None, False,
-                                tail.mu_A, {})
+    if sd >= 1.0:
+        # The defining threshold is unreachable (so delta >= 3); nothing pins
+        # lambda down and the explicit bound exceeds 3, so any lambda holds.
+        return ScaleCertificate(n, d, None, 1.0, tail.mu_A, {})
     above = np.nonzero(F >= sd)[0]
     if above.size == 0:
         raise HorizonTooShortError("threshold sqrt(d) not reached within horizon")
@@ -101,44 +113,32 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
     s = j + 2 * n
     if tail.horizon < s:
         raise HorizonTooShortError(f"horizon {tail.horizon} < s={s}")
+    Hval, Fval = float(tail.values[j]), float(F[j])
+    if Hval <= 0.0 or Fval >= 1.0:
+        raise ZeroTailError("H(s-2n) = 0; lambda undefined")
+    # Whichever of F and H = 1 - F is below one half is the one known to
+    # full relative precision.
+    log_H = math.log1p(-Fval) if Fval < 0.5 else math.log(Hval)
+    lam = -log_H / (s * tail.mu_A)
     checks = {
         "s_gt_2n": bool(s > 2 * n),
         "threshold": bool(F[j] >= sd),
         "minimality": bool(F[j - 1] < sd),
         "mu_tau_le_s": bool(F[s] <= sd + 2.0 * d + _CHECK_SLACK),
         "ratio": bool((F[2 * n] + alpha_n) <= sd * F[j] + _CHECK_SLACK),
+        "lambda_positive": lam > 0.0,
     }
-    return ScaleCertificate(n, d, delta, regime, s, None, False,
-                            tail.mu_A, checks)
-
-
-def compute_lambda(tail: TailDistribution, cert: ScaleCertificate) -> ScaleCertificate:
-    """Fill in lambda(A) = -ln H(s-2n) / (s*mu_A) on a certificate."""
-    if cert.s is None:
-        # Threshold unreachable (delta >= 1/4 and sqrt(d) >= 1): the
-        # explicit bound exceeds 3, so any lambda satisfies it.
-        return replace(cert, lam=1.0, nominal=True)
-    k = cert.s - 2 * cert.n
-    Hval = float(tail.values[k])
-    Fval = float(tail.cdf[k])
-    if Hval <= 0.0 or Fval >= 1.0:
-        raise ZeroTailError("H(s-2n) = 0; lambda undefined")
-    # Whichever of F and H = 1 - F is below one half is the one known to
-    # full relative precision.
-    log_H = math.log1p(-Fval) if Fval < 0.5 else math.log(Hval)
-    lam = -log_H / (cert.s * cert.mu_A)
-    checks = dict(cert.checks)
-    checks["lambda_positive"] = lam > 0.0
+    cert = ScaleCertificate(n, d, s, lam, tail.mu_A, checks)
     if cert.regime == "quantitative":
         checks["lambda_le_inv_1_minus_delta"] = lam <= 1.0 / (1.0 - cert.delta) + _CHECK_SLACK
-    return replace(cert, lam=lam, nominal=cert.regime == "trivial", checks=checks)
+    return cert
 
 
 def scale_certificate(model: ProcessModel, target: TargetSet,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
-    """Full pipeline: exact hitting tail with auto-extended horizon, scale
-    search, and lambda.  The horizon doubles until the search succeeds, on
-    one engine that pushes each step once.
+    """Full pipeline: exact hitting tail with auto-extended horizon and the
+    scale certificate read from it.  The horizon doubles until the search
+    succeeds, on one engine that pushes each step once.
 
     Raises ZeroMeasureSetError before any push when mu(A) = 0, and
     HorizonTooShortError before the doubling when the threshold cannot be
@@ -165,7 +165,6 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
             if K >= MAX_TAIL_STEPS:
                 raise
             K = min(2 * K, MAX_TAIL_STEPS)
-    cert = compute_lambda(tail, cert)
     return cert, tail
 
 
@@ -260,21 +259,13 @@ def verify(model: ProcessModel, target: TargetSet,
     return cert, report, tail
 
 
-def lambda_trajectory(model: ProcessModel, point, n_range,
+def lambda_trajectory(model: ProcessModel, point: str, n_range,
                       ) -> list[ScaleCertificate]:
     """Certificates along the cylinder prefixes of a point.
 
-    ``point`` is a finite word recycled periodically (so "0" is the fixed
-    point 000..., "01" the 2-periodic point, and a long aperiodic prefix
-    stands for itself up to max(n_range)).
+    ``point`` is a comma-separated word recycled periodically (so "0" is the
+    fixed point 000..., "0,1" the 2-periodic point, and a long aperiodic
+    prefix stands for itself up to max(n_range)).
     """
-    from .targets import cylinder
-    if isinstance(point, str):
-        point = point.split(",") if "," in point else list(point)
-    p = [int(s) for s in point]
-    out = []
-    for n in n_range:
-        word = [p[i % len(p)] for i in range(n)]
-        cert, _ = scale_certificate(model, cylinder(word))
-        out.append(cert)
-    return out
+    return [scale_certificate(model, target)[0]
+            for target in point_cylinders(point, n_range).values()]

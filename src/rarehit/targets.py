@@ -159,7 +159,25 @@ def hamming_predicate(center, D: float, q: int) -> HammingBallPredicate:
 
 
 def _parse_word(text: str) -> Word:
-    return tuple(int(s) for s in text.split(","))
+    """A word written as comma-separated decimal symbols, e.g. "0,1,1"."""
+    tokens = text.split(",")
+    if not all(t.isascii() and t.isdigit() and str(int(t)) == t for t in tokens):
+        raise ConfigInvalidError(
+            f"word {text!r} must be comma-separated decimal symbols without leading zeros")
+    return tuple(int(t) for t in tokens)
+
+
+def point_cylinders(point: str, n_range) -> dict[int, TargetSet]:
+    """The rank-n cylinders around a point, for each n of n_range.
+
+    ``point`` is a word recycled periodically: "0" is the fixed point
+    000..., "0,1" the 2-periodic point 0101...
+    """
+    p = _parse_word(point)
+    by_n = {n: cylinder([p[i % len(p)] for i in range(n)]) for n in n_range}
+    if not by_n:
+        raise ConfigInvalidError(f"no cylinder length in {n_range!r}")
+    return by_n
 
 
 def _get(spec, key: str, types, what: str):

@@ -20,8 +20,6 @@ from rarehit import (
     kac_bound_violation,
     ks_distance,
     limitlaw,
-    make_F,
-    make_G,
     markov,
     measure,
     return_expectation,
@@ -130,8 +128,8 @@ def test_criterion_6_limit_law_relations():
         cert, tail = scaling.scale_certificate(model, A)
         tail = scaling.extend_for_verification(tail, cert.lam)
         ret = return_tail(model, A, tail.horizon)
-        F = make_F(tail, cert.lam, cert.mu_A)
-        G = make_G(ret, cert.lam, cert.mu_A)
+        F = limitlaw.StepLaw(tail, cert.lam)
+        G = limitlaw.StepLaw(ret, cert.lam)
         grid = np.linspace(0.01, 0.9 * min(F.t_max, G.t_max), 60)
         pairs = [(grid[i], grid[j])
                  for i in range(0, 60, 6) for j in range(i + 1, 60, 6)]
@@ -151,13 +149,13 @@ def test_criterion_7_convergence_trend_fixed_point():
     ok = True
     for r in rows:
         ok &= r.d_hit <= r.bound + 1e-12
-    tail4 = [r.d_hit for r in rows if r.n >= 4]
+    tail4 = [r.d_hit for r in rows if r.cert.n >= 4]
     ok &= all(b <= a + 1e-12 for a, b in zip(tail4, tail4[1:]))
     certs = scaling.lambda_trajectory(UNIFORM2, "0", range(2, 13))
     for c in certs:
         if c.regime == "quantitative":
             ok &= c.lam <= 1.0 / (1.0 - c.delta)
-    lam12 = rows[-1].lam
+    lam12 = rows[-1].cert.lam
     ok &= 0.45 <= lam12 <= 0.55
     _report(7, "deviations shrink along the all-zeros point and lambda(A_12) "
                "is near one half", ok, f"lambda(A_12) = {lam12:.6f}")

@@ -254,6 +254,14 @@ BAD_MODELS = [
     ("iid-probs-of-objects", '{"kind":"iid","probs":[{"a":1},0.5]}', "numeric array"),
     ("markov-ragged", '{"kind":"markov","transition":[[0.5,0.5],[1]]}', "numeric array"),
 ]
+WORD = "must be comma-separated decimal symbols without leading zeros"
+BAD_WORDS = [
+    ("cyl-01", "cyl:01", f"word '01' {WORD}"),
+    ("cyl-empty-symbol", "cyl:1,,0", f"word '1,,0' {WORD}"),
+    ("hamming-00", "hamming:00,1:0.5", f"word '00,1' {WORD}"),
+    ("cylinder-01", '{"cylinder":"01"}', f"word '01' {WORD}"),
+]
+SWEEP = ["sweep", "--model", "iid-uniform-2", "--point"]
 BAD_TARGETS = [
     ("hamming-no-D", '{"hamming":{"center":"0,1"}}', "needs a number under 'D'"),
     ("hamming-D-list", '{"hamming":{"center":"0,1","D":[1]}}', "needs a number under 'D'"),
@@ -306,7 +314,12 @@ BAD_TARGETS = [
     *[pytest.param(["lambda", "--model", model, "--target", "cyl:1,1"], EXIT_CONFIG, message,
                    id=f"model-{name}") for name, model, message in BAD_MODELS],
     *[pytest.param(["lambda", "--model", "iid-uniform-2", "--target", target], EXIT_CONFIG,
-                   message, id=f"target-{name}") for name, target, message in BAD_TARGETS],
+                   message, id=f"target-{name}")
+      for name, target, message in BAD_TARGETS + BAD_WORDS],
+    pytest.param([*SWEEP, "01", "--n-min", "2", "--n-max", "3"], EXIT_CONFIG,
+                 f"word '01' {WORD}", id="sweep-point-01"),
+    pytest.param([*SWEEP, "0", "--n-min", "5", "--n-max", "2", "--assert"], EXIT_CONFIG,
+                 "no cylinder length in range(5, 3)", id="sweep-empty-n-range"),
 ])
 def test_refusals_exit_with_a_typed_error(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == (code, "")

@@ -167,9 +167,10 @@ def test_engine_refuses_horizon_beyond_the_step_cap():
     assert engine.steps == 0
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 100)
     with pytest.raises(errors.EnumerationTooLargeError):
-        brute_force_tail(UNIFORM2, cylinder([1]), 10, "hitting", cap=100)
+        brute_force_tail(UNIFORM2, cylinder([1]), 10, "hitting")
 
 
 def test_csv_export():

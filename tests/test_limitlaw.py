@@ -15,8 +15,6 @@ from rarehit import (
     hitting_tail,
     kac_bound_violation,
     limitlaw,
-    make_F,
-    make_G,
     markov,
     return_tail,
     scaling,
@@ -31,15 +29,15 @@ def _laws(model, target):
     cert, tail = scaling.scale_certificate(model, target)
     tail = scaling.extend_for_verification(tail, cert.lam)
     ret = return_tail(model, target, tail.horizon)
-    F = make_F(tail, cert.lam, cert.mu_A)
-    G = make_G(ret, cert.lam, cert.mu_A)
+    F = limitlaw.StepLaw(tail, cert.lam)
+    G = limitlaw.StepLaw(ret, cert.lam)
     return cert, F, G
 
 
 def test_F_geometric_closed_form():
     # H = (1/2)^k rescaled by lam*mu = 1/2: F(t) = 1 - (1/2)^floor(2t)
     tail = hitting_tail(UNIFORM2, cylinder([1]), 64)
-    F = make_F(tail, 1.0, 0.5)
+    F = limitlaw.StepLaw(tail, 1.0)
     for t in (0.0, 0.3, 0.5, 1.7, 4.2):
         assert F.value(t) == pytest.approx(1.0 - 0.5 ** int(2 * t), abs=1e-14)
     assert F.value(0.0) == 0.0
@@ -71,7 +69,7 @@ def test_kac_bound_holds_trivially_at_zero():
 
 def test_G_at_zero_plus_is_inverse_lambda():
     cert, _, G = _laws(UNIFORM2, cylinder([1, 1]))
-    assert G.value_at_zero_plus() == pytest.approx(1.0 / cert.lam, rel=1e-12)
+    assert G.value(0.0) == pytest.approx(1.0 / cert.lam, rel=1e-12)
 
 
 def test_sandwich_exact_case():
@@ -163,16 +161,14 @@ def test_synthetic_self_consistency():
     mu = 0.05
     H = np.exp(-mu * np.arange(0, 400))
     tail = exact.TailDistribution("hitting", H, mu, "exact")
-    F = make_F(tail, 1.0, mu)
+    F = limitlaw.StepLaw(tail, 1.0)
     dev = max(abs((1.0 - F.value(t)) - np.exp(-t)) for t in np.linspace(0, 10, 500))
     assert dev <= mu
 
 
-def test_step_law_rejects_unknown_role_and_negative_time():
+def test_step_law_rejects_times_outside_its_table():
     tail = hitting_tail(UNIFORM2, cylinder([1]), 8)
-    with pytest.raises(errors.InvalidTailError):
-        limitlaw.StepLaw("H", tail, 1.0, 0.5)
-    F = make_F(tail, 1.0, 0.5)
+    F = limitlaw.StepLaw(tail, 1.0)
     for t in (-0.1, float("nan")):
         with pytest.raises(errors.DomainError):
             F.value(t)
@@ -183,13 +179,13 @@ def test_step_law_rejects_unknown_role_and_negative_time():
         F.integral(1.0, 0.5)
 
 
-def test_make_F_and_make_G_reject_the_wrong_tail_kind():
-    hit = hitting_tail(UNIFORM2, cylinder([1]), 8)
-    ret = return_tail(UNIFORM2, cylinder([1]), 8)
-    with pytest.raises(errors.InvalidTailError):
-        make_F(ret, 1.0, 0.5)
-    with pytest.raises(errors.InvalidTailError):
-        make_G(hit, 1.0, 0.5)
+def test_step_law_reads_its_role_and_measure_from_the_tail():
+    hit = hitting_tail(UNIFORM2, cylinder([1, 1]), 8)
+    ret = return_tail(UNIFORM2, cylinder([1, 1]), 8)
+    F, G = limitlaw.StepLaw(hit, 2.0), limitlaw.StepLaw(ret, 2.0)
+    assert F.step == G.step == 2.0 * 0.25
+    np.testing.assert_array_equal(F.levels, 1.0 - hit.values)
+    np.testing.assert_array_equal(G.levels, ret.values / 2.0)
 
 
 def test_sandwich_rejects_reversed_pair():

@@ -119,6 +119,22 @@ def test_alpha_bound_iid_zero():
     assert all(alpha_bound(m, g) == 0.0 for g in range(1, 65))
 
 
+def test_alpha_bound_skips_the_power_of_a_zero_matrix(monkeypatch):
+    def refused(*a):
+        raise AssertionError("matrix_power called on an exactly zero P - 1 pi")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", refused)
+    assert alpha_bound(uniform_iid(200), 24) == 0.0
+
+
+def test_first_equal_row_map():
+    m = markov([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    assert m.first_equal_row.tolist() == [0, 0, 2]
+    assert m.first_equal_row is m.first_equal_row  # computed once per model
+    assert markov([[0.9, 0.1], [0.5, 0.5]]).first_equal_row.tolist() == [0, 1]
+    assert iid([0.1, 0.25, 0.65]).first_equal_row.tolist() == [0, 0, 0]
+
+
 def test_alpha_bound_markov_geometric_decay():
     m = markov([[0.9, 0.1], [0.5, 0.5]])
     # second eigenvalue of the transition matrix is 0.4

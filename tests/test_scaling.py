@@ -14,7 +14,6 @@ from rarehit import (
     uniform_iid,
 )
 from rarehit.scaling import (
-    compute_lambda,
     lambda_trajectory,
     scale_certificate,
     scale_search,
@@ -33,7 +32,6 @@ def test_large_set_is_trivial_regime():
     assert cert.regime == "trivial"
     assert cert.d == pytest.approx(1.0, abs=1e-12)
     assert cert.s is None
-    cert = compute_lambda(tail, cert)
     assert cert.lam == 1.0 and cert.nominal
 
 
@@ -63,15 +61,21 @@ def test_synthetic_tail_scale_by_hand():
     assert cert.s == s_hand == 116
 
 
-def test_compute_lambda_formula():
+def _search_at(H, n, j, mu):
+    """scale_search on the tail H with alpha(n) chosen so that sqrt(d) falls
+    between F(j-1) and F(j): the search then selects s = j + 2n."""
+    tail = TailDistribution("hitting", H, mu, "exact")
+    F = 1.0 - H
+    sd = 0.5 * (F[j - 1] + F[j])
+    return scale_search(tail, n, sd * sd - 2.0 * F[n])
+
+
+def test_lambda_formula():
     # H(8) = 2^-8, s = 10, n = 1, mu = 1/2 -> lambda = 8 ln2 / 5
-    H = np.ones(12)
-    H[1:] = 2.0 ** -np.arange(1, 12)
-    tail = TailDistribution("hitting", H, 0.5, "exact")
-    cert = scaling.ScaleCertificate(1, 0.001, 3 * math.sqrt(0.001), "quantitative",
-                                    10, None, False, 0.5, {})
-    out = compute_lambda(tail, cert)
-    assert out.lam == pytest.approx(8 * math.log(2) / 5, rel=1e-12)
+    H = np.array([1.0, 1.0 - 5e-4] + [0.99] * 6 + [2.0 ** -k for k in range(8, 12)])
+    cert = _search_at(H, 1, 8, 0.5)
+    assert cert.s == 10
+    assert cert.lam == pytest.approx(8 * math.log(2) / 5, rel=1e-12)
 
 
 def test_lambda_exponential_tail():
@@ -80,23 +84,20 @@ def test_lambda_exponential_tail():
     mu = 0.01
     n = 3
     H = np.exp(-mu * np.arange(0, 2001))
-    tail = TailDistribution("hitting", H, mu, "exact")
     for s in (40, 400, 2000):
-        cert = scaling.ScaleCertificate(n, 1e-4, 0.03, "quantitative", s, None,
-                                        False, mu, {})
-        out = compute_lambda(tail, cert)
-        assert out.lam == pytest.approx((s - 2 * n) / s, rel=1e-12)
-    assert abs(out.lam - 1.0) <= 2 * n / 2000
+        cert = _search_at(H, n, s - 2 * n, mu)
+        assert cert.s == s
+        assert cert.lam == pytest.approx((s - 2 * n) / s, rel=1e-12)
+    assert abs(cert.lam - 1.0) <= 2 * n / 2000
 
 
 def test_zero_tail_error():
-    H = np.ones(20)
-    H[1:] = 0.0
+    # F(1) = 1e-4 puts sqrt(d) at 0.014, first reached at j = 2 where H = 0
+    H = np.zeros(20)
+    H[:2] = 1.0, 1.0 - 1e-4
     tail = TailDistribution("hitting", H, 0.5, "exact")
-    cert = scaling.ScaleCertificate(1, 0.001, 0.095, "quantitative", 10, None,
-                                    False, 0.5, {})
     with pytest.raises(errors.ZeroTailError):
-        compute_lambda(tail, cert)
+        scale_search(tail, 1, 0.0)
 
 
 def test_horizon_too_short_raised():
@@ -136,10 +137,16 @@ def test_lambda_trajectory_periodic_point():
 
 
 def test_lambda_trajectory_aperiodic_point():
-    point = "01101110010111011110001"
+    point = ",".join("01101110010111011110001")
     certs = lambda_trajectory(UNIFORM2, point, range(2, 13))
     assert certs[-1].lam > 0.9  # near 1 away from periodicity
     assert all(c.lam > 0 for c in certs)
+
+
+def test_lambda_trajectory_reads_the_cli_point_syntax():
+    # "01" is one symbol written with a leading zero, not the word 0,1
+    with pytest.raises(errors.ConfigInvalidError):
+        lambda_trajectory(UNIFORM2, "01", range(2, 4))
 
 
 def test_certificate_json():
@@ -211,8 +218,7 @@ def test_sup_deviation_reaches_right_flat_endpoints():
     mu = 0.05
     H = np.minimum(1.0, 1.05 * np.exp(-mu * np.arange(400)))
     tail = TailDistribution("hitting", H, mu, "exact")
-    cert = scaling.ScaleCertificate(1, 1e-4, 0.03, "quantitative", 10, 1.0,
-                                    False, mu, {})
+    cert = scaling.ScaleCertificate(1, 1e-4, 10, 1.0, mu, {})
     report = verify_exponential_bound(tail, cert)
     assert report.sup_dev == pytest.approx(_flat_endpoint_sup(H, mu), rel=1e-14)
     integer_k = float(np.abs(H - np.exp(-mu * np.arange(400))).max())

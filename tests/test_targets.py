@@ -168,6 +168,21 @@ def test_from_dict_specs():
     assert u.kappa == 2
 
 
+def test_point_cylinders_recycle_the_word():
+    by_n = targets.point_cylinders("0,1", range(1, 5))
+    assert {n: t.words for n, t in by_n.items()} == {
+        1: ((0,),), 2: ((0, 1),), 3: ((0, 1, 0),), 4: ((0, 1, 0, 1),)}
+    assert targets.point_cylinders("10", range(2, 3))[2].words == ((10, 10),)
+
+
+@pytest.mark.parametrize("text", ["", " 1", "+1", "-1", "1.0", "\u0661"])
+def test_words_are_plain_decimal_numerals(text):
+    with pytest.raises(errors.ConfigInvalidError, match="without leading zeros"):
+        targets.point_cylinders(text, range(1, 3))
+    with pytest.raises(errors.ConfigInvalidError, match="without leading zeros"):
+        targets.from_dict({"cylinder": text}, 2)
+
+
 def test_hamming_ball_count_mismatch_raises_typed_error(monkeypatch):
     monkeypatch.setattr(targets, "hamming_ball_size", lambda n, r, q: 2)
     with pytest.raises(errors.ConsistencyError):
