@@ -184,8 +184,8 @@ class _ComposedChain:
     the symbols on which some transition falls back to it.  These pairs are
     lumped to the coarsest partition that separates acceptance and the
     next-symbol law (``first_equal_row`` of the last symbol: always 0 for
-    IID) and is stable under every symbol: a strong lumping, so
-    tails and absorption times are those of the pairs.
+    IID) and is stable under every symbol: a strong lumping, so tails and
+    absorption times are those of the pairs.
 
     ``fullT`` is the one-step kernel; ``survT`` drops every transition into
     an accepting automaton state, so pushing with it loses exactly the mass
