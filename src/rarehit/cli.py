@@ -61,8 +61,13 @@ def parse_target(text: str, q: int) -> targets.TargetSet:
     if text.startswith("cyl:"):
         return targets.from_dict({"cylinder": text[4:]}, q)
     if text.startswith("hamming:"):
-        _, center, D = text.split(":")
-        return targets.from_dict({"hamming": {"center": center, "D": float(D)}}, q)
+        try:
+            _, center, D = text.split(":")
+            D = float(D)
+        except ValueError:
+            raise ConfigInvalidError(f"cannot parse target spec {text!r}: expected "
+                                     "hamming:<center>:<D>, e.g. hamming:0,0,0:0.2") from None
+        return targets.from_dict({"hamming": {"center": center, "D": D}}, q)
     raise ConfigInvalidError(f"cannot parse target spec {text!r}")
 
 
@@ -200,6 +205,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.n_min < 1:
+        raise ConfigInvalidError(f"--n-min must be >= 1, got {args.n_min}")
     model = parse_model(args.model)
     config = {"analysis": "sweep", "model": process.to_dict(model),
               "point": args.point, "n_min": args.n_min, "n_max": args.n_max,

@@ -9,6 +9,10 @@ the state distribution through the survival kernel, one step at a time up to
 a switch point set by the chain size and in blocks of steps beyond it,
 accumulating the mass absorbed by the event beside the surviving mass.  A
 brute-force enumeration oracle provides an independent check.
+
+scipy is imported on first use, not with this module: by the first chain
+over 166 states (whose kernels are CSR) or by the first Kac solve.  Smaller
+chains and Monte Carlo never load it.
 """
 from __future__ import annotations
 
@@ -17,8 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._csvrows import rows_text
 from .errors import (
@@ -227,6 +229,7 @@ class _ComposedChain:
             self.fullT = np.bincount(flat, prob.ravel(), size * size).reshape(size, size)
             self.survT = np.bincount(flat, surv.ravel(), size * size).reshape(size, size)
         else:
+            import scipy.sparse as sp
             shape = (size, size)
             self.fullT = sp.csr_matrix((prob.ravel(), (dst.ravel(), src)), shape=shape)
             keep = surv.ravel() > 0.0
@@ -272,7 +275,10 @@ class _ComposedChain:
 
     def expected_absorption_times(self) -> np.ndarray:
         """Solve t = 1 + M_surv t (expected steps to first acceptance) by
-        sparse LU: the kernel has at most q entries per column."""
+        sparse LU: the kernel has at most q entries per column.  Dense
+        kernels are converted first; the first call loads scipy."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
         A = sp.identity(self.size, format="csc") - sp.csc_matrix(self.survT.T)
         t = spla.spsolve(A, np.ones(self.size))
         if not np.all(np.isfinite(t)):

@@ -195,12 +195,41 @@ def test_assert_flag_only_where_it_is_honoured(tmp_path, argv):
     assert run(argv + ["--assert"], tmp_path) == (EXIT_CONFIG, "")
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    code = ("import sys, rarehit.cli; "
-            "sys.exit(any(m.split('.')[:2] == ['scipy', 'optimize'] for m in sys.modules))")
+# Prints the loaded scipy.sparse* and scipy.optimize* modules, costly to import.
+PRINT_HEAVY_SCIPY = ("print([m for m in sys.modules "
+                     "if m.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'optimize'])])")
+
+
+def fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter importing rarehit from this tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # neither scipy.sparse nor scipy.optimize is loaded by the import alone
+    assert fresh(f"import sys, rarehit.cli; {PRINT_HEAVY_SCIPY}") == "[]\n"
+
+
+def test_dense_chain_lambda_leaves_scipy_sparse_out(tmp_path):
+    argv = ["lambda", "--model", "iid-uniform-2", "--target", "cyl:" + ",".join(["1"] * 12),
+            "--out", str(tmp_path / "out.json")]
+    out = fresh(f"import sys; from rarehit import cli; print(cli.main({argv!r})); "
+                + PRINT_HEAVY_SCIPY)
+    assert out == f"{EXIT_OK}\n[]\n"
+    assert json.loads((tmp_path / "out.json").read_text())["result"]["s"] == 498
+
+
+def test_dense_chain_kac_solve_loads_scipy_on_demand():
+    out = fresh("import sys; from rarehit import cylinder, exact, uniform_iid; "
+                "m, A = uniform_iid(2), cylinder([1, 1]); "
+                "print(exact._ComposedChain(m, exact.build_automaton(A, 2)).switch); "
+                f"{PRINT_HEAVY_SCIPY}; print(repr(exact.return_expectation(m, A)))")
+    switch, before_solve, kac = out.splitlines()
+    assert (switch, before_solve) == ("0", "[]")  # a dense chain, built without scipy
+    assert float(kac) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_help_exit_ok():
@@ -270,6 +299,10 @@ BAD_TARGETS = [
     ("cylinder-number", '{"cylinder":5}', "needs a word string under 'cylinder'"),
     ("union-object", '{"union":{"cylinder":"0,1"}}', "needs a list under 'union'"),
     ("union-of-numbers", '{"union":[5]}', "target spec must be a JSON object"),
+    *[(f"hamming-{name}", spec, f"cannot parse target spec '{spec}': expected "
+       "hamming:<center>:<D>") for name, spec in [("two-fields", "hamming:0,1"),
+                                                  ("four-fields", "hamming:0,1:0.5:7"),
+                                                  ("D-not-a-number", "hamming:0,1:abc")]],
 ]
 
 
@@ -320,6 +353,8 @@ BAD_TARGETS = [
                  f"word '01' {WORD}", id="sweep-point-01"),
     pytest.param([*SWEEP, "0", "--n-min", "5", "--n-max", "2", "--assert"], EXIT_CONFIG,
                  "no cylinder length in range(5, 3)", id="sweep-empty-n-range"),
+    pytest.param([*SWEEP, "0", "--n-min", "0", "--n-max", "3"], EXIT_CONFIG,
+                 "--n-min must be >= 1, got 0", id="sweep-n-min-0"),
 ])
 def test_refusals_exit_with_a_typed_error(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == (code, "")

@@ -1,8 +1,11 @@
-"""Library code refuses with a typed RarehitError, never with a bare check.
+"""Rules every module of the package keeps, checked on its parsed source.
 
-Parses every module of the package and fails on any ``assert`` statement
-(stripped under ``python -O``) and on any ``raise`` of ``ValueError`` or
-``AssertionError``, which callers cannot tell apart from bugs.
+Library code refuses with a typed RarehitError, never with a bare check: no
+``assert`` statement (stripped under ``python -O``) and no ``raise`` of
+``ValueError`` or ``AssertionError``, which callers cannot tell apart from
+bugs.  And no module imports scipy when it is itself imported: scipy's
+sparse modules double a process's start-up, so they are imported inside the
+functions that use them.
 """
 import ast
 from pathlib import Path
@@ -36,3 +39,38 @@ def test_the_rule_sees_what_it_forbids(tmp_path):
     bad.write_text("assert x\nraise ValueError('x')\nraise AssertionError\nraise KeyError('ok')\n")
     assert [v.split(": ")[1] for v in _violations(bad)] == [
         "assert statement", "raise ValueError", "raise AssertionError"]
+
+
+def _scipy_at_import(path: Path) -> list[str]:
+    """Imports of scipy that run when the module is imported: anywhere but
+    inside a function body."""
+    found, stack = [], list(ast.parse(path.read_text(), str(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        found += [f"{path.name}:{node.lineno}: import {n}" for n in names
+                  if n.split(".")[0] == "scipy"]
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    assert [v for path in sorted(PACKAGE.glob("*.py")) for v in _scipy_at_import(path)] == []
+
+
+def test_the_scipy_rule_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import scipy.sparse as sp\nfrom scipy import linalg\n"
+                   "try:\n    import scipy\nexcept ImportError:\n    pass\n"
+                   "class C:\n    import scipy.optimize\n"
+                   "def f():\n    import scipy.sparse.linalg\n"
+                   "import scipyx\nfrom .scipy import x\n")
+    assert [v.split(": ")[1] for v in _scipy_at_import(bad)] == [
+        "import scipy.sparse", "import scipy", "import scipy", "import scipy.optimize"]
