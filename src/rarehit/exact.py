@@ -12,7 +12,7 @@ brute-force enumeration oracle provides an independent check.
 
 scipy is imported on first use, not with this module: by the first chain
 over 166 states (whose kernels are CSR) or by the first Kac solve.  Smaller
-chains and Monte Carlo never load it.
+chains never load it.
 """
 from __future__ import annotations
 

@@ -219,7 +219,6 @@ def test_dense_chain_lambda_leaves_scipy_sparse_out(tmp_path):
     out = fresh(f"import sys; from rarehit import cli; print(cli.main({argv!r})); "
                 + PRINT_HEAVY_SCIPY)
     assert out == f"{EXIT_OK}\n[]\n"
-    assert json.loads((tmp_path / "out.json").read_text())["result"]["s"] == 498
 
 
 def test_dense_chain_kac_solve_loads_scipy_on_demand():

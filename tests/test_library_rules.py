@@ -4,8 +4,8 @@ Library code refuses with a typed RarehitError, never with a bare check: no
 ``assert`` statement (stripped under ``python -O``) and no ``raise`` of
 ``ValueError`` or ``AssertionError``, which callers cannot tell apart from
 bugs.  And no module imports scipy when it is itself imported: scipy's
-sparse modules double a process's start-up, so they are imported inside the
-functions that use them.
+sparse modules take most of a process's start-up, so they are imported
+inside the functions that use them.
 """
 import ast
 from pathlib import Path
@@ -42,23 +42,19 @@ def test_the_rule_sees_what_it_forbids(tmp_path):
 
 
 def _scipy_at_import(path: Path) -> list[str]:
-    """Imports of scipy that run when the module is imported: anywhere but
-    inside a function body."""
-    found, stack = [], list(ast.parse(path.read_text(), str(path)).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            names = []
-        found += [f"{path.name}:{node.lineno}: import {n}" for n in names
-                  if n.split(".")[0] == "scipy"]
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(found)
+    """Imports of scipy that run when the module is imported: any outside a
+    function body, in source order."""
+    def imports(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                yield from ((child.lineno, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                yield child.lineno, child.module
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from imports(child)
+    return [f"{path.name}:{line}: import {name}"
+            for line, name in imports(ast.parse(path.read_text(), str(path)))
+            if name.split(".")[0] == "scipy"]
 
 
 def test_no_module_imports_scipy_at_import_time():
