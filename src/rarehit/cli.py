@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 
@@ -100,9 +101,9 @@ def _inputs(args, analysis: str, **extra) -> tuple:
 def _cmd_tail(args) -> int:
     model, target, config = _inputs(args, "tail", K=args.K)
     config["target"] = {"n": target.n, "words": ["".join(map(str, w)) for w in target.words]}
-    engine = exact.TailEngine(model, target)
-    hit = engine.extend(args.K)
-    ret = exact.TailEngine(model, target, "return", chain=engine.chain).extend(args.K)
+    chain = exact.ComposedChain(model, target)
+    hit = exact.TailEngine(chain).extend(args.K)
+    ret = exact.TailEngine(chain, "return").extend(args.K)
     with _output(args.out) as fp:
         _config_header(fp, config)
         exact.write_tails_csv(fp, hit, ret)
@@ -131,6 +132,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_limitlaw(args) -> int:
+    if not args.s0 >= 0.0:  # NaN included
+        raise DomainError(f"--s0 must be non-negative, got {args.s0}")
     model, target, config = _inputs(args, "limitlaw", s0=args.s0)
     cert, tail, ret = limitlaw.certified_tails(model, target)
     F = limitlaw.StepLaw(tail, cert.lam)
@@ -158,24 +161,29 @@ def _cmd_limitlaw(args) -> int:
     return EXIT_OK
 
 
-def _entropy_nats(args) -> float:
-    if args.h_nats is not None:
-        return args.h_nats
-    if args.h_bits is not None:
-        return args.h_bits * math.log(2.0)
-    raise ConfigInvalidError("need --h-bits or --h-nats")
+def _kappa_table(text: str) -> dict[int, int]:
+    """--kappa-table: a JSON object from decimal integers n to (non-bool) integers kappa_n."""
+    try:
+        table = json.loads(text)
+    except json.JSONDecodeError:
+        table = None
+    if not isinstance(table, dict) or not all(
+            re.fullmatch(r"-?[1-9][0-9]*|0", k) and type(v) is int for k, v in table.items()):
+        raise ConfigInvalidError("--kappa-table must be a JSON object mapping decimal "
+                                 f"integers n to integers kappa_n, got {text!r}")
+    return {int(k): v for k, v in table.items()}
 
 
 def _cmd_rarity(args) -> int:
     if args.rarity_cmd == "d0":
-        h = _entropy_nats(args)
+        h = args.h_nats if args.h_bits is None else args.h_bits * math.log(2.0)
         config = {"analysis": "rarity.d0", "q": args.q, "h_nats": h}
         result = {"D0": rarity.solve_D0(args.q, h)}
     elif args.rarity_cmd == "kappa":
         config = {"analysis": "rarity.kappa", "n": args.n, "D": args.D, "q": args.q}
         result = {"kappa_bound": rarity.hamming_kappa_bound(args.n, args.D, args.q)}
     elif args.rarity_cmd == "rate":
-        table = {int(k): int(v) for k, v in json.loads(args.kappa_table).items()}
+        table = _kappa_table(args.kappa_table)
         config = {"analysis": "rarity.rate", "kappa_table": table}
         result = {"rate": rarity.cardinality_rate(table)}
     else:  # epsilon
@@ -262,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     spe.set_defaults(func=_cmd_rarity)
     spd = rsub.add_parser("d0")
     spd.add_argument("--q", type=int, required=True)
-    spd.add_argument("--h-bits", type=float, default=None)
-    spd.add_argument("--h-nats", type=float, default=None)
+    entropy = spd.add_mutually_exclusive_group(required=True)
+    entropy.add_argument("--h-bits", type=float)
+    entropy.add_argument("--h-nats", type=float)
     spd.add_argument("--out", default=None)
     spd.set_defaults(func=_cmd_rarity)
     spr = rsub.add_parser("rate")

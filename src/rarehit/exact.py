@@ -2,13 +2,14 @@
 
 The event {window of length n starting at position k lies in A} is tracked
 with a multi-pattern failure-link automaton (all patterns share length n, so
-the accepting states are exactly the word-terminal trie nodes).  The
-automaton is composed with the source memory (last emitted symbol, whose
-transition row is the next symbol's law), and a resumable ``TailEngine`` pushes
-the state distribution through the survival kernel, one step at a time up to
-a switch point set by the chain size and in blocks of steps beyond it,
-accumulating the mass absorbed by the event beside the surviving mass.  A
-brute-force enumeration oracle provides an independent check.
+the accepting states are exactly the word-terminal trie nodes).  A
+``ComposedChain`` composes it with the source memory (last emitted symbol,
+whose transition row is the next symbol's law) and holds mu(A) and both
+start laws; a resumable ``TailEngine`` on it pushes a start law through the
+survival kernel, one step at a time up to a switch point set by the chain
+size and in blocks of steps beyond it, accumulating the mass absorbed by
+the event beside the surviving mass.  A brute-force enumeration oracle
+provides an independent check.
 
 scipy is imported on first use, not with this module: by the first chain
 over 166 states (whose kernels are CSR) or by the first Kac solve.  Smaller
@@ -124,8 +125,6 @@ class OccurrenceAutomaton:
                 fail[ids] = goto[fail[up[ids]], last[ids]]
             rows = goto[ids]
             goto[ids] = np.where(rows < 0, goto[fail[ids]], rows)
-        self.q = q
-        self.n = n
         self.num_states = S
         self.goto = goto
         self.last = last
@@ -178,9 +177,10 @@ def _switch_point(size: int) -> float:
     return size ** 3 // 36_000 // _BLOCK * _BLOCK
 
 
-class _ComposedChain:
-    """Markov chain over the classes of reachable (automaton state, last
-    symbol) pairs.
+class ComposedChain:
+    """The exact setup of one (model, target): its automaton, mu(A) and a
+    Markov chain over the classes of reachable (automaton state, last
+    symbol) pairs.  A target of measure zero is refused before any kernel.
 
     A non-root automaton state fixes the last symbol; the root pairs with
     the symbols on which some transition falls back to it.  These pairs are
@@ -199,7 +199,11 @@ class _ComposedChain:
     chain starts in blocks (``switch`` 0), else CSR matrices.
     """
 
-    def __init__(self, model: ProcessModel, aut: OccurrenceAutomaton):
+    def __init__(self, model: ProcessModel, target: TargetSet):
+        aut = build_automaton(target, model.alphabet_size)
+        self.mu_A = measure(model, target)
+        if self.mu_A <= 0.0:
+            raise ZeroMeasureSetError("target has zero measure")
         q = model.alphabet_size
         S = aut.num_states
         root_syms = np.flatnonzero((aut.goto == 0).any(axis=0))
@@ -219,9 +223,9 @@ class _ComposedChain:
         src = np.repeat(np.arange(size), q)
         self._cls = cls
         self.size = size
-        self.q = q
         self.aut = aut
         self.model = model
+        self.target = target
         self.absorb = (prob - surv).sum(axis=1)
         self.switch = _switch_point(size)
         if self.switch == 0:
@@ -258,20 +262,24 @@ class _ComposedChain:
             P = P @ P
         return X[0], X[1], P
 
-    def initial_hitting(self) -> np.ndarray:
-        """Distribution after emitting the first symbol from stationarity."""
-        first = self.aut.goto[0]
-        sym = np.arange(self.q)
-        return np.bincount(self._cls[self._pair(first, sym)], self.model.stationary, self.size)
-
-    def initial_return(self, target: TargetSet, mu_A: float) -> np.ndarray:
-        """Conditional law on {window 0 in A}, mapped to composed states."""
-        W = target.array
-        state = np.zeros(len(W), dtype=np.int64)
-        for col in W.T:
-            state = self.aut.goto[state, col]
-        p = word_measures(self.model, W)
-        return np.bincount(self._cls[self._pair(state, W[:, -1])], p / mu_A, self.size)
+    def start(self, kind: str) -> np.ndarray:
+        """Law of the composed state where a tail of ``kind`` starts: for
+        "hitting" stationarity pushed through the first n symbols, whose
+        window does not count; for "return" the law conditioned on A."""
+        if kind == "hitting":
+            first = self._pair(self.aut.goto[0], np.arange(self.model.alphabet_size))
+            v = np.bincount(self._cls[first], self.model.stationary, self.size)
+            for _ in range(self.target.n - 1):
+                v = self.fullT @ v
+            return v
+        if kind == "return":
+            W = self.target.array
+            state = np.zeros(len(W), dtype=np.int64)
+            for col in W.T:
+                state = self.aut.goto[state, col]
+            p = word_measures(self.model, W)
+            return np.bincount(self._cls[self._pair(state, W[:, -1])], p / self.mu_A, self.size)
+        raise InvalidTailError(f"kind must be hitting or return, got {kind!r}")
 
     def expected_absorption_times(self) -> np.ndarray:
         """Solve t = 1 + M_surv t (expected steps to first acceptance) by
@@ -287,42 +295,23 @@ class _ComposedChain:
 
 
 class TailEngine:
-    """Resumable exact tail of one kind ("hitting" or "return") for one
-    (model, target).
+    """Resumable exact tail of one kind ("hitting" or "return") on a chain.
 
-    The engine keeps the composed chain and the live vector and only ever
-    pushes steps it has not pushed before: single steps up to the chain's
+    The engine keeps the chain and the live vector and only ever pushes
+    steps it has not pushed before: single steps up to the chain's
     ``switch``, blocks from there on.  The switch depends on the chain size
     alone, so an engine extended in several calls matches a fresh one bit
     for bit.
     Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
-    every increment is non-negative, so F never cancels.  Pass ``chain`` to
-    share one chain (and its block matrices) between engines of the same
-    model and target.
+    every increment is non-negative, so F never cancels.  Engines of both
+    kinds on one chain share its block matrices.
     """
 
-    def __init__(self, model: ProcessModel, target: TargetSet, kind: str = "hitting",
-                 chain: _ComposedChain | None = None):
-        if chain is None:
-            chain = _ComposedChain(model, build_automaton(target, model.alphabet_size))
-        mu_A = measure(model, target)
-        if kind == "hitting":
-            # The window at position 0 does not count for hitting: the first
-            # n symbols are pushed without absorption.
-            v = chain.initial_hitting()
-            for _ in range(target.n - 1):
-                v = chain.fullT @ v
-        elif kind == "return":
-            if mu_A <= 0.0:
-                raise ZeroMeasureSetError("target has zero measure")
-            v = chain.initial_return(target, mu_A)
-        else:
-            raise InvalidTailError(f"kind must be hitting or return, got {kind!r}")
+    def __init__(self, chain: ComposedChain, kind: str = "hitting"):
+        self._v = chain.start(kind)  # live vector after the steps pushed
         self.kind = kind
-        self.mu_A = mu_A
         self.chain = chain
         self.steps = 0  # steps pushed so far
-        self._v = v  # live vector after them
         self._H = np.ones(1)
         self._F = np.zeros(1)
 
@@ -368,28 +357,24 @@ class TailEngine:
         F = self._F[:K + 1]
         H.flags.writeable = False
         F.flags.writeable = False
-        return TailDistribution(self.kind, H, self.mu_A, "exact", absorbed=F, engine=self)
+        return TailDistribution(self.kind, H, self.chain.mu_A, "exact", absorbed=F,
+                                engine=self)
 
 
 def hitting_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:
     """Exact H(k) = mu(tau_A > k), k = 0..K."""
-    return TailEngine(model, target, "hitting").extend(K)
+    return TailEngine(ComposedChain(model, target)).extend(K)
 
 
 def return_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:
     """Exact mu(tau_A > k | A), k = 0..K."""
-    return TailEngine(model, target, "return").extend(K)
+    return TailEngine(ComposedChain(model, target), "return").extend(K)
 
 
 def return_expectation(model: ProcessModel, target: TargetSet) -> float:
     """E[tau_A | A], by linear solve on the composed chain (Kac: = 1/mu(A))."""
-    mu_A = measure(model, target)
-    if mu_A <= 0.0:
-        raise ZeroMeasureSetError("target has zero measure")
-    chain = _ComposedChain(model, build_automaton(target, model.alphabet_size))
-    v = chain.initial_return(target, mu_A)
-    t = chain.expected_absorption_times()
-    return float(v @ t)
+    chain = ComposedChain(model, target)
+    return float(chain.start("return") @ chain.expected_absorption_times())
 
 
 def _enumerate_measures(model: ProcessModel, arr: np.ndarray) -> np.ndarray:

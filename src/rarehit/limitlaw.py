@@ -127,7 +127,7 @@ def certified_tails(model: ProcessModel, target: TargetSet,
     """Scale certificate, the hitting tail extended for verification and the
     return tail to the same horizon, both pushed on one composed chain."""
     cert, hit = verification_tail(model, target)
-    ret = TailEngine(model, target, "return", chain=hit.engine.chain).extend(hit.horizon)
+    ret = TailEngine(hit.engine.chain, "return").extend(hit.horizon)
     return cert, hit, ret
 
 

@@ -182,7 +182,7 @@ def from_dict(spec: dict) -> ProcessModel:
     build, key = _SPEC_KEYS[kind]
     try:
         table = np.asarray(spec[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, OverflowError, TypeError, ValueError):
         raise ConfigInvalidError(f"{kind} model needs a numeric array under {key!r}") from None
     return build(table)
 

@@ -28,7 +28,7 @@ from .errors import (
     ZeroMeasureSetError,
     ZeroTailError,
 )
-from .exact import MAX_TAIL_STEPS, TailDistribution, TailEngine
+from .exact import MAX_TAIL_STEPS, ComposedChain, TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
 from .targets import TargetSet, measure, point_cylinders
 
@@ -147,13 +147,12 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
     """
     n = target.n
     alpha_n = alpha_bound(model, n)
-    engine = TailEngine(model, target)
-    if engine.mu_A <= 0.0:
-        raise ZeroMeasureSetError("target has zero measure; no scale exists")
+    chain = ComposedChain(model, target)
+    engine = TailEngine(chain)
     sd = math.sqrt(_smallness(engine.extend(n).cdf, n, alpha_n))
-    if sd < 1.0 and sd > engine.mu_A * (MAX_TAIL_STEPS - 2 * n):
+    if sd < 1.0 and sd > chain.mu_A * (MAX_TAIL_STEPS - 2 * n):
         raise HorizonTooShortError(
-            f"threshold sqrt(d)={sd:.3g} with mu(A)={engine.mu_A:.3g} needs more "
+            f"threshold sqrt(d)={sd:.3g} with mu(A)={chain.mu_A:.3g} needs more "
             f"than {MAX_TAIL_STEPS} steps")
     K = max(4 * n, 64)
     while True:

@@ -55,8 +55,8 @@ def _normalize(words) -> TargetSet:
     n = len(ws[0])
     if n == 0 or any(len(w) != n for w in ws):
         raise RankMismatchError("all words must share a common positive length")
-    if any(s < 0 for w in ws for s in w):
-        raise SymbolOutOfRangeError("negative symbol in target word")
+    if any(s < 0 or s >> 63 for w in ws for s in w):
+        raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
     return TargetSet(n, tuple(ws))
 
 
@@ -70,10 +70,10 @@ def hamming_ball_size(n: int, radius: int, q: int) -> int:
 
 
 def _radius(D: float, n: int) -> int:
-    """The Hamming radius floor(D*n) of a relative radius D >= 0."""
+    """The Hamming radius floor(D*n) of a relative radius D >= 0, at most n."""
     if not (math.isfinite(D) and D >= 0):
         raise DomainError(f"Hamming radius D must be finite and >= 0, got {D!r}")
-    return math.floor(D * n)
+    return math.floor(min(D, 1.0) * n)
 
 
 def _center(center, q: int) -> Word:
@@ -89,7 +89,7 @@ def hamming_ball(center, D: float, q: int) -> TargetSet:
     """All words within Hamming distance floor(D*n) of the center word."""
     c = _center(center, q)
     n = len(c)
-    radius = min(_radius(D, n), n)
+    radius = _radius(D, n)
     size = hamming_ball_size(n, radius, q)
     if size > HAMMING_EXPANSION_CAP:
         raise ExpansionTooLargeError(
@@ -174,6 +174,8 @@ def point_cylinders(point: str, n_range) -> dict[int, TargetSet]:
     000..., "0,1" the 2-periodic point 0101...
     """
     p = _parse_word(point)
+    if min(n_range, default=1) < 1:
+        raise DomainError(f"cylinder length n = {min(n_range)} in {n_range!r} must be >= 1")
     by_n = {n: cylinder([p[i % len(p)] for i in range(n)]) for n in n_range}
     if not by_n:
         raise ConfigInvalidError(f"no cylinder length in {n_range!r}")
@@ -195,8 +197,11 @@ def from_dict(spec: dict, q: int) -> TargetSet:
         return cylinder(_parse_word(_get(spec, "cylinder", str, "a word string")))
     if "hamming" in spec:
         h = _get(spec, "hamming", dict, "an object")
-        return hamming_ball(_parse_word(_get(h, "center", str, "a word string")),
-                            float(_get(h, "D", (int, float, str), "a number")), q)
+        try:
+            D = float(_get(h, "D", (int, float, str), "a number"))
+        except (OverflowError, ValueError):
+            raise ConfigInvalidError(f"target spec needs a number under 'D', got {h!r}") from None
+        return hamming_ball(_parse_word(_get(h, "center", str, "a word string")), D, q)
     if "union" in spec:
         return union([from_dict(s, q) for s in _get(spec, "union", list, "a list")])
     raise RankMismatchError(f"unrecognized target spec: {spec!r}")

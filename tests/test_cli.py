@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rarehit import cli, cylinder, exact, hitting_tail, scaling, uniform_iid
 from rarehit.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
@@ -168,6 +169,19 @@ def test_tail_beyond_the_step_cap_exit_resource(tmp_path, capsys):
     assert f"K = {K} exceeds the step cap {exact.MAX_TAIL_STEPS}" in capsys.readouterr().err
 
 
+def test_null_target_tail_refused_before_any_push(tmp_path, capsys):
+    # the chain refuses mu(A) = 0 before the hitting warm-up or any step
+    tracemalloc.start()
+    try:
+        code, text = run(["tail", *NULL_TARGET, "--K", str(exact.MAX_TAIL_STEPS)], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, text) == (EXIT_CONFIG, "")
+    assert peak < 1 << 20
+    assert "target has zero measure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("D", ["inf", "nan", "-0.1"])
 def test_bad_hamming_radius_exit_config(tmp_path, capsys, D):
     code, _ = run(["lambda", "--model", "iid-uniform-2", "--target", f"hamming:0,1,0:{D}"],
@@ -224,7 +238,7 @@ def test_dense_chain_lambda_leaves_scipy_sparse_out(tmp_path):
 def test_dense_chain_kac_solve_loads_scipy_on_demand():
     out = fresh("import sys; from rarehit import cylinder, exact, uniform_iid; "
                 "m, A = uniform_iid(2), cylinder([1, 1]); "
-                "print(exact._ComposedChain(m, exact.build_automaton(A, 2)).switch); "
+                "print(exact.ComposedChain(m, A).switch); "
                 f"{PRINT_HEAVY_SCIPY}; print(repr(exact.return_expectation(m, A)))")
     switch, before_solve, kac = out.splitlines()
     assert (switch, before_solve) == ("0", "[]")  # a dense chain, built without scipy
@@ -281,6 +295,8 @@ BAD_MODELS = [
     ("iid-probs-object", '{"kind":"iid","probs":{"a":1}}', "numeric array under 'probs'"),
     ("iid-probs-of-objects", '{"kind":"iid","probs":[{"a":1},0.5]}', "numeric array"),
     ("markov-ragged", '{"kind":"markov","transition":[[0.5,0.5],[1]]}', "numeric array"),
+    ("iid-probs-huge-int", '{"kind":"iid","probs":[1%s,0]}' % ("0" * 400),
+     "numeric array under 'probs'"),
 ]
 WORD = "must be comma-separated decimal symbols without leading zeros"
 BAD_WORDS = [
@@ -298,6 +314,9 @@ BAD_TARGETS = [
     ("cylinder-number", '{"cylinder":5}', "needs a word string under 'cylinder'"),
     ("union-object", '{"union":{"cylinder":"0,1"}}', "needs a list under 'union'"),
     ("union-of-numbers", '{"union":[5]}', "target spec must be a JSON object"),
+    ("hamming-D-huge-int", '{"hamming":{"center":"0,1","D":1%s}}' % ("0" * 400),
+     "needs a number under 'D'"),
+    ("cyl-symbol-beyond-64-bits", f"cyl:0,{2 ** 64}", "target symbols must lie in 0..2^63-1"),
     *[(f"hamming-{name}", spec, f"cannot parse target spec '{spec}': expected "
        "hamming:<center>:<D>") for name, spec in [("two-fields", "hamming:0,1"),
                                                   ("four-fields", "hamming:0,1:0.5:7"),
@@ -354,9 +373,51 @@ BAD_TARGETS = [
                  "no cylinder length in range(5, 3)", id="sweep-empty-n-range"),
     pytest.param([*SWEEP, "0", "--n-min", "0", "--n-max", "3"], EXIT_CONFIG,
                  "--n-min must be >= 1, got 0", id="sweep-n-min-0"),
+    pytest.param(["tail", *NULL_TARGET, "--K", "5"], EXIT_CONFIG, "zero measure",
+                 id="tail-null-set"),
+    *[pytest.param(["rarity", "rate", "--kappa-table", table], EXIT_CONFIG,
+                   f"--kappa-table must be a JSON object mapping decimal integers n to "
+                   f"integers kappa_n, got {table!r}", id=f"rate-{name}")
+      for name, table in [("list", "[1]"), ("string", '"abc"'), ("not-json", "abc"),
+                          ("null-kappa", '{"4":null}'), ("float-kappa", '{"4":1.5}'),
+                          ("bool-kappa", '{"4":true}'), ("word-key", '{"four":16}'),
+                          ("padded-key", '{"04":16}')]],
+    pytest.param(["rarity", "d0", "--q", "4", "--h-bits", "1.7", "--h-nats", "2"], EXIT_CONFIG,
+                 "argument --h-nats: not allowed with argument --h-bits", id="d0-both-entropies"),
+    pytest.param(["rarity", "d0", "--q", "4"], EXIT_CONFIG,
+                 "one of the arguments --h-bits --h-nats is required", id="d0-no-entropy"),
+    *[pytest.param(["limitlaw", "--model", "iid-uniform-2", "--target", "cyl:1,1",
+                    f"--s0={s0}"], EXIT_CONFIG, f"--s0 must be non-negative, got {s0}",
+                   id=f"limitlaw-s0-{s0}") for s0 in ("-1.0", "nan")],
 ])
 def test_refusals_exit_with_a_typed_error(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == (code, "")
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out.txt").exists()  # a refusal leaves --out untouched
+
+
+SPEC_KEYS = ["kind", "probs", "transition", "cylinder", "hamming", "center", "D", "union"]
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["iid", "markov", "0", "1", "0,1", "1,1,0"]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=10)
+SHORT_TEXT = st.tuples(st.sampled_from(["", "cyl:", "hamming:", "{", "@"]),
+                       st.text(max_size=12)).map("".join)
+FREE_INPUT = {
+    "--kappa-table": lambda v: ["rarity", "rate", f"--kappa-table={v}"],
+    "--model": lambda v: ["tail", f"--model={v}", "--target", "cyl:1,1", "--K", "3"],
+    "--target": lambda v: ["tail", "--model", "iid-uniform-2", f"--target={v}", "--K", "3"],
+}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(option=st.sampled_from(sorted(FREE_INPUT)), value=SMALL_JSON.map(json.dumps) | SHORT_TEXT)
+def test_no_cli_input_escapes_as_a_traceback(tmp_path, monkeypatch, option, value):
+    # K = 3 keeps every accepted tail short; "@<path>" reads only inside tmp_path
+    monkeypatch.chdir(tmp_path)
+    argv = FREE_INPUT[option](value) + ["--out", str(tmp_path / "out.txt")]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_ASSERTION, EXIT_RESOURCE)

@@ -152,16 +152,28 @@ def test_horizon_errors():
         return_tail(UNIFORM2, cylinder([1]), -1)
 
 
-def test_zero_measure_set():
+def test_zero_measure_set(monkeypatch):
+    # refused by the chain before it lumps the pairs or builds a kernel
     degenerate = iid([1.0, 0.0])
-    with pytest.raises(errors.ZeroMeasureSetError):
-        return_tail(degenerate, cylinder([1]), 5)
-    with pytest.raises(errors.ZeroMeasureSetError):
-        return_expectation(degenerate, cylinder([1]))
+    lumped = []
+    monkeypatch.setattr(exact, "_coarsest_stable", lambda *a: lumped.append(a))
+    for call in (lambda: exact.ComposedChain(degenerate, cylinder([1])),
+                 lambda: hitting_tail(degenerate, cylinder([1]), 5),
+                 lambda: return_tail(degenerate, cylinder([1]), 5),
+                 lambda: return_expectation(degenerate, cylinder([1]))):
+        with pytest.raises(errors.ZeroMeasureSetError):
+            call()
+    assert lumped == []
+
+
+def test_start_refuses_an_unknown_kind():
+    chain = exact.ComposedChain(UNIFORM2, cylinder([1]))
+    with pytest.raises(errors.InvalidTailError, match="kind must be hitting or return"):
+        exact.TailEngine(chain, "hit")
 
 
 def test_engine_refuses_horizon_beyond_the_step_cap():
-    engine = exact.TailEngine(UNIFORM2, cylinder([1]))
+    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1])))
     with pytest.raises(errors.HorizonTooLongError):
         engine.extend(exact.MAX_TAIL_STEPS + 1)
     assert engine.steps == 0
@@ -303,13 +315,10 @@ def _engine_cases(draw):
 def _check_engine(case):
     """Resumed, fresh and step-by-step tails agree; returns the resumed engine."""
     model, target, kind, K1, K2 = case
-    engine = exact.TailEngine(model, target, kind)
-    fresh = exact.TailEngine(model, target, kind).extend(K2)
-    v = (engine.chain.initial_hitting() if kind == "hitting"
-         else engine.chain.initial_return(target, engine.mu_A))
-    for _ in range(target.n - 1 if kind == "hitting" else 0):
-        v = engine.chain.fullT @ v
-    H, F = _step_by_step(engine.chain, v, K2)
+    chain = exact.ComposedChain(model, target)
+    engine = exact.TailEngine(chain, kind)
+    fresh = exact.TailEngine(exact.ComposedChain(model, target), kind).extend(K2)
+    H, F = _step_by_step(chain, chain.start(kind), K2)
     engine.extend(K1)
     resumed = engine.extend(K2)
     assert np.max(np.abs(resumed.values - H)) <= 1e-12
@@ -373,7 +382,7 @@ def test_brute_force_rejects_unknown_kind():
 def test_lumped_chain_matches_brute_force(case, kind):
     model, target = case
     K = 6
-    t = exact.TailEngine(model, target, kind).extend(K)
+    t = exact.TailEngine(exact.ComposedChain(model, target), kind).extend(K)
     b = brute_force_tail(model, target, K, kind)
     assert np.max(np.abs(t.values - b.values)) <= 1e-12
     assert np.max(np.abs(t.absorbed - (1.0 - b.values))) <= 1e-12
@@ -411,8 +420,7 @@ def test_automaton_does_not_need_sorted_words():
     (EQUAL_ROWS, cylinder([2, 2, 2]), 4),  # symbols 0 and 1 share a class
 ])
 def test_lumped_chain_sizes(model, target, size):
-    chain = exact._ComposedChain(model, build_automaton(target, model.alphabet_size))
-    assert chain.size == size
+    assert exact.ComposedChain(model, target).size == size
 
 
 def test_markov_with_equal_rows_matches_the_oracle():

@@ -289,6 +289,6 @@ def test_zero_measure_target_refused_before_any_push(monkeypatch):
 
 
 def test_scale_search_refuses_a_zero_measure_tail():
-    tail = hitting_tail(iid([1.0, 0.0]), cylinder([1, 1]), 64)
+    tail = exact.brute_force_tail(iid([1.0, 0.0]), cylinder([1, 1]), 12)
     with pytest.raises(errors.ZeroMeasureSetError):
         scale_search(tail, 2, 0.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,31 @@ def test_point_cylinders_recycle_the_word():
     assert {n: t.words for n, t in by_n.items()} == {
         1: ((0,),), 2: ((0, 1),), 3: ((0, 1, 0),), 4: ((0, 1, 0, 1),)}
     assert targets.point_cylinders("10", range(2, 3))[2].words == ((10, 10),)
+
+
+@pytest.mark.parametrize("n_range, n", [(range(0, 3), 0), (range(-2, 3), -2)])
+def test_point_cylinders_refuse_lengths_below_one(n_range, n):
+    message = f"cylinder length n = {n} in {n_range!r} must be >= 1"
+    with pytest.raises(errors.DomainError, match=re.escape(message)):
+        targets.point_cylinders("0", n_range)
+
+
+def test_symbols_beyond_64_bits_are_refused_typed():
+    assert cylinder([2 ** 63 - 1]).array.tolist() == [[2 ** 63 - 1]]
+    for symbol in (2 ** 63, 2 ** 64, -1):  # refused before any int64 array
+        with pytest.raises(errors.SymbolOutOfRangeError, match=r"must lie in 0..2\^63-1"):
+            cylinder([0, symbol])
+
+
+@pytest.mark.parametrize("D", [2 ** 1100, "1e999x"])
+def test_hamming_radius_must_be_a_float(D):
+    with pytest.raises(errors.ConfigInvalidError, match="needs a number under 'D'"):
+        targets.from_dict({"hamming": {"center": "0,1", "D": D}}, 2)
+
+
+def test_radius_beyond_the_word_is_the_whole_word():
+    assert hamming_predicate([0, 1], 1e308, 2).radius == 2
+    assert hamming_ball([0, 1], 1e308, 2).kappa == 4
 
 
 @pytest.mark.parametrize("text", ["", " 1", "+1", "-1", "1.0", "\u0661"])
