@@ -6,6 +6,11 @@ results so a report can be reproduced from its own header.
 
 Exit codes: 0 ok, 1 config error, 2 failed assertion (--assert, taken by
 lambda, verify, limitlaw and sweep), 3 resource cap exceeded.
+
+The parser is built by the first ``main`` call and shared by every later call
+in the process, so repeated in-process calls pay only for their analysis; a
+one-shot ``rarehit`` run builds it once, as before.  Each call still parses
+into a fresh namespace with its subcommand's defaults.
 """
 from __future__ import annotations
 
@@ -15,11 +20,13 @@ import math
 import re
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
 from . import exact, limitlaw, mc, process, rarity, scaling, targets
 from .errors import (
+    AlphabetTooLargeError,
     ConfigInvalidError,
     DomainError,
     EnumerationTooLargeError,
@@ -35,7 +42,7 @@ EXIT_CONFIG = 1
 EXIT_ASSERTION = 2
 EXIT_RESOURCE = 3
 
-_RESOURCE_ERRORS = (EnumerationTooLargeError, ExpansionTooLargeError,
+_RESOURCE_ERRORS = (AlphabetTooLargeError, EnumerationTooLargeError, ExpansionTooLargeError,
                     RejectionBudgetExceededError, HorizonTooShortError, HorizonTooLongError)
 
 
@@ -230,7 +237,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the process, built on the first call and returned by every later one."""
     p = argparse.ArgumentParser(prog="rarehit",
                                 description="Hitting/return time statistics of rare events")
     sub = p.add_subparsers(dest="cmd", required=True)

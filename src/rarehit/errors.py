@@ -29,6 +29,10 @@ class RankMismatchError(RarehitError):
     """Target sets of different word lengths cannot be combined."""
 
 
+class AlphabetTooLargeError(RarehitError):
+    """A source alphabet would exceed the cap on its dense q x q tables."""
+
+
 class ExpansionTooLargeError(RarehitError):
     """Explicit enumeration of a Hamming ball would exceed the cap."""
 

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    AlphabetTooLargeError,
     ConfigInvalidError,
     EmptyAlphabetError,
     GapNonPositiveError,
@@ -25,6 +26,10 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
+# Largest IID alphabet: its law is tiled into a dense q x q matrix, and the
+# composed chain compares every pair of its rows (q^3 booleans).  A Markov
+# source brings its own q x q matrix, so its spec already has that size.
+ALPHABET_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -89,17 +94,24 @@ def _stationary_of(P: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _check_alphabet(q: int) -> None:
+    if q > ALPHABET_CAP:
+        raise AlphabetTooLargeError(f"alphabet of {q} symbols exceeds the cap {ALPHABET_CAP}")
+
+
 def iid(probs) -> ProcessModel:
     """Build and validate an IID model: every transition row is the table.
     No primitivity check runs, so zero-probability symbols stay legal."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise EmptyAlphabetError("need a 1-d probability table with q >= 2")
+    _check_alphabet(p.size)
     _check_prob_row(p, "iid probability table")
     return ProcessModel(int(p.size), np.tile(p, (p.size, 1)), p.copy())
 
 
 def uniform_iid(q: int) -> ProcessModel:
+    _check_alphabet(q)
     return iid(np.full(q, 1.0 / q))
 
 
@@ -176,6 +188,8 @@ _SPEC_KEYS = {"iid": (iid, "probs"), "markov": (markov, "transition")}
 
 def from_dict(spec: dict) -> ProcessModel:
     """Model config: {"kind":"iid","probs":[...]} or {"kind":"markov","transition":[[...],...]}."""
+    if not isinstance(spec, dict):
+        raise ConfigInvalidError(f"model spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise NonStochasticError(f"unknown model kind {kind!r}")

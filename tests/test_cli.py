@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -214,12 +216,17 @@ PRINT_HEAVY_SCIPY = ("print([m for m in sys.modules "
                      "if m.split('.')[:2] in (['scipy', 'sparse'], ['scipy', 'optimize'])])")
 
 
-def fresh(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter importing rarehit from this tree."""
+def child(code: str, **kw) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter importing rarehit from this tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+                          text=True, **kw)
+
+
+def fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter importing rarehit from this tree."""
+    return child(code, check=True).stdout
 
 
 def test_cli_import_leaves_scipy_optimize_out():
@@ -247,6 +254,84 @@ def test_dense_chain_kac_solve_loads_scipy_on_demand():
 
 def test_help_exit_ok():
     assert main(["--help"]) == EXIT_OK
+
+
+def test_oversized_alphabet_refused_before_its_matrix():
+    # 30000^2 doubles are 6.7 GiB: past the child's 1 GiB of address space
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["tail", "--model", "iid-uniform-30000", "--target", "cyl:1", "--K", "3"]
+    done = child(f"import sys; from rarehit import cli; sys.exit(cli.main({argv!r}))",
+                 preexec_fn=limit)
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stderr == "resource cap exceeded: alphabet of 30000 symbols exceeds the cap 256\n"
+
+
+VERIFY_01 = ["verify", "--model", "iid-uniform-2", "--target", "cyl:0,1"]
+# Appends to ``built`` on every ArgumentParser construction.
+COUNT_PARSERS = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+                 "argparse.ArgumentParser.__init__ = "
+                 "lambda self, *a, **kw: built.append(1) or init(self, *a, **kw); ")
+
+
+def test_a_second_main_call_builds_no_parser(tmp_path, monkeypatch):
+    assert run(VERIFY_01, tmp_path)[0] == EXIT_OK  # builds the parser unless built before
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    assert run(VERIFY_01, tmp_path)[0] == EXIT_OK
+    assert main(["rarity", "kappa", "--n", "4", "--D", "0.25", "--q", "2",
+                 "--out", str(tmp_path / "kappa.json")]) == EXIT_OK
+    assert built == []
+
+
+def test_cli_import_builds_no_parser():
+    argv = [*VERIFY_01, "--out", os.devnull]
+    out = fresh(COUNT_PARSERS + "import rarehit.cli; print(len(built)); "
+                f"rarehit.cli.main({argv!r}); print(len(built) > 0)")
+    assert out == "0\nTrue\n"  # none at import, and the count sees the first main's
+
+
+def test_shared_parser_gives_each_call_fresh_defaults(tmp_path, monkeypatch):
+    seen = []
+    parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **kw: seen.append(parse(self, *a, **kw)) or seen[-1])
+    lam = ["lambda", "--model", "iid-uniform-2", "--target", "cyl:1,1"]
+    assert run(lam + ["--assert"], tmp_path)[0] == EXIT_OK
+    assert run(lam, tmp_path)[0] == EXIT_OK
+    assert run([*MC_CYL, "--kind", "return", "--cap", "50"], tmp_path)[0] == EXIT_OK
+    assert run(MC_CYL, tmp_path)[0] == EXIT_OK
+    point = ["--model", "iid-uniform-2", "--target", "cyl:1,1"]
+    assert run(["limitlaw", *point, "--s0", "0.2"], tmp_path)[0] == EXIT_OK
+    assert run(["limitlaw", *point], tmp_path)[0] == EXIT_OK
+    assert [ns.assert_ for ns in seen[:2]] == [True, False]
+    assert [(ns.kind, ns.cap) for ns in seen[2:4]] == [("return", 50), ("hitting", None)]
+    assert not hasattr(seen[2], "assert_")
+    assert [ns.s0 for ns in seen[4:]] == [0.2, 0.05]
+    assert [ns.func for ns in seen] == [cli._cmd_lambda] * 2 + [cli._cmd_mc] * 2 + [
+        cli._cmd_limitlaw] * 2
+    assert len({id(ns) for ns in seen}) == len(seen)
+
+
+def one_shot(argv: list) -> str:
+    """The output of ``argv`` as the first and only main call of a fresh interpreter,
+    which must exit 0."""
+    return fresh("import sys; from rarehit import cli; "
+                 f"sys.exit(cli.main({argv!r} + ['--out', '-']))")
+
+
+@pytest.mark.parametrize("before, argv", [
+    pytest.param(["verify", "--model", "iid-uniform-2"], VERIFY_01, id="parse-error-then-verify"),
+    pytest.param(["--help"], ["sweep", "--model", "iid-uniform-2", "--point", "0,1",
+                              "--n-min", "2", "--n-max", "5"], id="help-then-sweep"),
+])
+def test_a_call_after_an_early_exit_matches_a_fresh_process(tmp_path, capsys, before, argv):
+    assert main(before) == (EXIT_OK if "--help" in before else EXIT_CONFIG)
+    capsys.readouterr()
+    assert run(argv, tmp_path) == (EXIT_OK, one_shot(argv))
 
 
 def test_unreachable_scale_exit_resource(tmp_path):
@@ -389,6 +474,10 @@ BAD_TARGETS = [
     *[pytest.param(["limitlaw", "--model", "iid-uniform-2", "--target", "cyl:1,1",
                     f"--s0={s0}"], EXIT_CONFIG, f"--s0 must be non-negative, got {s0}",
                    id=f"limitlaw-s0-{s0}") for s0 in ("-1.0", "nan")],
+    *[pytest.param(["tail", "--model", model, "--target", "cyl:1", "--K", "3"], EXIT_RESOURCE,
+                   "alphabet of 257 symbols exceeds the cap 256", id=f"model-{name}-257")
+      for name, model in [("iid-uniform", "iid-uniform-257"),
+                          ("iid-json", json.dumps({"kind": "iid", "probs": [1 / 257] * 257}))]],
 ])
 def test_refusals_exit_with_a_typed_error(tmp_path, capsys, argv, code, message):
     assert run(argv, tmp_path) == (code, "")

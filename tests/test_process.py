@@ -167,6 +167,22 @@ def test_json_roundtrip():
     assert m3.alphabet_size == 2
 
 
+@pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null"])
+def test_non_object_spec_refused(text):
+    with pytest.raises(errors.ConfigInvalidError, match="model spec must be a JSON object"):
+        process.from_json(text)
+
+
+def test_alphabet_cap(monkeypatch):
+    assert uniform_iid(process.ALPHABET_CAP).alphabet_size == process.ALPHABET_CAP
+    for build in (uniform_iid, lambda q: iid(np.full(q, 1.0 / q))):
+        with pytest.raises(errors.AlphabetTooLargeError, match="alphabet of 257 symbols"):
+            build(process.ALPHABET_CAP + 1)
+    monkeypatch.setattr(process, "ALPHABET_CAP", 3)  # read at call time
+    with pytest.raises(errors.AlphabetTooLargeError, match="exceeds the cap 3"):
+        iid([0.25] * 4)
+
+
 def test_spec_missing_its_table_names_the_key():
     for spec, key in (({"kind": "iid"}, "'probs'"), ({"kind": "markov"}, "'transition'")):
         with pytest.raises(errors.ConfigInvalidError, match=key):
