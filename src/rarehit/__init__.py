@@ -29,12 +29,10 @@ from .mc import (
 from .process import (
     ProcessModel,
     alpha_bound,
-    cylinder_measure,
     entropy,
     iid,
     markov,
     uniform_iid,
-    validate,
 )
 from .rarity import (
     RarityBound,

@@ -5,7 +5,8 @@ mc, sweep.  Every run emits its fully resolved configuration alongside the
 results so a report can be reproduced from its own header.
 
 Exit codes: 0 ok, 1 config error, 2 failed assertion (--assert, taken by
-lambda, verify, limitlaw and sweep), 3 resource cap exceeded.
+lambda, verify, limitlaw and sweep), 3 resource cap exceeded (any
+``ResourceCapError``, or an allocation that fails with ``MemoryError``).
 
 The parser is built by the first ``main`` call and shared by every later call
 in the process, so repeated in-process calls pay only for their analysis; a
@@ -25,25 +26,12 @@ from functools import cache
 import numpy as np
 
 from . import exact, limitlaw, mc, process, rarity, scaling, targets
-from .errors import (
-    AlphabetTooLargeError,
-    ConfigInvalidError,
-    DomainError,
-    EnumerationTooLargeError,
-    ExpansionTooLargeError,
-    HorizonTooLongError,
-    HorizonTooShortError,
-    RarehitError,
-    RejectionBudgetExceededError,
-)
+from .errors import ConfigInvalidError, DomainError, RarehitError, ResourceCapError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ASSERTION = 2
 EXIT_RESOURCE = 3
-
-_RESOURCE_ERRORS = (AlphabetTooLargeError, EnumerationTooLargeError, ExpansionTooLargeError,
-                    RejectionBudgetExceededError, HorizonTooShortError, HorizonTooLongError)
 
 
 def parse_model(text: str) -> process.ProcessModel:
@@ -324,8 +312,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _RESOURCE_ERRORS as e:
-        print(f"resource cap exceeded: {e}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as e:
+        print(f"resource cap exceeded: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ConfigInvalidError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -5,6 +5,11 @@ class RarehitError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ResourceCapError(RarehitError):
+    """A request needs more than a cap allows: steps, words, symbols or
+    draws.  The CLI exits 3 on every subclass."""
+
+
 class EmptyAlphabetError(RarehitError):
     pass
 
@@ -29,11 +34,11 @@ class RankMismatchError(RarehitError):
     """Target sets of different word lengths cannot be combined."""
 
 
-class AlphabetTooLargeError(RarehitError):
+class AlphabetTooLargeError(ResourceCapError):
     """A source alphabet would exceed the cap on its dense q x q tables."""
 
 
-class ExpansionTooLargeError(RarehitError):
+class ExpansionTooLargeError(ResourceCapError):
     """Explicit enumeration of a Hamming ball would exceed the cap."""
 
 
@@ -45,11 +50,11 @@ class DomainError(RarehitError):
     """An argument lies outside the domain where the quantity is defined."""
 
 
-class HorizonTooShortError(RarehitError):
+class HorizonTooShortError(ResourceCapError):
     """The tail distribution does not extend far enough for the request."""
 
 
-class HorizonTooLongError(RarehitError):
+class HorizonTooLongError(ResourceCapError):
     """A tail horizon beyond the step cap was requested."""
 
 
@@ -73,7 +78,7 @@ class ZeroTailError(RarehitError):
     """H(s-2n) vanished; the normalizing constant is undefined."""
 
 
-class EnumerationTooLargeError(RarehitError):
+class EnumerationTooLargeError(ResourceCapError):
     """Brute-force enumeration would exceed the cap."""
 
 
@@ -81,7 +86,7 @@ class SingularSystemError(RarehitError):
     pass
 
 
-class RejectionBudgetExceededError(RarehitError):
+class RejectionBudgetExceededError(ResourceCapError):
     """Conditional sampling rejected too many proposals."""
 
 

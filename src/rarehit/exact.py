@@ -28,6 +28,7 @@ from .errors import (
     EnumerationTooLargeError,
     HorizonNonPositiveError,
     HorizonTooLongError,
+    HorizonTooShortError,
     InvalidTailError,
     SingularSystemError,
     SymbolOutOfRangeError,
@@ -359,6 +360,18 @@ class TailEngine:
         F.flags.writeable = False
         return TailDistribution(self.kind, H, self.chain.mu_A, "exact", absorbed=F,
                                 engine=self)
+
+    def grow(self, K: int, reached) -> TailDistribution:
+        """The tail at the first horizon of K, 2K, 4K, ... (the last capped
+        at MAX_TAIL_STEPS) where ``reached(tail)`` holds.
+
+        Raises HorizonTooShortError when it fails at the cap.
+        """
+        while not reached(tail := self.extend(K)):
+            if K >= MAX_TAIL_STEPS:
+                raise HorizonTooShortError(f"needed horizon exceeds cap {MAX_TAIL_STEPS}")
+            K = min(2 * K, MAX_TAIL_STEPS)
+        return tail
 
 
 def hitting_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:

@@ -71,16 +71,17 @@ def _check_prob_row(row: np.ndarray, what: str) -> None:
 def _check_primitive(P: np.ndarray) -> None:
     """Irreducible + aperiodic <=> some power of the support is positive.
 
-    For a q-state chain an exponent of q*q suffices if any does.
+    By Wielandt's bound a q-state support is primitive iff its power
+    (q-1)^2 + 1 is positive, and every higher power of a primitive support is
+    positive too; ceil(log2((q-1)^2 + 1)) squarings reach one at least that
+    high (16 at q = 256).
     """
     q = P.shape[0]
-    B = P > 0
-    M = B.copy()
-    for _ in range(q * q):
-        if M.all():
-            return
-        M = M @ B
-    raise PeriodicOrReducibleError("transition matrix is not primitive")
+    M = P > 0
+    for _ in range(((q - 1) ** 2).bit_length()):
+        M = M @ M
+    if not M.all():
+        raise PeriodicOrReducibleError("transition matrix is not primitive")
 
 
 def _stationary_of(P: np.ndarray) -> np.ndarray:
@@ -127,19 +128,6 @@ def markov(transition) -> ProcessModel:
     if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
         raise NonStochasticError("stationary fixed point residual too large")
     return ProcessModel(int(P.shape[0]), P, pi)
-
-
-def validate(model: ProcessModel) -> ProcessModel:
-    """Re-run all invariants on an externally constructed model."""
-    out = iid(model.stationary) if model.is_iid else markov(model.transition)
-    if np.max(np.abs(out.stationary - model.stationary)) > STATIONARY_TOL:
-        raise NonStochasticError("supplied stationary vector is not the fixed point")
-    return out
-
-
-def cylinder_measure(model: ProcessModel, word) -> float:
-    """Exact measure of the rank-len(word) cylinder [word]."""
-    return float(word_measures(model, np.asarray(word, dtype=np.int64).reshape(1, -1))[0])
 
 
 def word_measures(model: ProcessModel, words: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ Quantities, from the hitting tail H and the mixing bound at gap n:
 
 ``scale_search`` builds the whole certificate from one tail, lambda and its
 checks included; delta, the regime and the nominal flag are derived from d.
+The certificate's horizon and the longer one verification needs are both
+found by ``TailEngine.grow`` on one engine.
 For delta >= 1/4 the explicit bound exceeds 3 and nothing is asserted; when
 the threshold sqrt(d) is unreachable there is no s, and a nominal
 lambda = 1 is emitted so downstream rescaling stays total.
@@ -137,8 +139,10 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
 def scale_certificate(model: ProcessModel, target: TargetSet,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
     """Full pipeline: exact hitting tail with auto-extended horizon and the
-    scale certificate read from it.  The horizon doubles until the search
-    succeeds, on one engine that pushes each step once.
+    scale certificate read from it.  ``TailEngine.grow`` doubles the horizon
+    from max(4n, 64) until the threshold crossing j, and s = j + 2n with it,
+    lie within the table (or sqrt(d) >= 1); F never decreases, so that is
+    where the search stops refusing, and it runs once.
 
     Raises ZeroMeasureSetError before any push when mu(A) = 0, and
     HorizonTooShortError before the doubling when the threshold cannot be
@@ -154,22 +158,14 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
         raise HorizonTooShortError(
             f"threshold sqrt(d)={sd:.3g} with mu(A)={chain.mu_A:.3g} needs more "
             f"than {MAX_TAIL_STEPS} steps")
-    K = max(4 * n, 64)
-    while True:
-        tail = engine.extend(K)
-        try:
-            cert = scale_search(tail, n, alpha_n)
-            break
-        except HorizonTooShortError:
-            if K >= MAX_TAIL_STEPS:
-                raise
-            K = min(2 * K, MAX_TAIL_STEPS)
-    return cert, tail
+    tail = engine.grow(max(4 * n, 64), lambda t: sd >= 1.0 or t.cdf[t.horizon - 2 * n] >= sd)
+    return scale_search(tail, n, alpha_n), tail
 
 
 def extend_for_verification(tail: TailDistribution, lam: float) -> TailDistribution:
-    """Grow an engine-built hitting tail, on its engine, until both H(K) and
-    exp(-lam*mu*K) fall below the truncation target.
+    """Grow an engine-built hitting tail, with ``TailEngine.grow`` from its
+    horizon, until both H(K) and exp(-lam*mu*K) fall below the truncation
+    target.
 
     Raises InvalidTailError for a tail without an engine, and
     HorizonTooShortError at once when exp(-lam*mu*K) cannot fall below the
@@ -181,13 +177,8 @@ def extend_for_verification(tail: TailDistribution, lam: float) -> TailDistribut
     if math.log(1.0 / TRUNCATION_TARGET) > lam * mu * MAX_TAIL_STEPS:
         raise HorizonTooShortError(
             f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
-    K = tail.horizon
-    while tail.values[-1] > TRUNCATION_TARGET or math.exp(-lam * mu * K) > TRUNCATION_TARGET:
-        if K >= MAX_TAIL_STEPS:
-            raise HorizonTooShortError(f"needed horizon exceeds cap {MAX_TAIL_STEPS}")
-        K = min(2 * K, MAX_TAIL_STEPS)
-        tail = tail.engine.extend(K)
-    return tail
+    return tail.engine.grow(tail.horizon, lambda t: not (
+        t.values[-1] > TRUNCATION_TARGET or math.exp(-lam * mu * t.horizon) > TRUNCATION_TARGET))
 
 
 def verification_tail(model: ProcessModel, target: TargetSet,

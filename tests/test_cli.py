@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rarehit import cli, cylinder, exact, hitting_tail, scaling, uniform_iid
+from rarehit import cli, cylinder, errors, exact, hitting_tail, scaling, uniform_iid
 from rarehit.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -266,6 +266,34 @@ def test_oversized_alphabet_refused_before_its_matrix():
                  preexec_fn=limit)
     assert done.returncode == EXIT_RESOURCE
     assert done.stderr == "resource cap exceeded: alphabet of 30000 symbols exceeds the cap 256\n"
+
+
+def test_failed_allocation_exits_resource_with_one_line():
+    # 10^11 int64 hitting times are 745 GiB: past the child's 1 GiB of address space
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["mc", "--model", "iid-uniform-2", "--target", "cyl:1", "--N", str(10 ** 11),
+            "--seed", "0", "--cap", "1"]
+    done = child(f"import sys; from rarehit import cli; sys.exit(cli.main({argv!r}))",
+                 preexec_fn=limit)
+    assert (done.returncode, done.stdout) == (EXIT_RESOURCE, "")
+    assert done.stderr.startswith("resource cap exceeded: Unable to allocate 745. GiB")
+    assert done.stderr.count("\n") == 1
+
+
+def test_every_resource_cap_error_exits_resource(monkeypatch, tmp_path, capsys):
+    caps = [errors.AlphabetTooLargeError, errors.EnumerationTooLargeError,
+            errors.ExpansionTooLargeError, errors.RejectionBudgetExceededError,
+            errors.HorizonTooShortError, errors.HorizonTooLongError]
+    assert set(caps) <= set(errors.ResourceCapError.__subclasses__())
+    for exc in caps:
+        def refuse(*a, **kw):
+            raise exc("over the cap")
+        monkeypatch.setattr(scaling, "scale_certificate", refuse)
+        code, _ = run(["lambda", "--model", "iid-uniform-2", "--target", "cyl:1,1"], tmp_path)
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err == "resource cap exceeded: over the cap\n"
 
 
 VERIFY_01 = ["verify", "--model", "iid-uniform-2", "--target", "cyl:0,1"]

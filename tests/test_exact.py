@@ -476,3 +476,53 @@ def test_coarsest_stable_packing_never_wraps():
     key = np.arange(32)
     succ = np.zeros((32, 13), dtype=np.int64)
     assert int(exact._coarsest_stable(key, succ).max()) + 1 == 32
+
+
+def _grown_horizons(engine, K, stop):
+    """Horizons ``engine.grow(K, ...)`` tries, growing until ``stop`` of them."""
+    seen = []
+    tail = engine.grow(K, lambda t: seen.append(t.horizon) or t.horizon >= stop)
+    return tail, seen
+
+
+def test_grow_doubles_from_K_until_reached():
+    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1, 1])))
+    tail, seen = _grown_horizons(engine, 5, 40)
+    assert seen == [5, 10, 20, 40] and tail.horizon == 40
+
+
+def test_grow_caps_its_last_horizon_and_refuses_there(monkeypatch):
+    monkeypatch.setattr(exact, "MAX_TAIL_STEPS", 50)
+    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1, 1])))
+    tail, seen = _grown_horizons(engine, 5, 50)
+    assert seen == [5, 10, 20, 40, 50] and tail.horizon == 50
+    with pytest.raises(errors.HorizonTooShortError, match="needed horizon exceeds cap 50"):
+        _grown_horizons(engine, 5, 51)
+
+
+def test_grow_pushes_nothing_when_K_is_reached():
+    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1, 1])))
+    engine.extend(300)
+    steps = engine.steps
+    tail, seen = _grown_horizons(engine, 100, 0)
+    assert seen == [100] and tail.horizon == 100 and engine.steps == steps
+
+
+def _check_return_start_law(model, target, K):
+    """Discrete Haydn-Lacroix-Vaienti: by stationarity mu(window 0 in A,
+    windows 1..k not in A) = H(k) - H(k+1), so mu(A) H_ret(k) = F(k+1) - F(k).
+    Compared absolutely: F(k+1) - F(k) cancels where F is near 1."""
+    chain = exact.ComposedChain(model, target)
+    F = exact.TailEngine(chain).extend(K + 1).absorbed
+    H_ret = exact.TailEngine(chain, "return").extend(K).values
+    assert np.max(np.abs(chain.mu_A * H_ret - np.diff(F))) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_model_and_union(6))
+def test_return_start_law_matches_the_hitting_increments(case):
+    _check_return_start_law(*case, 3000)
+
+
+def test_return_start_law_on_the_493_state_csr_chain():
+    _check_return_start_law(uniform_iid(4), hamming_ball([0] * 10, 0.3, 4), 3000)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from rarehit import (
     TargetSet,
     cylinder,
-    cylinder_measure,
     derive_seed,
     empirical_tail,
     errors,
@@ -25,6 +24,7 @@ from rarehit import (
     union,
 )
 from rarehit.cli import EXIT_CONFIG, main
+from rarehit.process import word_measures
 
 UNIFORM2 = uniform_iid(2)
 
@@ -242,7 +242,7 @@ def _reference_batch(model, target, kind, N, seed, cap):
         if kind == "hitting":
             w = extend([], n)
         elif explicit:
-            weights = np.array([cylinder_measure(model, v) for v in target.words])
+            weights = word_measures(model, np.array(target.words, dtype=np.int64))
             j = np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(), side="right")
             w = target.words[min(j, target.kappa - 1)]
         else:

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +11,18 @@ from hypothesis import given, strategies as st
 
 from rarehit import (
     alpha_bound,
-    cylinder_measure,
     entropy,
     errors,
     iid,
     markov,
     process,
     uniform_iid,
-    validate,
 )
+
+
+def cylinder_measure(model, word):
+    """Measure of the cylinder [word], through ``process.word_measures``."""
+    return float(process.word_measures(model, np.array([word], dtype=np.int64))[0])
 
 
 def test_iid_uniform_valid():
@@ -34,6 +41,42 @@ def test_markov_stationary_derived():
 def test_periodic_chain_rejected():
     with pytest.raises(errors.PeriodicOrReducibleError):
         markov([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _wielandt(q):
+    """i -> i+1 and q-1 -> {0, 1}: primitive with exponent exactly (q-1)^2 + 1."""
+    P = np.eye(q, k=1)
+    P[-1, :2] = 0.5
+    return P
+
+
+@pytest.mark.parametrize("q", range(2, 41))
+def test_wielandt_matrices_are_primitive(q):
+    # A power below (q-1)^2 + 1 still has a zero, so one squaring too few refuses.
+    assert markov(_wielandt(q)).alphabet_size == q
+
+
+@pytest.mark.parametrize("P", [
+    np.roll(np.eye(5), 1, axis=1),  # a 5-cycle: irreducible, period 5
+    np.kron(np.eye(2), np.full((3, 3), 1 / 3)),  # two closed blocks: reducible
+    np.block([[np.zeros((2, 2)), np.full((2, 3), 1 / 3)],
+              [np.full((3, 2), 0.5), np.zeros((3, 3))]]),  # bipartite: period 2
+])
+def test_periodic_or_reducible_supports_rejected(P):
+    with pytest.raises(errors.PeriodicOrReducibleError):
+        markov(P)
+
+
+def test_long_cycle_refused_quickly():
+    # A 256-cycle: 16 squarings decide it, where q^2 products would take minutes.
+    code = ("import numpy as np; from rarehit import errors, markov\n"
+            "try:\n    markov(np.roll(np.eye(256), 1, axis=1))\n"
+            "except errors.PeriodicOrReducibleError:\n    print('refused')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(process.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=5)
+    assert done.stdout == "refused\n"
 
 
 def test_non_stochastic_rejected():
@@ -57,12 +100,6 @@ def test_non_finite_probabilities_rejected():
 def test_empty_alphabet_rejected():
     with pytest.raises(errors.EmptyAlphabetError):
         iid([1.0])
-
-
-def test_validate_roundtrip():
-    m = markov([[0.6, 0.4], [0.3, 0.7]])
-    m2 = validate(m)
-    assert np.allclose(m2.stationary, m.stationary)
 
 
 def test_cylinder_measure_examples():

@@ -8,8 +8,10 @@ from rarehit import (
     cylinder,
     errors,
     exact,
+    hamming_ball,
     hitting_tail,
     iid,
+    markov,
     scaling,
     uniform_iid,
 )
@@ -292,3 +294,41 @@ def test_scale_search_refuses_a_zero_measure_tail():
     tail = exact.brute_force_tail(iid([1.0, 0.0]), cylinder([1, 1]), 12)
     with pytest.raises(errors.ZeroMeasureSetError):
         scale_search(tail, 2, 0.0)
+
+
+def _counted_searches(monkeypatch):
+    """Horizons of the tails scale_search is called on, in call order."""
+    horizons = []
+    real = scaling.scale_search
+
+    def counted(tail, n, alpha_n):
+        horizons.append(tail.horizon)
+        return real(tail, n, alpha_n)
+
+    monkeypatch.setattr(scaling, "scale_search", counted)
+    return horizons
+
+
+def test_scale_search_runs_once_per_certificate(monkeypatch):
+    searches = _counted_searches(monkeypatch)
+    scale_certificate(UNIFORM2, cylinder([1] * 24))  # grown 96 -> 49,152: ten horizons
+    assert searches == [49152]
+    searches.clear()
+    verify(UNIFORM2, cylinder([1] * 10))
+    assert searches == [256]
+
+
+@pytest.mark.parametrize("model, target, cert_K, verify_K", [
+    (UNIFORM2, cylinder([1]), 64, 64),  # sqrt(d) >= 1: the first horizon serves
+    (UNIFORM2, cylinder([1] * 10), 256, 32768),
+    (UNIFORM2, cylinder([1] * 12), 512, 131072),
+    (uniform_iid(4), hamming_ball([0] * 8, 0.25, 4), 128, 8192),
+    (markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1, 1, 0]), 64, 1024),
+    (iid([0.8, 0.2]), cylinder([1, 1, 0, 1]), 64, 2048),
+])
+def test_certificate_and_verification_horizons(model, target, cert_K, verify_K):
+    # The certificate tail and the verification tail end where the outputs
+    # pinned elsewhere were computed: K, 2K, 4K, ... from max(4n, 64).
+    cert, tail = scale_certificate(model, target)
+    assert tail.horizon == cert_K
+    assert scaling.extend_for_verification(tail, cert.lam).horizon == verify_K
