@@ -8,8 +8,10 @@ whose transition row is the next symbol's law) and holds mu(A) and both
 start laws; a resumable ``TailEngine`` on it pushes a start law through the
 survival kernel, one step at a time up to a switch point set by the chain
 size and in blocks of steps beyond it, accumulating the mass absorbed by
-the event beside the surviving mass.  A brute-force enumeration oracle
-provides an independent check.
+the event beside the surviving mass.  Blocks move the live vector on one
+block at a time and read the tables of a whole run of blocks with one
+stacked ``matmul``.  A brute-force enumeration oracle provides an
+independent check.
 
 scipy is imported on first use, not with this module: by the first chain
 over 166 states (whose kernels are CSR) or by the first Kac solve.  Smaller
@@ -41,6 +43,7 @@ BRUTE_FORCE_CAP = 2 * 10 ** 7
 MAX_TAIL_STEPS = 10 ** 8  # longest tail an engine pushes (16 bytes a step)
 _DENSE_LIMIT = 600  # largest chain whose block matrices are ever built
 _BLOCK = 128  # steps per block push on dense chains
+_STACK = 1 << 16  # doubles of live vectors stacked per chunk of a block push
 _MONOTONE_SLACK = 1e-12
 _CSV_ROWS = 4096  # rows formatted per write: bounded memory at any horizon
 
@@ -67,10 +70,14 @@ class TailDistribution:
         v = self.values
         if v.ndim != 1 or v.size < 1:
             raise HorizonNonPositiveError("tail needs at least H(0)")
+        if not np.isfinite(v).all():
+            raise InvalidTailError("tail values must be finite")
         if abs(v[0] - 1.0) > 1e-9:
             raise InvalidTailError(f"H(0) must be 1, got {v[0]!r}")
         if np.any(np.diff(v) > _MONOTONE_SLACK):
             raise InvalidTailError("tail must be non-increasing")
+        if v.min() < -_MONOTONE_SLACK:
+            raise InvalidTailError("tail values must be non-negative")
 
     @property
     def horizon(self) -> int:
@@ -136,6 +143,17 @@ def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
     return OccurrenceAutomaton(target, q)
 
 
+def _rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of ``x`` (``np.unique(x, return_inverse=True)[1]``) and
+    their count, from one stable argsort and a cumsum."""
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    sorted_ranks = np.concatenate(([0], x[1:] != x[:-1])).cumsum()
+    ranks = np.empty_like(sorted_ranks)
+    ranks[order] = sorted_ranks
+    return ranks, int(sorted_ranks[-1]) + 1
+
+
 def _coarsest_stable(key: np.ndarray, succ: np.ndarray) -> np.ndarray:
     """Class ids of the coarsest partition that refines ``key`` and is
     stable under the successor table ``succ`` (Moore refinement).
@@ -145,18 +163,15 @@ def _coarsest_stable(key: np.ndarray, succ: np.ndarray) -> np.ndarray:
     class ids are a deterministic function of the inputs and no hash can
     collide.
     """
-    cls = np.unique(key, return_inverse=True)[1]
-    count = int(cls.max()) + 1
+    cls, count = _rank(key)
     while True:
         sig, bound = cls, count
         for col in cls[succ].T:
             if bound * count > 1 << 62:  # re-rank before the packing overflows
-                sig = np.unique(sig, return_inverse=True)[1]
-                bound = int(sig.max()) + 1
+                sig, bound = _rank(sig)
             sig = sig * count + col
             bound *= count
-        new = np.unique(sig, return_inverse=True)[1]
-        new_count = int(new.max()) + 1
+        new, new_count = _rank(sig)
         if new_count == count:
             return new
         cls, count = new, new_count
@@ -300,12 +315,17 @@ class TailEngine:
 
     The engine keeps the chain and the live vector and only ever pushes
     steps it has not pushed before: single steps up to the chain's
-    ``switch``, blocks from there on.  The switch depends on the chain size
+    ``switch``, blocks from there on.  A block push first stacks the live
+    vectors at the start of each block, then computes H and F at all their
+    steps with one stacked ``matmul`` per table, which runs the same gemv per
+    block as a block-by-block product.  The switch depends on the chain size
     alone, so an engine extended in several calls matches a fresh one bit
     for bit.
     Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
     every increment is non-negative, so F never cancels.  Engines of both
-    kinds on one chain share its block matrices.
+    kinds on one chain share its block matrices.  ``grow`` tests its stop
+    rule ``reached(H, F)`` on the bare tables and builds one validated
+    ``TailDistribution`` per call.
     """
 
     def __init__(self, chain: ComposedChain, kind: str = "hitting"):
@@ -316,12 +336,8 @@ class TailEngine:
         self._H = np.ones(1)
         self._F = np.zeros(1)
 
-    def extend(self, K: int) -> TailDistribution:
-        """H(k) and F(k) for k = 0..K, pushing only the steps still missing.
-
-        The returned arrays are read-only views of the engine's buffers,
-        whose first ``steps + 1`` entries never change.
-        """
+    def _tables(self, K: int) -> tuple[np.ndarray, np.ndarray]:
+        """H and F for k = 0..K as ``extend`` returns them, without the tail."""
         if K < 1:
             raise HorizonNonPositiveError("K must be >= 1")
         if K > MAX_TAIL_STEPS:
@@ -342,11 +358,7 @@ class TailEngine:
                 v = survT @ v
                 H[k + 1] = v.sum()
             if k1 > switch:
-                R, A, push = chain.blocks
-                for k in range(max(k0, switch), k1, _BLOCK):
-                    np.dot(R, v, out=H[k + 1:k + _BLOCK + 1])
-                    np.dot(A, v, out=F[k + 1:k + _BLOCK + 1])
-                    v = push @ v
+                v = self._push_blocks(v, H, F, max(k0, switch), k1)
             # Clamp float dust so monotonicity holds exactly; both fix-ups
             # run left to right, so they agree with a single pass from k = 0.
             np.minimum.accumulate(H[k0:], out=H[k0:])
@@ -358,20 +370,52 @@ class TailEngine:
         F = self._F[:K + 1]
         H.flags.writeable = False
         F.flags.writeable = False
+        return H, F
+
+    def _push_blocks(self, v: np.ndarray, H: np.ndarray, F: np.ndarray,
+                     k0: int, k1: int) -> np.ndarray:
+        """Fill H and F (F as increments) at steps k0+1..k1, whole blocks
+        from live vector ``v``, stacking at most _STACK doubles of live
+        vectors at a time; return the live vector at k1."""
+        R, A, push = self.chain.blocks
+        dot = push.dot  # the bound method skips np.dot's dispatch, half its cost here
+        blocks = (k1 - k0) // _BLOCK
+        per_chunk = min(blocks, max(1, _STACK // v.size - 1))
+        V = np.empty((per_chunk + 1, v.size))
+        V[0] = v
+        for lo in range(0, blocks, per_chunk):
+            m = min(per_chunk, blocks - lo)
+            for b in range(m):
+                dot(V[b], out=V[b + 1])
+            rows = slice(k0 + lo * _BLOCK + 1, k0 + (lo + m) * _BLOCK + 1)
+            np.matmul(R, V[:m, :, None], out=H[rows].reshape(m, _BLOCK, 1))
+            np.matmul(A, V[:m, :, None], out=F[rows].reshape(m, _BLOCK, 1))
+            V[0] = V[m]
+        return V[0].copy()
+
+    def extend(self, K: int) -> TailDistribution:
+        """H(k) and F(k) for k = 0..K, pushing only the steps still missing.
+
+        The returned arrays are read-only views of the engine's buffers,
+        whose first ``steps + 1`` entries never change.
+        """
+        H, F = self._tables(K)
         return TailDistribution(self.kind, H, self.chain.mu_A, "exact", absorbed=F,
                                 engine=self)
 
     def grow(self, K: int, reached) -> TailDistribution:
         """The tail at the first horizon of K, 2K, 4K, ... (the last capped
-        at MAX_TAIL_STEPS) where ``reached(tail)`` holds.
+        at MAX_TAIL_STEPS) where ``reached(H, F)`` holds, H and F being
+        read-only views of the tables for k = 0..horizon.  Only the tail
+        returned is built and validated.
 
         Raises HorizonTooShortError when it fails at the cap.
         """
-        while not reached(tail := self.extend(K)):
+        while not reached(*self._tables(K)):
             if K >= MAX_TAIL_STEPS:
                 raise HorizonTooShortError(f"needed horizon exceeds cap {MAX_TAIL_STEPS}")
             K = min(2 * K, MAX_TAIL_STEPS)
-        return tail
+        return self.extend(K)
 
 
 def hitting_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:

@@ -158,7 +158,7 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
         raise HorizonTooShortError(
             f"threshold sqrt(d)={sd:.3g} with mu(A)={chain.mu_A:.3g} needs more "
             f"than {MAX_TAIL_STEPS} steps")
-    tail = engine.grow(max(4 * n, 64), lambda t: sd >= 1.0 or t.cdf[t.horizon - 2 * n] >= sd)
+    tail = engine.grow(max(4 * n, 64), lambda H, F: sd >= 1.0 or F[F.size - 1 - 2 * n] >= sd)
     return scale_search(tail, n, alpha_n), tail
 
 
@@ -177,8 +177,8 @@ def extend_for_verification(tail: TailDistribution, lam: float) -> TailDistribut
     if math.log(1.0 / TRUNCATION_TARGET) > lam * mu * MAX_TAIL_STEPS:
         raise HorizonTooShortError(
             f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
-    return tail.engine.grow(tail.horizon, lambda t: not (
-        t.values[-1] > TRUNCATION_TARGET or math.exp(-lam * mu * t.horizon) > TRUNCATION_TARGET))
+    return tail.engine.grow(tail.horizon, lambda H, F: not (
+        H[-1] > TRUNCATION_TARGET or math.exp(-lam * mu * (H.size - 1)) > TRUNCATION_TARGET))
 
 
 def verification_tail(model: ProcessModel, target: TargetSet,
@@ -210,6 +210,8 @@ def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
     """
     if not s0 >= 0.0:  # NaN included
         raise DomainError(f"s0 must be non-negative, got {s0}")
+    if np.isnan(levels).any():  # max() would skip a NaN
+        raise DomainError("levels must not be NaN")
     K = levels.size - 1
     if s0 / step >= K + 1:  # floor(s0/step) > K, infinity included
         raise HorizonTooShortError(f"s0={s0} beyond tail horizon {K}")

@@ -2,6 +2,10 @@ import hashlib
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +376,25 @@ def test_invalid_tail_tables_raise_typed_errors():
         exact.TailDistribution("hitting", np.array([1.0, 0.5, 0.6]), 0.1, "exact")
 
 
+@pytest.mark.parametrize("values, message", [
+    ([1.0, math.nan, 0.5], "finite"),
+    ([math.nan, 0.5], "finite"),
+    ([1.0, 0.5, math.inf], "finite"),
+    ([1.0, 0.5, -math.inf], "finite"),
+    ([1.0, -5.0, -6.0], "non-negative"),
+    ([1.0, 0.5, -2e-12], "non-negative"),
+])
+def test_non_finite_or_negative_tail_tables_are_refused(values, message):
+    # The monotone check passes NaN (every comparison is false) and
+    # [1, -5, -6] (it decreases); +inf fails it, but as a non-finite value.
+    with pytest.raises(errors.InvalidTailError, match=message):
+        exact.TailDistribution("hitting", np.array(values), 0.1, "exact")
+
+
+def test_float_dust_below_zero_is_a_valid_tail():
+    exact.TailDistribution("hitting", np.array([1.0, 0.5, -1e-13]), 0.1, "exact")
+
+
 def test_brute_force_rejects_unknown_kind():
     with pytest.raises(errors.InvalidTailError):
         brute_force_tail(UNIFORM2, cylinder([1]), 3, "waiting")
@@ -470,6 +493,21 @@ def test_coarsest_stable_matches_reference(N, q, data):
     assert len(set(zip(got.tolist(), ref))) == len(set(ref)) == int(got.max()) + 1
 
 
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.one_of(st.integers(-4, 4), st.integers(2 ** 62 - 4, 2 ** 62 + 4), _INT64),
+                  min_size=1, max_size=60))
+def test_rank_equals_the_unique_inverse(x):
+    # Small pools force duplicates; values near 2**62 are where the packed
+    # signatures of the refinement live.
+    x = np.array(x, dtype=np.int64)
+    inverse = np.unique(x, return_inverse=True)[1]
+    ranks, count = exact._rank(x)
+    assert np.array_equal(ranks, inverse) and count == int(inverse.max()) + 1
+
+
 def test_coarsest_stable_packing_never_wraps():
     # 32 classes over 14 signature columns need 70 bits: a packing that
     # wrapped modulo 2**64 would drop the own class and merge them all.
@@ -481,7 +519,7 @@ def test_coarsest_stable_packing_never_wraps():
 def _grown_horizons(engine, K, stop):
     """Horizons ``engine.grow(K, ...)`` tries, growing until ``stop`` of them."""
     seen = []
-    tail = engine.grow(K, lambda t: seen.append(t.horizon) or t.horizon >= stop)
+    tail = engine.grow(K, lambda H, F: seen.append(H.size - 1) or H.size - 1 >= stop)
     return tail, seen
 
 
@@ -506,6 +544,83 @@ def test_grow_pushes_nothing_when_K_is_reached():
     steps = engine.steps
     tail, seen = _grown_horizons(engine, 100, 0)
     assert seen == [100] and tail.horizon == 100 and engine.steps == steps
+
+
+# Dense chains of 6, 11, 25, 34 and 118 states, which push blocks from step
+# 0, and a 218-state chain that switches to blocks at step 256.
+_STACK_CHAINS = [
+    (UNIFORM2, cylinder([1] * 5), 6),
+    (UNIFORM2, cylinder([1] * 10), 11),
+    (UNIFORM2, cylinder([1] * 24), 25),
+    (markov([[0.9, 0.1], [0.5, 0.5]]), hamming_ball([0, 1] * 4, 0.13, 2), 34),
+    (uniform_iid(4), hamming_ball([0] * 8, 0.25, 4), 118),
+    (uniform_iid(4), hamming_ball([0] * 10, 0.2, 4), 218),
+]
+
+
+def _per_block_reference(chain, kind, K):
+    """H and F pushed one block at a time: np.dot(R, v), np.dot(A, v) and
+    push @ v per block after the single steps, then the engine's fix-ups."""
+    switch = chain.switch
+    k1 = K if K <= switch else switch + -(-(K - switch) // exact._BLOCK) * exact._BLOCK
+    H, F = np.ones(k1 + 1), np.zeros(k1 + 1)
+    v = chain.start(kind)
+    for k in range(min(k1, switch)):
+        F[k + 1] = chain.absorb @ v
+        v = chain.survT @ v
+        H[k + 1] = v.sum()
+    R, A, push = chain.blocks
+    for k in range(switch, k1, exact._BLOCK):
+        np.dot(R, v, out=H[k + 1:k + exact._BLOCK + 1])
+        np.dot(A, v, out=F[k + 1:k + exact._BLOCK + 1])
+        v = push @ v
+    np.minimum.accumulate(H, out=H)
+    np.clip(H, 0.0, 1.0, out=H)
+    np.cumsum(F, out=F)
+    np.minimum(F, 1.0, out=F)
+    return H[:K + 1], F[:K + 1]
+
+
+def _stacked_push_mismatches(K=2999):
+    """(chain size, kind, blocks per chunk, horizon resumed from) wherever
+    the engine's stacked block push differs in any bit from the per-block
+    reference; None is the default chunk, 0 a fresh engine."""
+    bad = []
+    for model, target, size in _STACK_CHAINS:
+        chain = exact.ComposedChain(model, target)
+        for kind in ("hitting", "return"):
+            H, F = _per_block_reference(chain, kind, K)
+            for blocks in (None, 1, 2, 3):
+                for resume_at in (0, 100, 700):
+                    with pytest.MonkeyPatch.context() as mp:
+                        if blocks:
+                            mp.setattr(exact, "_STACK", (blocks + 1) * size)
+                        engine = exact.TailEngine(chain, kind)
+                        if resume_at:
+                            engine.extend(resume_at)
+                        tail = engine.extend(K)
+                    if not (np.array_equal(tail.values, H) and np.array_equal(tail.absorbed, F)):
+                        bad.append((size, kind, blocks, resume_at))
+    return bad
+
+
+def test_stacked_push_keeps_the_per_block_bits():
+    chains = [exact.ComposedChain(m, t) for m, t, _ in _STACK_CHAINS]
+    assert [(c.size, c.switch) for c in chains] == (
+        [(size, 0) for _, _, size in _STACK_CHAINS[:5]] + [(218, 256)])
+    assert _stacked_push_mismatches() == []
+
+
+def test_stacked_push_keeps_the_per_block_bits_under_another_kernel():
+    # Another OpenBLAS kernel may change the last bits of both sides, but
+    # never tell them apart: matmul runs the same gemv per block.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_exact; "
+            "print(test_exact._stacked_push_mismatches())")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(
+        [str(Path(exact.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def _check_return_start_law(model, target, K):

@@ -279,6 +279,12 @@ def test_sup_deviation_rejects_s0_outside_the_table():
         _flat_endpoint_sup(levels, 1.0, 9.5), rel=1e-15)
 
 
+@pytest.mark.parametrize("levels", [[1.0, math.nan, 0.5], [math.nan], [1.0, 0.5, math.nan]])
+def test_sup_deviation_refuses_nan_levels(levels):
+    with pytest.raises(errors.DomainError, match="NaN"):
+        sup_deviation(np.array(levels), 0.5)
+
+
 def test_zero_measure_target_refused_before_any_push(monkeypatch):
     # iid(1, 0) never emits 1, so mu([1,1]) = 0 and no scale s exists.
     never_one = iid([1.0, 0.0])
