@@ -95,7 +95,10 @@ def _inputs(args, analysis: str, **extra) -> tuple:
 
 def _cmd_tail(args) -> int:
     model, target, config = _inputs(args, "tail", K=args.K)
-    config["target"] = {"n": target.n, "words": ["".join(map(str, w)) for w in target.words]}
+    # Words are written digit by digit ("0110") while every symbol is one
+    # digit, and in the --target comma syntax ("1,10") once one is not.
+    sep = "," if target.array.max() >= 10 else ""
+    config["target"] = {"n": target.n, "words": [sep.join(map(str, w)) for w in target.words]}
     chain = exact.ComposedChain(model, target)
     hit = exact.TailEngine(chain).extend(args.K)
     ret = exact.TailEngine(chain, "return").extend(args.K)

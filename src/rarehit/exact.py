@@ -95,17 +95,18 @@ class OccurrenceAutomaton:
 
     States are the trie nodes of the target words, numbered breadth first:
     the root is 0, and the nodes of depth d follow those of depth d - 1 in
-    the words' sorted order.  ``goto`` falls back along failure links, as in
-    Aho-Corasick; all words share length n, so the accepting states are the
-    nodes of depth n.  ``last`` is the symbol read into each state (-1 at
-    the root).
+    the words' order, which is the sorted order of ``target.array`` (every
+    ``TargetSet`` holds its words sorted and unique, so nothing is sorted
+    here).  ``goto`` falls back along failure links, as in Aho-Corasick; all
+    words share length n, so the accepting states are the nodes of depth n,
+    the last kappa states, and word i ends in state S - kappa + i.  ``last``
+    is the symbol read into each state (-1 at the root).
     """
 
     def __init__(self, target: TargetSet, q: int):
         W = target.array
         if W.max() >= q:
             raise SymbolOutOfRangeError(f"target symbols must lie in 0..{q - 1}")
-        W = W[np.lexsort(W.T[::-1])]  # sorted rows, whatever built the target
         kappa, n = W.shape
         # Sorted words share their prefix with their predecessor up to the
         # first differing position; from there on each prefix is a new node.
@@ -217,7 +218,8 @@ class ComposedChain:
 
     def __init__(self, model: ProcessModel, target: TargetSet):
         aut = build_automaton(target, model.alphabet_size)
-        self.mu_A = measure(model, target)
+        self._word_p = word_measures(model, target.array)  # mu of each word's cylinder
+        self.mu_A = float(self._word_p.sum())  # as targets.measure sums it
         if self.mu_A <= 0.0:
             raise ZeroMeasureSetError("target has zero measure")
         q = model.alphabet_size
@@ -289,12 +291,9 @@ class ComposedChain:
                 v = self.fullT @ v
             return v
         if kind == "return":
-            W = self.target.array
-            state = np.zeros(len(W), dtype=np.int64)
-            for col in W.T:
-                state = self.aut.goto[state, col]
-            p = word_measures(self.model, W)
-            return np.bincount(self._cls[self._pair(state, W[:, -1])], p / self.mu_A, self.size)
+            leaf = np.flatnonzero(self.aut.accepting)  # the state word i ends in, in word order
+            pair = self._pair(leaf, self.aut.last[leaf])
+            return np.bincount(self._cls[pair], self._word_p / self.mu_A, self.size)
         raise InvalidTailError(f"kind must be hitting or return, got {kind!r}")
 
     def expected_absorption_times(self) -> np.ndarray:

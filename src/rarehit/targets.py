@@ -1,7 +1,8 @@
 """Rare event sets: unions of distinct rank-n words.
 
-A target is always an explicit, lexicographically sorted list of words of a
-common length n.  Hamming balls are expanded into that form up to
+A target is always an explicit set of words of a common length n, held as
+one read-only int64 array whose rows are the words, sorted lexicographically
+and without duplicates.  Hamming balls are expanded into that form up to
 HAMMING_EXPANSION_CAP words; past the cap a membership predicate is
 available for the Monte Carlo module.
 """
@@ -28,41 +29,101 @@ from .process import ProcessModel, word_measures
 HAMMING_EXPANSION_CAP = 10 ** 6
 
 Word = tuple[int, ...]
+_LENGTH = "all words must have the target's length n = {n}"
 
 
-@dataclass(frozen=True)
 class TargetSet:
-    n: int
-    words: tuple[Word, ...]
+    """A union of distinct rank-n cylinders.
+
+    The words are held as one read-only int64 array ``array`` of shape
+    (kappa, n), one word per row, rows sorted lexicographically and without
+    duplicates; everything downstream (measures, the occurrence automaton,
+    the Monte Carlo samplers) reads that array.  ``TargetSet(n, words)``
+    takes the words as equal-length symbol sequences or as a (kappa, n)
+    integer array, in any order and with repeats: one vectorized test
+    accepts rows that are already sorted and unique, and only input that
+    fails it is sorted and de-duplicated.  ``words``, the same rows as a
+    tuple of int tuples, is derived on first use.  A set is immutable, and
+    two sets are equal when their ranks and words are.
+    """
+
+    def __init__(self, n: int, words):
+        if n < 1:
+            raise RankMismatchError(f"words must have a length n >= 1, got n = {n}")
+        if isinstance(words, np.ndarray) and words.dtype == np.int64:
+            W = words
+        else:
+            W = _int64_rows(n, words)
+        if W.ndim != 2 or W.shape[0] == 0:
+            raise RankMismatchError("target set must be a non-empty list of words")
+        if W.shape[1] != n:
+            raise RankMismatchError(_LENGTH.format(n=n))
+        if W.min() < 0:
+            raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
+        if _sorted_unique(W):
+            W = W.copy()  # the caller keeps no handle on the set's rows
+        else:
+            W = W[np.lexsort(W.T[::-1])]
+            W = W[np.concatenate(([True], (W[1:] != W[:-1]).any(axis=1)))]
+        W.flags.writeable = False
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "array", W)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TargetSet is read-only; cannot set {name!r}")
+
+    def __reduce__(self):  # copies and unpickles rebuild a read-only array
+        return TargetSet, (self.n, self.array)
 
     @property
     def kappa(self) -> int:
         """Number of rank-n cylinders composing the set."""
-        return len(self.words)
+        return self.array.shape[0]
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The words as a read-only (kappa, n) integer array, one word per row."""
-        a = np.array(self.words, dtype=np.int64)
-        a.flags.writeable = False
-        return a
+    def words(self) -> tuple[Word, ...]:
+        """The rows of ``array`` as a tuple of int tuples, in the same order."""
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, TargetSet):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.n, self.array.tobytes()))
+
+    def __repr__(self):
+        return f"TargetSet(n={self.n}, kappa={self.kappa})"
 
 
-def _normalize(words) -> TargetSet:
-    ws = sorted({tuple(int(s) for s in w) for w in words})
-    if not ws:
-        raise RankMismatchError("target set must be non-empty")
-    n = len(ws[0])
-    if n == 0 or any(len(w) != n for w in ws):
-        raise RankMismatchError("all words must share a common positive length")
-    if any(s < 0 or s >> 63 for w in ws for s in w):
+def _int64_rows(n: int, words) -> np.ndarray:
+    """Hand-built words as a (kappa, n) int64 array; every symbol is checked
+    as a Python int before numpy sees it."""
+    try:
+        rows = [tuple(map(int, w)) for w in words]
+    except TypeError:
+        raise RankMismatchError("each word must be a sequence of integer symbols") from None
+    if any(len(w) != n for w in rows):
+        raise RankMismatchError(_LENGTH.format(n=n))
+    if any(s < 0 or s >> 63 for w in rows for s in w):
         raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
-    return TargetSet(n, tuple(ws))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def _sorted_unique(W: np.ndarray) -> bool:
+    """Whether each row of W is lexicographically above the one before it:
+    at the first column where two neighbours differ, the later is larger."""
+    diff = W[1:] != W[:-1]
+    col = diff.argmax(axis=1)
+    row = np.arange(diff.shape[0])
+    return bool((diff[row, col] & (W[1:][row, col] > W[:-1][row, col])).all())
 
 
 def cylinder(word) -> TargetSet:
     """Singleton target: the rank-n cylinder of one word."""
-    return _normalize([word])
+    word = tuple(word)
+    return TargetSet(len(word), (word,))
 
 
 def hamming_ball_size(n: int, radius: int, q: int) -> int:
@@ -106,13 +167,9 @@ def hamming_ball(center, D: float, q: int) -> TargetSet:
         np.put_along_axis(words, pos, (c_arr[pos] + off) % q, axis=1)
         parts.append(words)
     W = np.concatenate(parts)
-    W = W[np.lexsort(W.T[::-1])]
-    distinct = 1 + int(np.count_nonzero((W[1:] != W[:-1]).any(axis=1)))
-    if not distinct == len(W) == size:
-        raise ConsistencyError(f"expanded {distinct} distinct words, the ball has {size}")
-    W.flags.writeable = False
-    ts = TargetSet(n, tuple(zip(*W.T.tolist())))
-    ts.__dict__["array"] = W  # seeds the cached property
+    ts = TargetSet(n, W[np.lexsort(W.T[::-1])])  # sorted here, so the set only checks
+    if not ts.kappa == len(W) == size:
+        raise ConsistencyError(f"expanded {ts.kappa} distinct words, the ball has {size}")
     return ts
 
 
@@ -123,8 +180,7 @@ def union(sets: list[TargetSet]) -> TargetSet:
     n = sets[0].n
     if any(t.n != n for t in sets):
         raise RankMismatchError("union requires equal ranks")
-    words = [w for t in sets for w in t.words]
-    return _normalize(words)
+    return TargetSet(n, np.concatenate([t.array for t in sets]))
 
 
 def measure(model: ProcessModel, target: TargetSet) -> float:

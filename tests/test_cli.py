@@ -36,6 +36,33 @@ def test_tail_matches_exact(tmp_path):
         assert float(row[1]) == pytest.approx(expected, abs=1e-15)
 
 
+def _tail_header_target(tmp_path, spec):
+    code, text = run(["tail", "--model", "iid-uniform-12", "--target", spec, "--K", "2"],
+                     tmp_path)
+    assert code == EXIT_OK
+    return json.loads(text.splitlines()[0][len("# config:"):])["target"]
+
+
+@pytest.mark.parametrize("spec, words", [
+    ("cyl:1,10", ["1,10"]),
+    ("cyl:11,0", ["11,0"]),
+    ("hamming:0,11:0.5", ["0,0", "0,1", "0,10", "0,11", "0,2", "0,3", "0,4", "0,5", "0,6",
+                          "0,7", "0,8", "0,9", "1,11", "10,11", "11,11", "2,11", "3,11",
+                          "4,11", "5,11", "6,11", "7,11", "8,11", "9,11"]),
+])
+def test_tail_header_words_parse_back(tmp_path, spec, words):
+    # Once a symbol has two digits the header writes words in the --target
+    # comma syntax, so cyl:1,10 and cyl:11,0 no longer both read "110".
+    header = _tail_header_target(tmp_path, spec)
+    assert sorted(header["words"]) == words
+    union = json.dumps({"union": [{"cylinder": w} for w in header["words"]]})
+    assert cli.parse_target(union, 12) == cli.parse_target(spec, 12)
+
+
+def test_tail_header_runs_single_digit_symbols_together(tmp_path):
+    assert _tail_header_target(tmp_path, "cyl:1,1,0")["words"] == ["110"]
+
+
 def test_lambda_json(tmp_path):
     code, text = run(["lambda", "--model", "iid-uniform-2",
                       "--target", "cyl:" + ",".join(["1"] * 12)], tmp_path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from rarehit import (
     uniform_iid,
     union,
 )
+from rarehit.exact import ComposedChain, build_automaton
 
 
 def test_cylinder_singleton():
@@ -213,3 +215,72 @@ def test_hamming_ball_count_mismatch_raises_typed_error(monkeypatch):
     monkeypatch.setattr(targets, "hamming_ball_size", lambda n, r, q: 2)
     with pytest.raises(errors.ConsistencyError):
         hamming_ball([0, 0, 0], 0.34, 2)
+
+
+@pytest.mark.parametrize("n, words, error", [
+    (3, ((0, 1),), errors.RankMismatchError),            # word shorter than n
+    (2, ((0, 1, 1),), errors.RankMismatchError),         # word longer than n
+    (2, (), errors.RankMismatchError),                   # no words
+    (2, ((0, 1), (0,)), errors.RankMismatchError),       # ragged
+    (1, (0, 1), errors.RankMismatchError),               # symbols where words belong
+    (0, ((),), errors.RankMismatchError),                # rank zero
+    (3, np.zeros((2, 2), np.int64), errors.RankMismatchError),
+    (2, np.zeros((0, 2), np.int64), errors.RankMismatchError),
+    (2, np.zeros(2, np.int64), errors.RankMismatchError),
+    (2, ((0, -1),), errors.SymbolOutOfRangeError),
+    (2, ((0, 2 ** 63),), errors.SymbolOutOfRangeError),
+    (2, np.array([[0, -1]], np.int64), errors.SymbolOutOfRangeError),
+    (1, np.array([[2 ** 63]], np.uint64), errors.SymbolOutOfRangeError),
+])
+def test_hand_built_targets_are_refused_typed(n, words, error):
+    with pytest.raises(error):
+        targets.TargetSet(n, words)
+
+
+def test_target_sets_are_read_only():
+    t = cylinder([0, 1])
+    with pytest.raises(AttributeError):
+        t.n = 3
+    with pytest.raises(ValueError):  # numpy refuses writes to a read-only array
+        t.array[0, 0] = 1
+    assert t == cylinder([0, 1]) and hash(t) == hash(cylinder([0, 1]))
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and not u.array.flags.writeable
+
+
+def test_repeated_words_count_once():
+    t = targets.TargetSet(2, ((1, 1), (1, 1)))
+    assert (t.kappa, t.words) == (1, ((1, 1),))
+    assert measure(uniform_iid(2), t) == 0.25
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(2, 4), n=st.integers(1, 5), as_array=st.booleans(), data=st.data())
+def test_any_word_order_gives_the_sorted_set(q, n, as_array, data):
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    words = data.draw(st.lists(word, min_size=1, max_size=12))
+    words = words + data.draw(st.lists(st.sampled_from(words), max_size=6))  # repeats
+    words = data.draw(st.permutations(words))
+    t = targets.TargetSet(n, np.array(words, dtype=np.int64) if as_array else words)
+    ref = targets.TargetSet(n, sorted(set(words)))
+    assert t == ref
+    assert t.words == ref.words == tuple(sorted(set(words)))
+    assert t.array.tolist() == ref.array.tolist() and t.kappa == ref.kappa
+    assert t.array.dtype == np.int64 and not t.array.flags.writeable
+    model = uniform_iid(q)
+    assert measure(model, t) == measure(model, ref)
+    a, b = build_automaton(t, q), build_automaton(ref, q)
+    assert np.array_equal(a.goto, b.goto) and np.array_equal(a.last, b.last)
+    assert np.array_equal(a.accepting, b.accepting)
+
+
+def test_a_ball_and_its_chain_sort_once_and_build_no_word_tuples(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    ball = hamming_ball([0] * 10, 0.3, 4)
+    chain = ComposedChain(uniform_iid(4), ball)
+    chain.start("hitting")
+    chain.start("return")
+    assert (ball.kappa, chain.size, len(calls)) == (3676, 493, 1)
+    assert "words" not in vars(ball)
