@@ -32,6 +32,7 @@ Word = tuple[int, ...]
 _LENGTH = "all words must have the target's length n = {n}"
 
 
+@dataclass(frozen=True, eq=False)
 class TargetSet:
     """A union of distinct rank-n cylinders.
 
@@ -40,14 +41,17 @@ class TargetSet:
     duplicates; everything downstream (measures, the occurrence automaton,
     the Monte Carlo samplers) reads that array.  ``TargetSet(n, words)``
     takes the words as equal-length symbol sequences or as a (kappa, n)
-    integer array, in any order and with repeats: one vectorized test
-    accepts rows that are already sorted and unique, and only input that
-    fails it is sorted and de-duplicated.  ``words``, the same rows as a
+    integer array, in any order and with repeats; the constructor sorts
+    them with one lexsort and drops repeats.  ``words``, the same rows as a
     tuple of int tuples, is derived on first use.  A set is immutable, and
     two sets are equal when their ranks and words are.
     """
 
-    def __init__(self, n: int, words):
+    n: int
+    array: np.ndarray
+
+    def __post_init__(self):
+        n, words = self.n, self.array
         if n < 1:
             raise RankMismatchError(f"words must have a length n >= 1, got n = {n}")
         if isinstance(words, np.ndarray) and words.dtype == np.int64:
@@ -60,17 +64,11 @@ class TargetSet:
             raise RankMismatchError(_LENGTH.format(n=n))
         if W.min() < 0:
             raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
-        if _sorted_unique(W):
-            W = W.copy()  # the caller keeps no handle on the set's rows
-        else:
-            W = W[np.lexsort(W.T[::-1])]
-            W = W[np.concatenate(([True], (W[1:] != W[:-1]).any(axis=1)))]
+        W = W[np.lexsort(W.T[::-1])]
+        W = W[np.concatenate(([True], (W[1:] != W[:-1]).any(axis=1)))]
         W.flags.writeable = False
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "array", W)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a TargetSet is read-only; cannot set {name!r}")
 
     def __reduce__(self):  # copies and unpickles rebuild a read-only array
         return TargetSet, (self.n, self.array)
@@ -93,9 +91,6 @@ class TargetSet:
     def __hash__(self):
         return hash((self.n, self.array.tobytes()))
 
-    def __repr__(self):
-        return f"TargetSet(n={self.n}, kappa={self.kappa})"
-
 
 def _int64_rows(n: int, words) -> np.ndarray:
     """Hand-built words as a (kappa, n) int64 array; every symbol is checked
@@ -109,15 +104,6 @@ def _int64_rows(n: int, words) -> np.ndarray:
     if any(s < 0 or s >> 63 for w in rows for s in w):
         raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
-
-
-def _sorted_unique(W: np.ndarray) -> bool:
-    """Whether each row of W is lexicographically above the one before it:
-    at the first column where two neighbours differ, the later is larger."""
-    diff = W[1:] != W[:-1]
-    col = diff.argmax(axis=1)
-    row = np.arange(diff.shape[0])
-    return bool((diff[row, col] & (W[1:][row, col] > W[:-1][row, col])).all())
 
 
 def cylinder(word) -> TargetSet:
@@ -167,7 +153,7 @@ def hamming_ball(center, D: float, q: int) -> TargetSet:
         np.put_along_axis(words, pos, (c_arr[pos] + off) % q, axis=1)
         parts.append(words)
     W = np.concatenate(parts)
-    ts = TargetSet(n, W[np.lexsort(W.T[::-1])])  # sorted here, so the set only checks
+    ts = TargetSet(n, W)
     if not ts.kappa == len(W) == size:
         raise ConsistencyError(f"expanded {ts.kappa} distinct words, the ball has {size}")
     return ts
