@@ -4,9 +4,18 @@ Subcommands: tail, lambda, verify, limitlaw, rarity (epsilon|d0|rate|kappa),
 mc, sweep.  Every run emits its fully resolved configuration alongside the
 results so a report can be reproduced from its own header.
 
+Each subcommand's handler only computes: it returns its configuration, its
+result (a JSON dict, or a function writing CSV rows) and whether its checks
+hold.  ``main`` alone opens ``--out``, once the handler has returned, so a
+refusal leaves the file untouched; writes the report (``{"config", "result"}``
+JSON, or a ``# config:`` line and the rows); and maps ``--assert`` to exit 2.
+
 Exit codes: 0 ok, 1 config error, 2 failed assertion (--assert, taken by
 lambda, verify, limitlaw and sweep), 3 resource cap exceeded (any
 ``ResourceCapError``, or an allocation that fails with ``MemoryError``).
+``lambda`` and ``sweep`` assert the checks of quantitative certificates only;
+``verify`` asserts its bound and every certificate check; ``limitlaw`` its
+Kac, sandwich and integral relations.
 
 The parser is built by the first ``main`` call and shared by every later call
 in the process, so repeated in-process calls pay only for their analysis; a
@@ -20,7 +29,7 @@ import json
 import math
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from functools import cache
 
 import numpy as np
@@ -34,11 +43,17 @@ EXIT_ASSERTION = 2
 EXIT_RESOURCE = 3
 
 
-def parse_model(text: str) -> process.ProcessModel:
-    """Model spec: 'iid-uniform-<q>', inline JSON, or @path-to-json."""
+def _spec_text(text: str) -> str:
+    """A spec as given, or the contents of the file it names after '@'."""
     if text.startswith("@"):
         with open(text[1:]) as f:
-            text = f.read()
+            return f.read()
+    return text
+
+
+def parse_model(text: str) -> process.ProcessModel:
+    """Model spec: 'iid-uniform-<q>', inline JSON, or @path-to-json."""
+    text = _spec_text(text)
     if text.lstrip().startswith("{"):
         return process.from_json(text)
     q = text.removeprefix("iid-uniform-")
@@ -49,9 +64,7 @@ def parse_model(text: str) -> process.ProcessModel:
 
 def parse_target(text: str, q: int) -> targets.TargetSet:
     """Target spec: 'cyl:0,1,1', 'hamming:0,0,0:0.2', inline JSON or @path."""
-    if text.startswith("@"):
-        with open(text[1:]) as f:
-            text = f.read()
+    text = _spec_text(text)
     if text.lstrip().startswith("{"):
         return targets.from_json(text, q)
     if text.startswith("cyl:"):
@@ -67,24 +80,6 @@ def parse_target(text: str, q: int) -> targets.TargetSet:
     raise ConfigInvalidError(f"cannot parse target spec {text!r}")
 
 
-@contextmanager
-def _output(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w") as f:
-            yield f
-
-
-def _emit_json(fp, config: dict, result: dict) -> None:
-    json.dump({"config": config, "result": result}, fp, indent=2, default=float)
-    fp.write("\n")
-
-
-def _config_header(fp, config: dict) -> None:
-    fp.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-
-
 def _inputs(args, analysis: str, **extra) -> tuple:
     """The model and target of a subcommand, and the head of its config."""
     model = parse_model(args.model)
@@ -93,7 +88,7 @@ def _inputs(args, analysis: str, **extra) -> tuple:
                            "target": {"n": target.n, "kappa": target.kappa}, **extra}
 
 
-def _cmd_tail(args) -> int:
+def _cmd_tail(args):
     model, target, config = _inputs(args, "tail", K=args.K)
     # Words are written digit by digit ("0110") while every symbol is one
     # digit, and in the --target comma syntax ("1,10") once one is not.
@@ -102,34 +97,23 @@ def _cmd_tail(args) -> int:
     chain = exact.ComposedChain(model, target)
     hit = exact.TailEngine(chain).extend(args.K)
     ret = exact.TailEngine(chain, "return").extend(args.K)
-    with _output(args.out) as fp:
-        _config_header(fp, config)
-        exact.write_tails_csv(fp, hit, ret)
-    return EXIT_OK
+    return config, lambda fp: exact.write_tails_csv(fp, hit, ret), True
 
 
-def _cmd_lambda(args) -> int:
+def _cmd_lambda(args):
     model, target, config = _inputs(args, "lambda")
     cert, _ = scaling.scale_certificate(model, target)
-    with _output(args.out) as fp:
-        _emit_json(fp, config, cert.to_dict())
-    if args.assert_ and cert.regime == "quantitative" and not all(cert.checks.values()):
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return config, cert.to_dict(), cert.regime != "quantitative" or all(cert.checks.values())
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     model, target, config = _inputs(args, "verify")
     cert, report, _ = scaling.verify(model, target)
     result = {"certificate": cert.to_dict(), "report": report.to_dict()}
-    with _output(args.out) as fp:
-        _emit_json(fp, config, result)
-    if args.assert_ and not (report.passed and all(cert.checks.values())):
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return config, result, report.passed and all(cert.checks.values())
 
 
-def _cmd_limitlaw(args) -> int:
+def _cmd_limitlaw(args):
     if not args.s0 >= 0.0:  # NaN included
         raise DomainError(f"--s0 must be non-negative, got {args.s0}")
     model, target, config = _inputs(args, "limitlaw", s0=args.s0)
@@ -149,14 +133,10 @@ def _cmd_limitlaw(args) -> int:
         "integral_residual_max": float(limitlaw.check_integral_relation(F, G, t_grid).max()),
         "integral_residual_allowance": cert.mu_A,
     }
-    with _output(args.out) as fp:
-        _emit_json(fp, config, result)
-    ok = (result["kac_violation"] <= 1e-10
-          and result["sandwich_violation"] <= 1e-10
-          and result["integral_residual_max"] <= cert.mu_A + 1e-10)
-    if args.assert_ and not ok:
-        return EXIT_ASSERTION
-    return EXIT_OK
+    holds = (result["kac_violation"] <= 1e-10
+             and result["sandwich_violation"] <= 1e-10
+             and result["integral_residual_max"] <= cert.mu_A + 1e-10)
+    return config, result, holds
 
 
 def _kappa_table(text: str) -> dict[int, int]:
@@ -172,45 +152,46 @@ def _kappa_table(text: str) -> dict[int, int]:
     return {int(k): v for k, v in table.items()}
 
 
-def _cmd_rarity(args) -> int:
-    if args.rarity_cmd == "d0":
-        h = args.h_nats if args.h_bits is None else args.h_bits * math.log(2.0)
-        config = {"analysis": "rarity.d0", "q": args.q, "h_nats": h}
-        result = {"D0": rarity.solve_D0(args.q, h)}
-    elif args.rarity_cmd == "kappa":
-        config = {"analysis": "rarity.kappa", "n": args.n, "D": args.D, "q": args.q}
-        result = {"kappa_bound": rarity.hamming_kappa_bound(args.n, args.D, args.q)}
-    elif args.rarity_cmd == "rate":
-        table = _kappa_table(args.kappa_table)
-        config = {"analysis": "rarity.rate", "kappa_table": table}
-        result = {"rate": rarity.cardinality_rate(table)}
-    else:  # epsilon
-        model = parse_model(args.model)
-        config = {"analysis": "rarity.epsilon", "model": process.to_dict(model),
-                  "kappa": args.kappa, "n": args.n}
-        rb = rarity.epsilon_bound(model, args.kappa, args.n)
-        result = {
-            "n": rb.n, "kappa": rb.kappa_n, "h": rb.h, "k": rb.k, "m": rb.m,
-            "aep_deficiency": rb.aep_deficiency, "epsilon_n": rb.epsilon_n,
-            "surrogate": rb.surrogate,
-        }
-    with _output(args.out) as fp:  # opened only once there is a result to write
-        _emit_json(fp, config, result)
-    return EXIT_OK
+def _cmd_rarity_epsilon(args):
+    model = parse_model(args.model)
+    config = {"analysis": "rarity.epsilon", "model": process.to_dict(model),
+              "kappa": args.kappa, "n": args.n}
+    rb = rarity.epsilon_bound(model, args.kappa, args.n)
+    result = {
+        "n": rb.n, "kappa": rb.kappa_n, "h": rb.h, "k": rb.k, "m": rb.m,
+        "aep_deficiency": rb.aep_deficiency, "epsilon_n": rb.epsilon_n,
+        "surrogate": rb.surrogate,
+    }
+    return config, result, True
 
 
-def _cmd_mc(args) -> int:
+def _cmd_rarity_d0(args):
+    h = args.h_nats if args.h_bits is None else args.h_bits * math.log(2.0)
+    config = {"analysis": "rarity.d0", "q": args.q, "h_nats": h}
+    return config, {"D0": rarity.solve_D0(args.q, h)}, True
+
+
+def _cmd_rarity_rate(args):
+    table = _kappa_table(args.kappa_table)
+    config = {"analysis": "rarity.rate", "kappa_table": table}
+    return config, {"rate": rarity.cardinality_rate(table)}, True
+
+
+def _cmd_rarity_kappa(args):
+    config = {"analysis": "rarity.kappa", "n": args.n, "D": args.D, "q": args.q}
+    bound = rarity.hamming_kappa_bound(args.n, args.D, args.q)
+    return config, {"kappa_bound": bound}, True
+
+
+def _cmd_mc(args):
     model, target, config = _inputs(args, "mc", kind=args.kind, N=args.N, seed=args.seed,
                                     cap=args.cap)
     sampler = mc.sample_hitting if args.kind == "hitting" else mc.sample_return
     batch = sampler(model, target, args.N, args.seed, censor_cap=args.cap)
-    with _output(args.out) as fp:
-        _config_header(fp, config)
-        mc.write_batch_csv(fp, batch)
-    return EXIT_OK
+    return config, lambda fp: mc.write_batch_csv(fp, batch), True
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     if args.n_min < 1:
         raise ConfigInvalidError(f"--n-min must be >= 1, got {args.n_min}")
     model = parse_model(args.model)
@@ -219,13 +200,16 @@ def _cmd_sweep(args) -> int:
               "s0": args.s0}
     by_n = targets.point_cylinders(args.point, range(args.n_min, args.n_max + 1))
     rows = limitlaw.convergence_diagnostics(model, by_n, s0=args.s0)
-    with _output(args.out) as fp:
-        _config_header(fp, config)
-        limitlaw.write_diagnostics_csv(fp, rows)
-    if args.assert_ and any(r.cert.regime == "quantitative" and not all(r.cert.checks.values())
-                            for r in rows):
-        return EXIT_ASSERTION
-    return EXIT_OK
+    holds = not any(r.cert.regime == "quantitative" and not all(r.cert.checks.values())
+                    for r in rows)
+    return config, lambda fp: limitlaw.write_diagnostics_csv(fp, rows), holds
+
+
+def _option(*names, **kw) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the leaves that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kw)
+    return parent
 
 
 @cache
@@ -234,87 +218,77 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rarehit",
                                 description="Hitting/return time statistics of rare events")
     sub = p.add_subparsers(dest="cmd", required=True)
+    model = _option("--model", required=True)
+    target = _option("--target", required=True)
+    out = _option("--out")
+    assert_ = _option("--assert", dest="assert_", action="store_true")
+    inputs = [model, target, out]
 
-    def common(sp, assertable=True):
-        sp.add_argument("--model", required=True)
-        sp.add_argument("--target", required=True)
-        sp.add_argument("--out", default=None)
-        if assertable:
-            sp.add_argument("--assert", dest="assert_", action="store_true")
+    def leaf(parent, name, func, parents, **kw):
+        sp = parent.add_parser(name, parents=parents, **kw)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("tail", help="exact hitting/return tail CSV")
-    common(sp, assertable=False)
+    sp = leaf(sub, "tail", _cmd_tail, inputs, help="exact hitting/return tail CSV")
     sp.add_argument("--K", type=int, required=True)
-    sp.set_defaults(func=_cmd_tail)
-
-    sp = sub.add_parser("lambda", help="scale certificate and lambda(A)")
-    common(sp)
-    sp.set_defaults(func=_cmd_lambda)
-
-    sp = sub.add_parser("verify", help="explicit exponential-approximation bound")
-    common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("limitlaw", help="Kac bound, sandwich, integral relation")
-    common(sp)
+    leaf(sub, "lambda", _cmd_lambda, [*inputs, assert_], help="scale certificate and lambda(A)")
+    leaf(sub, "verify", _cmd_verify, [*inputs, assert_],
+         help="explicit exponential-approximation bound")
+    sp = leaf(sub, "limitlaw", _cmd_limitlaw, [*inputs, assert_],
+              help="Kac bound, sandwich, integral relation")
     sp.add_argument("--s0", type=float, default=0.05)
-    sp.set_defaults(func=_cmd_limitlaw)
 
-    sp = sub.add_parser("rarity", help="rarity bounds and D0")
-    rsub = sp.add_subparsers(dest="rarity_cmd", required=True)
-    spe = rsub.add_parser("epsilon")
-    spe.add_argument("--model", required=True)
-    spe.add_argument("--kappa", type=int, required=True)
-    spe.add_argument("--n", type=int, required=True)
-    spe.add_argument("--out", default=None)
-    spe.set_defaults(func=_cmd_rarity)
-    spd = rsub.add_parser("d0")
-    spd.add_argument("--q", type=int, required=True)
-    entropy = spd.add_mutually_exclusive_group(required=True)
+    rsub = sub.add_parser("rarity", help="rarity bounds and D0").add_subparsers(
+        dest="rarity_cmd", required=True)
+    sp = leaf(rsub, "epsilon", _cmd_rarity_epsilon, [model, out])
+    sp.add_argument("--kappa", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True)
+    sp = leaf(rsub, "d0", _cmd_rarity_d0, [out])
+    sp.add_argument("--q", type=int, required=True)
+    entropy = sp.add_mutually_exclusive_group(required=True)
     entropy.add_argument("--h-bits", type=float)
     entropy.add_argument("--h-nats", type=float)
-    spd.add_argument("--out", default=None)
-    spd.set_defaults(func=_cmd_rarity)
-    spr = rsub.add_parser("rate")
-    spr.add_argument("--kappa-table", required=True,
-                     help='JSON object mapping n to kappa_n, e.g. \'{"4":16}\'')
-    spr.add_argument("--out", default=None)
-    spr.set_defaults(func=_cmd_rarity)
-    spk = rsub.add_parser("kappa")
-    spk.add_argument("--n", type=int, required=True)
-    spk.add_argument("--D", type=float, required=True)
-    spk.add_argument("--q", type=int, required=True)
-    spk.add_argument("--out", default=None)
-    spk.set_defaults(func=_cmd_rarity)
+    sp = leaf(rsub, "rate", _cmd_rarity_rate, [out])
+    sp.add_argument("--kappa-table", required=True,
+                    help='JSON object mapping n to kappa_n, e.g. \'{"4":16}\'')
+    sp = leaf(rsub, "kappa", _cmd_rarity_kappa, [out])
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--D", type=float, required=True)
+    sp.add_argument("--q", type=int, required=True)
 
-    sp = sub.add_parser("mc", help="Monte Carlo sample batch CSV")
-    common(sp, assertable=False)
+    sp = leaf(sub, "mc", _cmd_mc, inputs, help="Monte Carlo sample batch CSV")
     sp.add_argument("--kind", choices=["hitting", "return"], default="hitting")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--cap", type=int, default=None)
-    sp.set_defaults(func=_cmd_mc)
 
-    sp = sub.add_parser("sweep", help="per-n convergence diagnostics for a point")
-    sp.add_argument("--model", required=True)
+    sp = leaf(sub, "sweep", _cmd_sweep, [model, out, assert_],
+              help="per-n convergence diagnostics for a point")
     sp.add_argument("--point", required=True, help="comma-separated word recycled, e.g. 0 or 0,1")
     sp.add_argument("--n-min", type=int, required=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--s0", type=float, default=0.05)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--assert", dest="assert_", action="store_true")
-    sp.set_defaults(func=_cmd_sweep)
     return p
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  The handler returns
+    ``(config, body, holds)``: body is the JSON result dict or a function
+    writing the CSV rows, and holds whether the run's checks pass."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        config, body, holds = args.func(args)
+        with nullcontext(sys.stdout) if args.out in (None, "-") else open(args.out, "w") as fp:
+            if callable(body):
+                fp.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+                body(fp)
+            else:
+                json.dump({"config": config, "result": body}, fp, indent=2, default=float)
+                fp.write("\n")
     except (ResourceCapError, MemoryError) as e:
         print(f"resource cap exceeded: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -324,6 +298,7 @@ def main(argv=None) -> int:
     except RarehitError as e:
         print(f"analysis failed: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_ASSERTION if getattr(args, "assert_", False) and not holds else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -228,11 +228,13 @@ def _matcher_factory(model: ProcessModel, target):
     raise DomainError("target must be a TargetSet or a window predicate with .n")
 
 
-def default_censor_cap(model: ProcessModel, target) -> int:
-    """50 expected hits at the crude rate guess lambda = 1."""
+def default_censor_cap(model: ProcessModel, target, mu_A: float | None = None) -> int:
+    """50 expected hits at the crude rate guess lambda = 1.  ``mu_A`` is the
+    target's measure when the caller already holds it."""
     if not isinstance(target, TargetSet):
         raise DomainError("censor_cap must be given explicitly for predicate targets")
-    mu_A = measure(model, target)
+    if mu_A is None:
+        mu_A = measure(model, target)
     if mu_A <= 0.0:
         raise ZeroMeasureSetError("target has zero measure; no hit is expected")
     return max(1, math.ceil(50.0 / mu_A))
@@ -263,16 +265,18 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
     tile, draw each row's initial window, then advance the tile to its hits."""
     if N < 1:
         raise DomainError("N must be >= 1")
+    explicit_return = kind == "return" and isinstance(target, TargetSet)
+    mu_A = None
+    if explicit_return:  # one measure serves the default cap and the word choice
+        weights = word_measures(model, target.array)
+        mu_A = weights.sum()
     if censor_cap is None:
-        censor_cap = default_censor_cap(model, target)
+        censor_cap = default_censor_cap(model, target, mu_A)
     if censor_cap < 1:
         raise DomainError(f"censor_cap must be >= 1, got {censor_cap}")
     init, match = _matcher_factory(model, target)
     cum, n = _cum_table(model), target.n
-    explicit_return = kind == "return" and isinstance(target, TargetSet)
     if explicit_return:
-        weights = word_measures(model, target.array)
-        mu_A = weights.sum()
         if mu_A <= 0.0:
             raise ZeroMeasureSetError("target has zero measure; returns are undefined")
         word_cum = np.cumsum(weights / mu_A)

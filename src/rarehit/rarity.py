@@ -21,6 +21,7 @@ from .errors import (
 from .process import ProcessModel, entropy, word_measures
 
 AEP_ENUMERATION_CAP = 2 * 10 ** 7
+_AEP_CHUNK = 1 << 16  # words enumerated at a time
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,8 @@ def _aep_deficiency(model: ProcessModel, N: int, h: float) -> float:
 
     Single-N proxy for the full almost-sure event, hence a lower bound on
     the true deficiency; callers flag results built on it as surrogate.
+    Words are enumerated in chunks, so memory stays bounded by the chunk and
+    the heavy words; the one final sum equals a one-pass sum bit for bit.
     """
     q = model.alphabet_size
     if q ** N > AEP_ENUMERATION_CAP:
@@ -66,9 +69,12 @@ def _aep_deficiency(model: ProcessModel, N: int, h: float) -> float:
             f"{q ** N} words exceeds AEP cap {AEP_ENUMERATION_CAP}")
     thresh = math.exp(-N * h)
     powers = q ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    idx = np.arange(q ** N, dtype=np.int64)
-    w = word_measures(model, (idx[:, None] // powers[None, :]) % q)
-    return float(w[w > thresh].sum())
+    heavy = []  # the measures above thresh, chunk by chunk in word order
+    for lo in range(0, q ** N, _AEP_CHUNK):
+        idx = np.arange(lo, min(lo + _AEP_CHUNK, q ** N), dtype=np.int64)
+        w = word_measures(model, (idx[:, None] // powers[None, :]) % q)
+        heavy.append(w[w > thresh])
+    return float(np.concatenate(heavy).sum())
 
 
 def epsilon_bound(model: ProcessModel, kappa_n: int, n: int) -> RarityBound:

@@ -30,7 +30,8 @@ from .errors import (
     ZeroMeasureSetError,
     ZeroTailError,
 )
-from .exact import MAX_TAIL_STEPS, ComposedChain, TailDistribution, TailEngine
+from . import exact
+from .exact import ComposedChain, TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
 from .targets import TargetSet, measure, point_cylinders
 
@@ -146,7 +147,7 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
 
     Raises ZeroMeasureSetError before any push when mu(A) = 0, and
     HorizonTooShortError before the doubling when the threshold cannot be
-    reached within MAX_TAIL_STEPS: by stationarity mu(tau <= j) <= j*mu(A),
+    reached within exact.MAX_TAIL_STEPS: by stationarity mu(tau <= j) <= j*mu(A),
     so the crossing needs j >= sqrt(d)/mu(A).
     """
     n = target.n
@@ -154,12 +155,20 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
     chain = ComposedChain(model, target)
     engine = TailEngine(chain)
     sd = math.sqrt(_smallness(engine.extend(n).cdf, n, alpha_n))
-    if sd < 1.0 and sd > chain.mu_A * (MAX_TAIL_STEPS - 2 * n):
+    cap = exact.MAX_TAIL_STEPS
+    if sd < 1.0 and sd > chain.mu_A * (cap - 2 * n):
         raise HorizonTooShortError(
             f"threshold sqrt(d)={sd:.3g} with mu(A)={chain.mu_A:.3g} needs more "
-            f"than {MAX_TAIL_STEPS} steps")
+            f"than {cap} steps")
     tail = engine.grow(max(4 * n, 64), lambda H, F: sd >= 1.0 or F[F.size - 1 - 2 * n] >= sd)
     return scale_search(tail, n, alpha_n), tail
+
+
+def _truncation(H: np.ndarray, step: float) -> float:
+    """The unchecked-tail residual past the horizon K of the tail ``H``:
+    max(H(K), exp(-step*K)) with step = lam*mu(A).  Verification needs it at
+    most TRUNCATION_TARGET."""
+    return max(float(H[-1]), math.exp(-step * (H.size - 1)))
 
 
 def extend_for_verification(tail: TailDistribution, lam: float) -> TailDistribution:
@@ -169,16 +178,15 @@ def extend_for_verification(tail: TailDistribution, lam: float) -> TailDistribut
 
     Raises InvalidTailError for a tail without an engine, and
     HorizonTooShortError at once when exp(-lam*mu*K) cannot fall below the
-    target within MAX_TAIL_STEPS.
+    target within exact.MAX_TAIL_STEPS.
     """
     if tail.engine is None:
         raise InvalidTailError("extend_for_verification needs a tail built by a TailEngine")
-    mu = tail.mu_A
-    if math.log(1.0 / TRUNCATION_TARGET) > lam * mu * MAX_TAIL_STEPS:
+    step, cap = lam * tail.mu_A, exact.MAX_TAIL_STEPS
+    if math.log(1.0 / TRUNCATION_TARGET) > step * cap:
         raise HorizonTooShortError(
-            f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
-    return tail.engine.grow(tail.horizon, lambda H, F: not (
-        H[-1] > TRUNCATION_TARGET or math.exp(-lam * mu * (H.size - 1)) > TRUNCATION_TARGET))
+            f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {cap}")
+    return tail.engine.grow(tail.horizon, lambda H, F: _truncation(H, step) <= TRUNCATION_TARGET)
 
 
 def verification_tail(model: ProcessModel, target: TargetSet,
@@ -192,9 +200,9 @@ def verification_tail(model: ProcessModel, target: TargetSet,
     mu = measure(model, target)
     if mu <= 0.0:
         raise ZeroMeasureSetError("target has zero measure; no scale exists")
-    if 1.0 - TRUNCATION_TARGET > mu * MAX_TAIL_STEPS:
+    if 1.0 - TRUNCATION_TARGET > mu * exact.MAX_TAIL_STEPS:
         raise HorizonTooShortError(
-            f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {MAX_TAIL_STEPS}")
+            f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {exact.MAX_TAIL_STEPS}")
     cert, tail = scale_certificate(model, target)
     return cert, extend_for_verification(tail, cert.lam)
 
@@ -232,12 +240,11 @@ def verify_exponential_bound(tail: TailDistribution,
     """Check sup_t |H(floor(t/(lam*mu))) - exp(-t)| <= 12*sqrt(d) up to the
     horizon, reporting the unchecked-tail contribution as a truncation residual."""
     step = cert.lam * cert.mu_A
-    exp_tail = math.exp(-step * tail.horizon)
-    if tail.values[-1] > TRUNCATION_TARGET or exp_tail > TRUNCATION_TARGET:
+    truncation = _truncation(tail.values, step)
+    if truncation > TRUNCATION_TARGET:
         raise HorizonTooShortError(
             "horizon too short: extend until H(K) and exp(-lam*mu*K) <= 1e-4")
     sup_dev = sup_deviation(tail.values, step)
-    truncation = max(float(tail.values[-1]), exp_tail)
     bound = 12.0 * math.sqrt(cert.d)
     passed = sup_dev <= bound + truncation
     return VerificationReport(sup_dev, bound, truncation, passed)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rarehit import cli, cylinder, errors, exact, hitting_tail, scaling, uniform_iid
+from rarehit import cli, cylinder, errors, exact, hitting_tail, limitlaw, scaling, uniform_iid
 from rarehit.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -236,6 +236,113 @@ def test_format_flag_is_gone(tmp_path):
 def test_assert_flag_only_where_it_is_honoured(tmp_path, argv):
     # tail and mc check nothing, so they do not accept --assert
     assert run(argv + ["--assert"], tmp_path) == (EXIT_CONFIG, "")
+
+
+def fail_certificate_checks(monkeypatch):
+    # with the slack at -1 the mu_tau_le_s, ratio and lambda checks all fail
+    monkeypatch.setattr(scaling, "_CHECK_SLACK", -1.0)
+
+
+def fail_sandwich(monkeypatch):
+    monkeypatch.setattr(limitlaw, "check_sandwich", lambda *a: 1.0)
+
+
+U2_1X12 = ["--model", "iid-uniform-2", "--target", "cyl:" + ",".join(["1"] * 12)]
+U2_1X8 = ["--model", "iid-uniform-2", "--target", "cyl:" + ",".join(["1"] * 8)]
+U2_1X2 = ["--model", "iid-uniform-2", "--target", "cyl:1,1"]
+SWEEP_01 = ["sweep", "--model", "iid-uniform-2", "--point", "0,1", "--n-min"]
+
+
+@pytest.mark.parametrize("argv, spoil, code", [
+    pytest.param(["lambda", *U2_1X12], fail_certificate_checks, EXIT_ASSERTION, id="lambda"),
+    pytest.param(["verify", *U2_1X8], fail_certificate_checks, EXIT_ASSERTION, id="verify"),
+    pytest.param(["limitlaw", *U2_1X2], fail_sandwich, EXIT_ASSERTION, id="limitlaw"),
+    pytest.param([*SWEEP_01, "2", "--n-max", "12"], fail_certificate_checks, EXIT_ASSERTION,
+                 id="sweep"),
+    # lambda and sweep assert the checks of quantitative certificates only, verify of
+    # every certificate: cyl:1,1 and the sweep rows n <= 11 are all trivial
+    pytest.param(["lambda", *U2_1X2], fail_certificate_checks, EXIT_OK, id="lambda-trivial"),
+    pytest.param(["verify", *U2_1X2], fail_certificate_checks, EXIT_ASSERTION,
+                 id="verify-trivial"),
+    pytest.param([*SWEEP_01, "2", "--n-max", "11"], fail_certificate_checks, EXIT_OK,
+                 id="sweep-trivial"),
+])
+def test_assert_maps_a_failed_check_to_its_exit_code(tmp_path, monkeypatch, argv, spoil, code):
+    spoil(monkeypatch)
+    asserted = run(argv + ["--assert"], tmp_path, "asserted.txt")
+    plain = run(argv, tmp_path, "plain.txt")
+    assert (asserted[0], plain[0]) == (code, EXIT_OK)
+    assert asserted[1] == plain[1]  # the full report is written either way
+    if argv[0] == "sweep":
+        rows = [ln for ln in plain[1].splitlines() if ln and not ln.startswith("#")]
+        assert len(rows) == int(argv[-1])  # the column names, then n = 2..n_max
+    else:
+        result = json.loads(plain[1])["result"]
+        if argv[0] == "limitlaw":
+            assert result["sandwich_violation"] == 1.0
+        else:
+            cert = result.get("certificate", result)
+            assert not all(cert["checks"].values())
+
+
+def _leaves(parser, path=()):
+    """(subcommand path, leaf parser) of every leaf under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sp in action.choices.items():
+            yield from _leaves(sp, path + (name,))
+
+
+def _surface(parser) -> dict:
+    """Option -> (dest, action, required, default, type, choices) of a leaf, plus its
+    mutually exclusive groups."""
+    options = {", ".join(a.option_strings): (
+        a.dest, type(a).__name__, a.required, a.default, getattr(a.type, "__name__", a.type),
+        a.choices) for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    groups = [(g.required, [a.dest for a in g._group_actions])
+              for g in parser._mutually_exclusive_groups]
+    return {"options": options, "groups": groups}
+
+
+def _opt(dest, required=False, default=None, type=None, choices=None, action="_StoreAction"):
+    return (dest, action, required, default, type, choices)
+
+
+OUT = {"--out": _opt("out")}
+MODEL = {"--model": _opt("model", True)}
+INPUTS = {**MODEL, "--target": _opt("target", True), **OUT}
+ASSERT = {"--assert": _opt("assert_", default=False, action="_StoreTrueAction")}
+S0 = {"--s0": _opt("s0", default=0.05, type="float")}
+PARSER_SURFACE = {
+    "tail": {**INPUTS, "--K": _opt("K", True, type="int")},
+    "lambda": {**INPUTS, **ASSERT},
+    "verify": {**INPUTS, **ASSERT},
+    "limitlaw": {**INPUTS, **ASSERT, **S0},
+    "rarity epsilon": {**MODEL, **OUT, "--kappa": _opt("kappa", True, type="int"),
+                       "--n": _opt("n", True, type="int")},
+    "rarity d0": {**OUT, "--q": _opt("q", True, type="int"),
+                  "--h-bits": _opt("h_bits", type="float"),
+                  "--h-nats": _opt("h_nats", type="float")},
+    "rarity rate": {**OUT, "--kappa-table": _opt("kappa_table", True)},
+    "rarity kappa": {**OUT, "--n": _opt("n", True, type="int"),
+                     "--D": _opt("D", True, type="float"), "--q": _opt("q", True, type="int")},
+    "mc": {**INPUTS, "--kind": _opt("kind", default="hitting", choices=["hitting", "return"]),
+           "--N": _opt("N", True, type="int"), "--seed": _opt("seed", True, type="int"),
+           "--cap": _opt("cap", type="int")},
+    "sweep": {**MODEL, **OUT, **ASSERT, **S0, "--point": _opt("point", True),
+              "--n-min": _opt("n_min", True, type="int"),
+              "--n-max": _opt("n_max", True, type="int")},
+}
+
+
+def test_every_leaf_parser_keeps_its_option_surface():
+    leaves = dict(_leaves(cli.build_parser()))
+    assert list(leaves) == list(PARSER_SURFACE)
+    for name, parser in leaves.items():
+        groups = [(True, ["h_bits", "h_nats"])] if name == "rarity d0" else []
+        assert _surface(parser) == {"options": PARSER_SURFACE[name], "groups": groups}, name
 
 
 # Prints the loaded scipy.sparse* and scipy.optimize* modules, costly to import.

@@ -10,6 +10,7 @@ from rarehit import (
     derive_seed,
     empirical_tail,
     errors,
+    hamming_ball,
     hamming_predicate,
     hitting_tail,
     iid,
@@ -20,6 +21,7 @@ from rarehit import (
     return_tail,
     sample_hitting,
     sample_return,
+    targets,
     uniform_iid,
     union,
 )
@@ -166,6 +168,23 @@ def test_censoring_reported():
 
 def test_default_censor_cap():
     assert mc.default_censor_cap(UNIFORM2, cylinder([1])) == 100  # 50 / 0.5
+
+
+@pytest.mark.parametrize("kind", ["hitting", "return"])
+def test_a_default_cap_batch_measures_its_words_once(monkeypatch, kind):
+    # the default cap and the return's word choice share one word_measures call
+    calls = []
+
+    def counted(model, words):
+        calls.append(len(words))
+        return word_measures(model, words)
+
+    monkeypatch.setattr(mc, "word_measures", counted)
+    monkeypatch.setattr(targets, "word_measures", counted)
+    ball = hamming_ball([0] * 8, 0.25, 4)
+    batch = getattr(mc, f"sample_{kind}")(uniform_iid(4), ball, 4, seed=0)
+    assert (ball.kappa, calls) == (277, [277])
+    assert batch.censor_cap == mc.default_censor_cap(uniform_iid(4), ball) == 11830
 
 
 @pytest.mark.parametrize("K", [0, 7, 25, None])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rarehit import (
     hamming_kappa_bound,
     hitting_tail,
     iid,
+    markov,
     rarity,
     solve_D0,
     uniform_iid,
@@ -46,6 +48,42 @@ def test_epsilon_surrogate_flag_for_nonuniform():
     rb = epsilon_bound(iid([0.7, 0.3]), 1, 12)
     assert rb.surrogate
     assert rb.aep_deficiency >= 0.0
+
+
+def _one_pass_deficiency(model, N, h):
+    """The AEP deficiency from one (q^N, N) digit array: the chunked sum's referee."""
+    q = model.alphabet_size
+    idx = np.arange(q ** N, dtype=np.int64)
+    w = rarity.word_measures(model, (idx[:, None] // q ** np.arange(N - 1, -1, -1)) % q)
+    return float(w[w > math.exp(-N * h)].sum())
+
+
+AEP_MODELS = {"iid82": iid([0.8, 0.2]), "markov": markov([[0.9, 0.1], [0.5, 0.5]]),
+              "iid532": iid([0.5, 0.3, 0.2])}
+
+
+@pytest.mark.parametrize("name, N", [(name, N) for name in AEP_MODELS for N in (1, 5, 11)]
+                         + [("iid82", 17), ("markov", 17)])
+def test_chunked_aep_deficiency_is_the_one_pass_sum(name, N):
+    # 2^17 words span two chunks, 3^11 three; at 0.8 h_mu some words lie above the threshold
+    model = AEP_MODELS[name]
+    h = 0.8 * rarity.entropy(model)
+    deficiency = rarity._aep_deficiency(model, N, h)
+    assert deficiency > 0.0 and deficiency == _one_pass_deficiency(model, N, h)
+
+
+def test_epsilon_bound_memory_stays_flat_in_the_word_length():
+    # one (2^19, 19) digit array alone would take 76 MiB; a chunk takes 9.5 MiB.
+    # The deficiency is the one-pass value, pinned.
+    model = iid([0.8, 0.2])
+    tracemalloc.start()
+    try:
+        rb = epsilon_bound(model, 1, 38)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rb.m, rb.aep_deficiency) == (19, 0.014411518807585602)
+    assert peak < 32 << 20
 
 
 def test_epsilon_dominates_on_range():

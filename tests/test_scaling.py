@@ -185,7 +185,7 @@ def test_unverifiable_horizon_refused_at_once(monkeypatch):
     # exp(-lam*mu*K) <= 1e-4 needs K ~ 9.2/(lam*2^-12) > 1000: no push.
     cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 12))
     steps = tail.engine.steps
-    monkeypatch.setattr(scaling, "MAX_TAIL_STEPS", 1000)
+    monkeypatch.setattr(exact, "MAX_TAIL_STEPS", 1000)
     with pytest.raises(errors.HorizonTooShortError):
         scaling.extend_for_verification(tail, cert.lam)
     assert tail.engine.steps == steps
