@@ -198,8 +198,8 @@ def _cmd_sweep(args):
     config = {"analysis": "sweep", "model": process.to_dict(model),
               "point": args.point, "n_min": args.n_min, "n_max": args.n_max,
               "s0": args.s0}
-    by_n = targets.point_cylinders(args.point, range(args.n_min, args.n_max + 1))
-    rows = limitlaw.convergence_diagnostics(model, by_n, s0=args.s0)
+    rows = limitlaw.convergence_diagnostics(model, args.point,
+                                            range(args.n_min, args.n_max + 1), args.s0)
     holds = not any(r.cert.regime == "quantitative" and not all(r.cert.checks.values())
                     for r in rows)
     return config, lambda fp: limitlaw.write_diagnostics_csv(fp, rows), holds

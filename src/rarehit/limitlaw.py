@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DomainError, GridEmptyError, HorizonTooShortError
 from .exact import TailDistribution, TailEngine
 from .process import ProcessModel
-from .scaling import ScaleCertificate, sup_deviation, verification_tail
-from .targets import TargetSet
+from .scaling import ScaleCertificate, sup_deviation, verification_tail, verify_exponential_bound
+from .targets import TargetSet, point_cylinders
 
 
 class StepLaw:
@@ -131,19 +131,19 @@ def certified_tails(model: ProcessModel, target: TargetSet,
     return cert, hit, ret
 
 
-def convergence_diagnostics(model: ProcessModel, targets_by_n: dict[int, TargetSet],
-                         s0: float = 0.05) -> list[DiagnosticsRow]:
-    """Per-n sup-deviations of the rescaled laws from the exponential, with
-    the companion bound 12*sqrt(2*mu(tau<=n)+alpha(n)) + 2*mu(A_n)."""
+def convergence_diagnostics(model: ProcessModel, point: str, n_range,
+                            s0: float = 0.05) -> list[DiagnosticsRow]:
+    """Per-n sup-deviations of the rescaled laws from the exponential, one row
+    per cylinder of ``point_cylinders(point, n_range)``, each built as its row
+    is reached.  D_hit and the bound 12*sqrt(d) + 2*mu(A_n) are those of
+    ``verify_exponential_bound``; D_ret is read from ``StepLaw(ret, lam)``."""
     rows = []
-    for n in sorted(targets_by_n):
-        target = targets_by_n[n]
-        cert, tail, ret = certified_tails(model, target)
-        step = cert.lam * cert.mu_A
-        d_hit = sup_deviation(tail.values, step)
-        d_ret = sup_deviation(ret.values / cert.lam, step, s0)
-        bound = 12.0 * math.sqrt(cert.d) + 2.0 * cert.mu_A
-        rows.append(DiagnosticsRow(cert, d_hit, d_ret, bound))
+    for target in point_cylinders(point, n_range):
+        cert, hit, ret = certified_tails(model, target)
+        report = verify_exponential_bound(hit, cert)
+        G = StepLaw(ret, cert.lam)
+        d_ret = sup_deviation(G.levels, G.step, s0)
+        rows.append(DiagnosticsRow(cert, report.sup_dev, d_ret, report.bound + 2.0 * cert.mu_A))
     return rows
 
 

@@ -63,6 +63,8 @@ def _aep_deficiency(model: ProcessModel, N: int, h: float) -> float:
     Words are enumerated in chunks, so memory stays bounded by the chunk and
     the heavy words; the one final sum equals a one-pass sum bit for bit.
     """
+    if N == 0:  # the empty word's measure 1 is not above the threshold e^0
+        return 0.0
     q = model.alphabet_size
     if q ** N > AEP_ENUMERATION_CAP:
         raise EnumerationTooLargeError(

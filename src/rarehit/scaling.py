@@ -260,11 +260,12 @@ def verify(model: ProcessModel, target: TargetSet,
 
 def lambda_trajectory(model: ProcessModel, point: str, n_range,
                       ) -> list[ScaleCertificate]:
-    """Certificates along the cylinder prefixes of a point.
+    """Certificates along the cylinder prefixes of a point, in n_range order.
 
     ``point`` is a comma-separated word recycled periodically (so "0" is the
     fixed point 000..., "0,1" the 2-periodic point, and a long aperiodic
-    prefix stands for itself up to max(n_range)).
+    prefix stands for itself up to max(n_range)).  A refusal at some n
+    builds no later cylinder.
     """
     return [scale_certificate(model, target)[0]
-            for target in point_cylinders(point, n_range).values()]
+            for target in point_cylinders(point, n_range)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -209,19 +210,20 @@ def _parse_word(text: str) -> Word:
     return tuple(int(t) for t in tokens)
 
 
-def point_cylinders(point: str, n_range) -> dict[int, TargetSet]:
-    """The rank-n cylinders around a point, for each n of n_range.
+def point_cylinders(point: str, n_range) -> Iterator[TargetSet]:
+    """The rank-n cylinders around a point, one per n of n_range, in its order.
 
     ``point`` is a word recycled periodically: "0" is the fixed point
-    000..., "0,1" the 2-periodic point 0101...
+    000..., "0,1" the 2-periodic point 0101...  The point and the range are
+    checked at the call, and each cylinder is built only when reached.
     """
     p = _parse_word(point)
-    if min(n_range, default=1) < 1:
-        raise DomainError(f"cylinder length n = {min(n_range)} in {n_range!r} must be >= 1")
-    by_n = {n: cylinder([p[i % len(p)] for i in range(n)]) for n in n_range}
-    if not by_n:
+    ns = list(n_range)  # n_range may be a one-shot iterator
+    if min(ns, default=1) < 1:
+        raise DomainError(f"cylinder length n = {min(ns)} in {n_range!r} must be >= 1")
+    if not ns:
         raise ConfigInvalidError(f"no cylinder length in {n_range!r}")
-    return by_n
+    return (cylinder([p[i % len(p)] for i in range(n)]) for n in ns)
 
 
 def _get(spec, key: str, types, what: str):

@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rarehit import cli, cylinder, errors, exact, hitting_tail, limitlaw, scaling, uniform_iid
+from rarehit import (
+    cli,
+    cylinder,
+    errors,
+    exact,
+    hitting_tail,
+    limitlaw,
+    scaling,
+    targets,
+    uniform_iid,
+)
 from rarehit.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -123,6 +133,22 @@ def test_rarity_epsilon(tmp_path):
     doc = json.loads(text)
     assert doc["result"]["k"] == 2 and doc["result"]["m"] == 10
     assert doc["result"]["surrogate"] is False
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "iid", "probs": [0.8, 0.2]},
+    {"kind": "markov", "transition": [[0.9, 0.1], [0.5, 0.5]]},
+], ids=["iid82", "markov"])
+def test_rarity_epsilon_at_n_one_on_a_non_uniform_source(tmp_path, model):
+    # k = 2 gives m = 1, so the deficiency is taken over the empty word alone,
+    # whose measure 1 = e^0 is not above the threshold.
+    code, text = run(["rarity", "epsilon", "--model", json.dumps(model),
+                      "--kappa", "1", "--n", "1"], tmp_path)
+    assert code == EXIT_OK
+    result = json.loads(text)["result"]
+    assert result["aep_deficiency"] == 0.0
+    assert result["epsilon_n"] == 2.0
+    assert result["surrogate"] is True
 
 
 def test_rarity_rate(tmp_path):
@@ -518,6 +544,33 @@ def test_sweep_assert_builds_each_certificate_once(tmp_path, monkeypatch):
                    "--n-min", "2", "--n-max", "6", "--assert"], tmp_path)
     assert code == EXIT_OK
     assert calls == [2, 3, 4, 5, 6]
+
+
+def _count_cylinders(monkeypatch):
+    built = []
+    real = targets.cylinder
+
+    def counted(word):
+        built.append(len(word))
+        return real(word)
+
+    monkeypatch.setattr(targets, "cylinder", counted)
+    return built
+
+
+def test_sweep_builds_no_cylinder_past_a_refusal(tmp_path, monkeypatch):
+    built = _count_cylinders(monkeypatch)
+    code, _ = run(["sweep", "--model", "iid-uniform-2", "--point", "0",
+                   "--n-min", "27", "--n-max", "2000"], tmp_path)
+    assert code == EXIT_RESOURCE
+    assert built == [27]
+
+
+def test_lambda_trajectory_builds_no_cylinder_past_a_refusal(monkeypatch):
+    built = _count_cylinders(monkeypatch)
+    with pytest.raises(errors.HorizonTooShortError):
+        scaling.lambda_trajectory(uniform_iid(2), "0", range(60, 2000))
+    assert built == [60]
 
 
 def test_sweep_s0_outside_the_table(tmp_path, capsys):

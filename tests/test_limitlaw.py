@@ -127,8 +127,7 @@ def test_step_integral_is_exact():
 
 
 def test_convergence_diagnostics_family():
-    by_n = {n: cylinder([0, 1] * (n // 2) + [0] * (n % 2)) for n in range(2, 9)}
-    rows = convergence_diagnostics(UNIFORM2, by_n)
+    rows = convergence_diagnostics(UNIFORM2, "0,1", range(2, 9))
     for r in rows:
         assert r.d_hit <= r.bound
         assert r.d_ret >= 0.0
@@ -138,16 +137,14 @@ def test_convergence_diagnostics_family():
 
 def test_convergence_diagnostics_markov():
     model = markov([[0.9, 0.1], [0.5, 0.5]])
-    by_n = {n: cylinder([0, 1] * (n // 2) + [0] * (n % 2)) for n in range(2, 7)}
-    rows = convergence_diagnostics(model, by_n)
+    rows = convergence_diagnostics(model, "0,1", range(2, 7))
     for r in rows:
         assert r.d_hit <= r.bound
 
 
 def test_diagnostics_csv():
     import io
-    by_n = {n: cylinder([0] * n) for n in (2, 3)}
-    rows = convergence_diagnostics(UNIFORM2, by_n)
+    rows = convergence_diagnostics(UNIFORM2, "0", range(2, 4))
     buf = io.StringIO()
     limitlaw.write_diagnostics_csv(buf, rows)
     lines = buf.getvalue().splitlines()
@@ -196,10 +193,16 @@ def test_sandwich_rejects_reversed_pair():
 
 def test_verify_and_sweep_share_the_hitting_deviation():
     # The sweep value pinned for binary 0,0 in the benchmark reference.
-    target = cylinder([0, 0])
-    _, report, _ = scaling.verify(UNIFORM2, target)
-    (row,) = convergence_diagnostics(UNIFORM2, {2: target})
+    cert, report, _ = scaling.verify(UNIFORM2, cylinder([0, 0]))
+    (row,) = convergence_diagnostics(UNIFORM2, "0", range(2, 3))
     assert report.sup_dev == row.d_hit == 0.14380382468551522
+    assert row.bound == report.bound + 2 * cert.mu_A
+    # D_ret is read off the rescaled return law, not a second copy of it.
+    _, _, ret = limitlaw.certified_tails(UNIFORM2, cylinder([0, 0]))
+    G = limitlaw.StepLaw(ret, cert.lam)
+    for s0 in (0.0, 0.05):
+        (row,) = convergence_diagnostics(UNIFORM2, "0", range(2, 3), s0)
+        assert row.d_ret == scaling.sup_deviation(G.levels, G.step, s0)
 
 
 def test_return_deviation_starts_at_s0():
@@ -208,7 +211,7 @@ def test_return_deviation_starts_at_s0():
     G = ret.values / cert.lam
     step = cert.lam * cert.mu_A
     for s0 in (0.0, 0.05, 0.5 * step, 3.0):
-        (row,) = convergence_diagnostics(UNIFORM2, {2: target}, s0=s0)
+        (row,) = convergence_diagnostics(UNIFORM2, "0,1", range(2, 3), s0=s0)
         k0 = int(s0 // step)
         k = np.arange(k0, ret.horizon + 1)
         left = np.abs(G[k0:] - np.exp(-np.maximum(step * k, s0))).max()

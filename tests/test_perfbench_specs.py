@@ -49,3 +49,17 @@ def test_benchmark_model_specs_round_trip():
     u4 = process.to_dict(cli.parse_model(jobs.U4))
     assert u4 == {"kind": "iid", "probs": [0.25] * 4}
     assert process.to_dict(process.from_dict(u4)) == u4
+
+
+def test_sweep_checks_show_in_the_traced_layers(tmp_path):
+    # Each sweep row takes its D_hit and bound from verify_exponential_bound,
+    # so the traced scaling.check_s counts the sweep's checks.
+    tracer = _load("tracing").Tracer()
+    with tracer.installed():
+        code = cli.main(["sweep", "--model", "iid-uniform-2", "--point", "0,1",
+                         "--n-min", "2", "--n-max", "5", "--out", str(tmp_path / "s.csv")])
+    assert code == cli.EXIT_OK
+    checks = [parent for name, parent, *_ in tracer.spans
+              if name == "scaling.verify_exponential_bound"]
+    assert len(checks) == 4
+    assert all(tracer.spans[p][0] == "limitlaw.convergence_diagnostics" for p in checks)

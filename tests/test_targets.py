@@ -172,10 +172,11 @@ def test_from_dict_specs():
 
 
 def test_point_cylinders_recycle_the_word():
-    by_n = targets.point_cylinders("0,1", range(1, 5))
-    assert {n: t.words for n, t in by_n.items()} == {
-        1: ((0,),), 2: ((0, 1),), 3: ((0, 1, 0),), 4: ((0, 1, 0, 1),)}
-    assert targets.point_cylinders("10", range(2, 3))[2].words == ((10, 10),)
+    cyls = targets.point_cylinders("0,1", range(1, 5))
+    assert [t.words for t in cyls] == [
+        ((0,),), ((0, 1),), ((0, 1, 0),), ((0, 1, 0, 1),)]
+    assert [t.words for t in targets.point_cylinders("10", range(2, 3))] == [((10, 10),)]
+    assert [t.n for t in targets.point_cylinders("0", iter(range(2, 4)))] == [2, 3]
 
 
 @pytest.mark.parametrize("n_range, n", [(range(0, 3), 0), (range(-2, 3), -2)])
