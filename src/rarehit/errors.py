@@ -90,6 +90,10 @@ class RejectionBudgetExceededError(ResourceCapError):
     """Conditional sampling rejected too many proposals."""
 
 
+class CensorCapTooLargeError(ResourceCapError):
+    """A censoring cap does not fit the int64 hit times of a batch."""
+
+
 class RateExceedsEntropyError(RarehitError):
     """Cardinality growth rate of the target family is not below entropy."""
 

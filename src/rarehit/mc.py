@@ -2,11 +2,12 @@
 
 The trajectories of a row tile (at most _TILE rows) advance in lockstep.
 Each round draws the next _CHUNK uniforms of every live row, maps them to
-symbols with one searchsorted (IID) or one comparison per column (Markov),
-and tests the windows with one occurrence-automaton gather per column
-(explicit targets) or one predicate call on all windows of the chunk
-(implicit ones); rows that hit then leave.  Memory is O(_TILE * (_CHUNK + n))
-whatever N and the censoring cap.
+symbols with one binary search in the source's merged law bounds and then
+one table gather (IID) or one gather per column (Markov), and tests the
+windows with one occurrence-automaton gather per column (explicit targets)
+or one predicate call on all windows of the chunk (implicit ones); rows that
+hit then leave.  Memory is O(_TILE * (_CHUNK + n)) whatever N and the
+censoring cap, beside the symbol table (_symbol_table).
 
 Trajectory i consumes the uniforms of its own PCG64 stream, seeded by
 derive_seed(master, i), in order, one per symbol.  The chunk and tile sizes
@@ -31,6 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csvrows import rows_text
 from .errors import (
+    CensorCapTooLargeError,
     DomainError,
     HorizonMismatchError,
     RejectionBudgetExceededError,
@@ -41,6 +43,7 @@ from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 _MASK64 = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1  # hit times are int64
 REJECTION_BUDGET = 10 ** 7  # rejected initial windows per return batch
 _TILE = 512   # rows scanned together: bounds memory at any N
 _CHUNK = 32   # uniforms drawn per live row and round
@@ -179,24 +182,49 @@ class _TileStreams:
         return U
 
 
-def _cum_table(model: ProcessModel) -> np.ndarray:
-    """Cumulative next-symbol laws: one row (the law) for an IID source; else
-    a row per previous symbol and, last, the stationary law."""
-    cum_first = np.cumsum(model.stationary)[None, :]
-    if model.is_iid:
-        return cum_first
-    return np.vstack([np.cumsum(model.transition, axis=1), cum_first])
+def _symbol_table(model: ProcessModel) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol map of a source as two tables (G, L).
+
+    The laws are the cumulative next-symbol laws: the stationary law and,
+    unless the source is IID, one law per previous symbol.  Law a maps a
+    uniform u to min(searchsorted(cum[a], u, "right"), q-1), the count of
+    its bounds cum[a, :q-1] at or below u.  G is the sorted merge of every
+    law's bounds, each with its multiplicity, so g = #{G <= u} fixes all
+    those counts, and law a maps u to L[g, a].  G is padded with +inf to
+    2^k - 1 entries for _symbols' binary search.
+    """
+    laws = model.stationary[None, :] if model.is_iid else np.vstack(
+        [model.stationary, model.transition])
+    bounds = np.cumsum(laws, axis=1)[:, :-1]
+    G = np.full((1 << bounds.size.bit_length()) - 1, np.inf)
+    # Python's sort, not np.sort: a run that never sorted floats would map
+    # numpy's sort kernels, some 0.2 MB of RSS, for these few bounds.
+    G[:bounds.size] = sorted(bounds.ravel().tolist())
+    L = np.zeros((bounds.size + 1, len(laws)), dtype=np.int64)
+    for a, row in enumerate(bounds):
+        L[1:, a] = np.searchsorted(row, G[:bounds.size], side="right")
+    return G, L
 
 
-def _symbols(cum: np.ndarray, U: np.ndarray, last: np.ndarray) -> np.ndarray:
+def _symbols(table, U: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Symbols of the uniforms U, row by row, each row continuing from its
     ``last`` symbol (-1: none, draw from the stationary law)."""
-    q = cum.shape[1]
-    if len(cum) == 1:
-        return np.minimum(np.searchsorted(cum[0], U, side="right"), q - 1)
-    S = np.empty(U.shape, dtype=np.int64)
-    for c in range(U.shape[1]):  # min: guard against u == 1.0 edge
-        last = S[:, c] = np.minimum((cum[last] <= U[:, c, None]).sum(1), q - 1)
+    G, L = table
+    # g = #{G <= u} for every u at once, by a branch-free binary search:
+    # k rounds of one gather and one comparison over all of U.
+    g = np.zeros(U.shape, dtype=np.intp)
+    step = (G.size + 1) >> 1
+    while step:
+        g += step * (G.take(g + (step - 1)) <= U)
+        step >>= 1
+    m = L.shape[1]
+    if m == 1:  # IID: one law for every column
+        return L.ravel().take(g)
+    g *= m
+    g += 1  # L[g, last + 1] sits at g*m + 1 + last; last = -1 reads the stationary law
+    flat, S = L.ravel(), np.empty(U.shape, dtype=np.int64)
+    for c in range(U.shape[1]):
+        last = S[:, c] = flat.take(g[:, c] + last)
     return S
 
 
@@ -207,12 +235,13 @@ def _matcher_factory(model: ProcessModel, target):
     target, and the new state."""
     if isinstance(target, TargetSet):
         aut = build_automaton(target, model.alphabet_size)
+        goto, q = aut.goto.ravel(), aut.goto.shape[1]
 
         def match(state, S):
             hit = np.empty(S.shape, dtype=bool)
             for c in range(S.shape[1]):
-                state = aut.goto[state, S[:, c]]
-                hit[:, c] = aut.accepting[state]
+                state = goto.take(state * q + S[:, c])
+                hit[:, c] = aut.accepting.take(state)
             return hit, state
 
         return (lambda words: match(np.zeros(len(words), dtype=np.int64), words)[1]), match
@@ -240,7 +269,7 @@ def default_censor_cap(model: ProcessModel, target, mu_A: float | None = None) -
     return max(1, math.ceil(50.0 / mu_A))
 
 
-def _advance(streams, cum, match, state, last, cap: int):
+def _advance(streams, table, match, state, last, cap: int):
     """Scan the rows of one tile in lockstep, from their matcher states and
     last symbols, to their first hit at a time in 1..cap.  Returns the hit
     times (cap when censored) and the censored flags."""
@@ -248,7 +277,7 @@ def _advance(streams, cum, match, state, last, cap: int):
     cens = np.ones(len(last), dtype=bool)
     live = np.arange(len(last))
     for k in range(1, cap + 1, _CHUNK):  # k: time of the chunk's first window
-        S = _symbols(cum, streams.draw(live, _CHUNK), last)
+        S = _symbols(table, streams.draw(live, _CHUNK), last)
         hit, state = match(state, S)
         hit[:, cap + 1 - k:] = False
         found = hit.any(axis=1)
@@ -274,8 +303,11 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
         censor_cap = default_censor_cap(model, target, mu_A)
     if censor_cap < 1:
         raise DomainError(f"censor_cap must be >= 1, got {censor_cap}")
+    if censor_cap > _INT64_MAX:
+        raise CensorCapTooLargeError(
+            f"censor_cap {censor_cap} exceeds the int64 hit-time limit {_INT64_MAX}")
     init, match = _matcher_factory(model, target)
-    cum, n = _cum_table(model), target.n
+    table, n = _symbol_table(model), target.n
     if explicit_return:
         if mu_A <= 0.0:
             raise ZeroMeasureSetError("target has zero measure; returns are undefined")
@@ -288,14 +320,14 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
         streams = _TileStreams(seed, lo, hi)
         rows = np.arange(hi - lo)
         if kind == "hitting":
-            words = _symbols(cum, streams.draw(rows, n), np.full(rows.size, -1))
+            words = _symbols(table, streams.draw(rows, n), np.full(rows.size, -1))
         elif explicit_return:  # uniform 0 of each row picks the word
             j = np.searchsorted(word_cum, streams.draw(rows, 1)[:, 0], side="right")
             words = target.array[np.minimum(j, target.kappa - 1)]
         else:  # rounds of n symbols from the stationary law until one is in A
             words = np.empty((rows.size, n), dtype=np.int64)
             while rows.size:
-                W = _symbols(cum, streams.draw(rows, n), np.full(rows.size, -1))
+                W = _symbols(table, streams.draw(rows, n), np.full(rows.size, -1))
                 ok = np.asarray(target(W), dtype=bool)
                 words[rows[ok]] = W[ok]
                 rows = rows[~ok]
@@ -303,7 +335,7 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
                 if rejections > REJECTION_BUDGET:
                     raise RejectionBudgetExceededError(
                         f"more than {REJECTION_BUDGET} rejected initial windows")
-        times[lo:hi], cens[lo:hi] = _advance(streams, cum, match, init(words), words[:, -1],
+        times[lo:hi], cens[lo:hi] = _advance(streams, table, match, init(words), words[:, -1],
                                              censor_cap)
     return SampleBatch(kind, N, seed, times, cens, censor_cap)
 

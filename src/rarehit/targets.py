@@ -218,11 +218,14 @@ def point_cylinders(point: str, n_range) -> Iterator[TargetSet]:
     checked at the call, and each cylinder is built only when reached.
     """
     p = _parse_word(point)
-    ns = list(n_range)  # n_range may be a one-shot iterator
-    if min(ns, default=1) < 1:
-        raise DomainError(f"cylinder length n = {min(ns)} in {n_range!r} must be >= 1")
+    # A range is checked from its ends, never listed: it may hold 2^63 n's.
+    # Any other n_range may be a one-shot iterator, so it is read once.
+    ns = n_range if isinstance(n_range, range) else list(n_range)
     if not ns:
         raise ConfigInvalidError(f"no cylinder length in {n_range!r}")
+    low = min(ns[0], ns[-1]) if isinstance(ns, range) else min(ns)
+    if low < 1:
+        raise DomainError(f"cylinder length n = {low} in {n_range!r} must be >= 1")
     return (cylinder([p[i % len(p)] for i in range(n)]) for n in ns)
 
 

@@ -566,6 +566,18 @@ def test_sweep_builds_no_cylinder_past_a_refusal(tmp_path, monkeypatch):
     assert built == [27]
 
 
+def test_sweep_to_n_max_2_63_refuses_as_a_short_sweep_does(tmp_path, capsys):
+    # The range is checked from its ends, never listed; n = 25 needs a
+    # horizon beyond the step cap either way.
+    results = []
+    for n_max in (30, 2 ** 63):
+        code, _ = run(["sweep", "--model", "iid-uniform-2", "--point", "0",
+                       "--n-min", "25", "--n-max", str(n_max)], tmp_path)
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == EXIT_RESOURCE and "Traceback" not in results[0][1]
+
+
 def test_lambda_trajectory_builds_no_cylinder_past_a_refusal(monkeypatch):
     built = _count_cylinders(monkeypatch)
     with pytest.raises(errors.HorizonTooShortError):
@@ -635,6 +647,11 @@ BAD_TARGETS = [
                  id="mc-cap-0"),
     pytest.param([*MC_CYL, "--cap", "-3"], EXIT_CONFIG, "censor_cap must be >= 1",
                  id="mc-cap-negative"),
+    pytest.param([*MC_CYL, "--cap", str(2 ** 63)], EXIT_RESOURCE,
+                 f"censor_cap {2 ** 63} exceeds the int64 hit-time limit", id="mc-cap-2^63"),
+    pytest.param(["mc", "--model", "iid-uniform-2", "--target", "cyl:" + ",".join("1" * 70),
+                  "--N", "5", "--seed", "0"], EXIT_RESOURCE,
+                 "exceeds the int64 hit-time limit", id="mc-default-cap-1^70"),
     pytest.param(["mc", *NULL_TARGET, "--kind", "return", "--N", "5", "--seed", "0",
                   "--cap", "10"], EXIT_CONFIG, "zero measure", id="mc-return-null-set"),
     pytest.param(["mc", *NULL_TARGET, "--N", "5", "--seed", "0"], EXIT_CONFIG,

@@ -1,8 +1,9 @@
+import bisect
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rarehit import (
     TargetSet,
@@ -301,8 +302,14 @@ def _mc_cases(draw):
             draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(1, 100)))
 
 
+NEAR_PERIODIC = markov([[1e-9, 1 - 1e-9], [1 - 1e-9, 1e-9]])  # a hard regime for the sampler
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_mc_cases())
+@example(case=(NEAR_PERIODIC, union([cylinder([0, 0, 1]), cylinder([1, 0, 1])]), "hitting", 600,
+               2 ** 64 - 1, 70))
+@example(case=(NEAR_PERIODIC, hamming_predicate([0, 1, 0], 0.4, 2), "return", 40, 5, 90))
 def test_lockstep_batches_match_the_per_symbol_scanner(case):
     model, target, kind, N, seed, cap = case
     sampler = sample_hitting if kind == "hitting" else sample_return
@@ -373,6 +380,17 @@ def test_cap_below_one_raises_typed_error(sampler, cap):
         sampler(UNIFORM2, cylinder([1]), 10, seed=1, censor_cap=cap)
 
 
+@pytest.mark.parametrize("sampler", [sample_hitting, sample_return])
+def test_cap_beyond_int64_is_refused_before_any_draw(sampler, monkeypatch):
+    assert sampler(UNIFORM2, cylinder([1]), 5, seed=1, censor_cap=2 ** 63 - 1).N == 5
+    monkeypatch.setattr(mc, "_TileStreams", None)  # a draw would now fail untyped
+    # 2^63 given, and the default cap 50 / 2^-70 of the cylinder 1^70
+    for target, cap in [(cylinder([1]), 2 ** 63), (cylinder([1] * 70), None)]:
+        with pytest.raises(errors.CensorCapTooLargeError, match="int64 hit-time limit"):
+            sampler(UNIFORM2, target, 5, seed=1, censor_cap=cap)
+    assert issubclass(errors.CensorCapTooLargeError, errors.ResourceCapError)
+
+
 def test_zero_measure_target_raises_typed_error():
     never_one = iid([1.0, 0.0])
     with pytest.raises(errors.ZeroMeasureSetError):  # the default cap is 50 / mu(A)
@@ -382,3 +400,67 @@ def test_zero_measure_target_raises_typed_error():
     # With a cap given, hitting a null set is well defined: never, so censored.
     batch = sample_hitting(never_one, cylinder([1, 1]), 10, seed=1, censor_cap=10)
     assert batch.censored.all()
+
+
+def _rows(q, tenths=False):
+    """A stochastic q x q matrix of random rows; with ``tenths``, row 0 is
+    ten 0.1's (q = 10), whose float cumulative sum 0.9999999999999999 < 1."""
+    P = np.random.default_rng(q).integers(1, 10, (q, q)).astype(float)
+    P /= P.sum(axis=1, keepdims=True)
+    if tenths:
+        P[0] = 0.1
+    return P
+
+
+SYMBOL_MODELS = {
+    "q2-near-periodic": NEAR_PERIODIC,
+    "q2-iid": iid([0.3, 0.7]),
+    "q3-markov": markov([[0.2, 0.3, 0.5], [0.5, 0.25, 0.25], [1 / 3, 1 / 3, 1 / 3]]),
+    "q4-iid": iid([0.1, 0.2, 0.3, 0.4]),
+    # zero transitions: bounds shared by several laws, and within one law
+    "q4-markov-zeros": markov([[0.5, 0, 0.5, 0], [0.25] * 4, [0, 0.5, 0, 0.5],
+                               [0.1, 0.2, 0.3, 0.4]]),
+    "q10-iid-tenths": iid([0.1] * 10),
+    "q10-markov-tenths": markov(_rows(10, tenths=True)),
+    "q26-iid": iid(np.arange(1, 27) / np.arange(1, 27).sum()),
+    "q26-markov": markov(_rows(26)),
+    "q100-markov": markov(_rows(100)),  # 9,999 merged bounds: 14 search rounds
+}
+
+
+@pytest.mark.parametrize("model", SYMBOL_MODELS.values(), ids=SYMBOL_MODELS.keys())
+def test_symbols_follow_the_per_symbol_rule(model):
+    """_symbols against min(searchsorted(row, u, "right"), q-1) on the
+    cumulative law of the previous symbol (the stationary law after -1), at
+    every bound, just below and above it, at 0 and at 1 - 2^-53."""
+    q = model.alphabet_size
+    cums = {-1: np.cumsum(model.stationary)} | dict(enumerate(np.cumsum(model.transition, axis=1)))
+    rows = {a: row.tolist() for a, row in cums.items()}
+
+    def symbol(prev, u):
+        return min(bisect.bisect_right(rows[prev], u), q - 1)
+
+    def near(values):  # the values, their neighbours, 0 and 1 - 2^-53; a uniform is < 1
+        u = np.concatenate([values, [0.0, 1 - 2 ** -53]])
+        u = np.unique(np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 2)]))
+        return u[u < 1]
+
+    u = near(np.concatenate(list(cums.values())))
+    assert 1 - 2 ** -53 in u and (q != 10 or 0.9999999999999999 in u)
+    table = mc._symbol_table(model)
+    # one column: each law at and around its own bounds, and three laws
+    # (after none, after 0 and after q-1) at and around every law's bounds
+    pairs = [(a, x) for a, row in cums.items() for x in near(row).tolist()]
+    pairs += [(a, x) for a in (-1, 0, q - 1) for x in u.tolist()]
+    prev, U = np.array(pairs).T
+    got = mc._symbols(table, U[:, None], prev.astype(np.int64))[:, 0]
+    assert got.tolist() == [symbol(a, x) for a, x in pairs]
+    # 32 columns: each symbol continues from the one before it
+    U = np.random.default_rng(q).permutation(np.resize(u, 64 * 32)).reshape(64, 32)
+    last = np.arange(64) % (q + 1) - 1
+    want = []
+    for a, row in zip(last.tolist(), U.tolist()):
+        for x in row:
+            a = symbol(a, x)
+            want.append(a)
+    assert mc._symbols(table, U, last).ravel().tolist() == want

@@ -179,7 +179,15 @@ def test_point_cylinders_recycle_the_word():
     assert [t.n for t in targets.point_cylinders("0", iter(range(2, 4)))] == [2, 3]
 
 
-@pytest.mark.parametrize("n_range, n", [(range(0, 3), 0), (range(-2, 3), -2)])
+def test_point_cylinders_read_a_range_from_its_ends():
+    cyls = targets.point_cylinders("0", range(1, 2 ** 63 + 1))  # never listed
+    assert [next(cyls).n for _ in range(3)] == [1, 2, 3]
+    assert [t.n for t in targets.point_cylinders("0", range(3, 0, -1))] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("n_range, n", [(range(0, 3), 0), (range(-2, 3), -2),
+                                        (range(3, -1, -1), 0),
+                                        (range(-2 ** 63, 2 ** 63), -2 ** 63)])
 def test_point_cylinders_refuse_lengths_below_one(n_range, n):
     message = f"cylinder length n = {n} in {n_range!r} must be >= 1"
     with pytest.raises(errors.DomainError, match=re.escape(message)):
