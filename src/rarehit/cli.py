@@ -192,8 +192,6 @@ def _cmd_mc(args):
 
 
 def _cmd_sweep(args):
-    if args.n_min < 1:
-        raise ConfigInvalidError(f"--n-min must be >= 1, got {args.n_min}")
     model = parse_model(args.model)
     config = {"analysis": "sweep", "model": process.to_dict(model),
               "point": args.point, "n_min": args.n_min, "n_max": args.n_max,

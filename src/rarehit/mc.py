@@ -1,25 +1,28 @@
 """Seed-deterministic Monte Carlo estimation of hitting and return tails.
 
 The trajectories of a row tile (at most _TILE rows) advance in lockstep.
-Each round draws the next _CHUNK uniforms of every live row, maps them to
-symbols with one binary search in the source's merged law bounds and then
-one table gather (IID) or one gather per column (Markov), and tests the
-windows with one occurrence-automaton gather per column (explicit targets)
-or one predicate call on all windows of the chunk (implicit ones); rows that
-hit then leave.  Memory is O(_TILE * (_CHUNK + n)) whatever N and the
-censoring cap, beside the symbol table (_symbol_table).
+Each round draws the next uniforms of every live row: _FIRST in a tile's
+first round, twice as many in each later one up to _CHUNK, and never past
+the censoring cap.  It maps them to symbols with one binary search in the
+source's merged law bounds and then one table gather (IID) or one gather per
+column (Markov), and tests the windows with one occurrence-automaton gather
+per column (explicit targets) or one predicate call on the (rows, width, n)
+view of the round's windows (implicit ones); rows that hit then leave.
+Memory is O(_TILE * (_CHUNK + n)) whatever N and the censoring cap, beside
+the symbol table (_symbol_table) and the seed states of _SEED_TILES tiles.
 
 Trajectory i consumes the uniforms of its own PCG64 stream, seeded by
-derive_seed(master, i), in order, one per symbol.  The chunk and tile sizes
-set only how far ahead they are drawn and are not part of the contract, so
-serial and parallel schedules produce identical batches.  The seed
-derivation below is part of the external contract.
+derive_seed(master, i), in order, one per symbol.  The round widths and the
+tile sizes set only how far ahead they are drawn and are not part of the
+contract, so serial and parallel schedules produce identical batches.  The
+seed derivation below is part of the external contract.
 
 rarehit computes these streams itself, a round at a time for all rows of a
-tile (_TileStreams: numpy's SeedSequence seeding and the PCG64 step on
-uint32 / uint64 arrays).  Each row equals numpy's
-Generator(PCG64(derive_seed(master, i))).random bit for bit, as
-tests/test_mc.py::test_tile_streams_match_numpy_generators checks.
+tile (_TileStreams: the PCG64 step on uint64 arrays), from numpy's
+SeedSequence seeding run on uint32 arrays for up to _SEED_TILES tiles at
+once.  Each row equals numpy's Generator(PCG64(derive_seed(master, i))).random
+bit for bit, as tests/test_mc.py::test_tile_streams_match_numpy_generators
+checks.
 """
 from __future__ import annotations
 
@@ -46,7 +49,9 @@ _MASK64 = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1  # hit times are int64
 REJECTION_BUDGET = 10 ** 7  # rejected initial windows per return batch
 _TILE = 512   # rows scanned together: bounds memory at any N
-_CHUNK = 32   # uniforms drawn per live row and round
+_FIRST = 8    # uniforms drawn per live row in a tile's first round
+_CHUNK = 32   # most uniforms per row and round: widths double from _FIRST
+_SEED_TILES = 4  # tiles seeded together: one SeedSequence pass per group
 _CSV_ROWS = 4096  # rows formatted per write
 
 
@@ -156,11 +161,11 @@ def _seed_sequence_state(seeds: np.ndarray) -> list[np.ndarray]:
 
 
 class _TileStreams:
-    """The PCG64 streams of trajectories lo..hi-1: row r draws exactly what
-    numpy's Generator(PCG64(derive_seed(master, lo + r))).random would."""
+    """PCG64 streams, one per row of the SeedSequence states v0..v3 (as
+    _seed_sequence_state returns them): the row seeded from s draws exactly
+    what numpy's Generator(PCG64(s)).random would."""
 
-    def __init__(self, master: int, lo: int, hi: int):
-        v0, v1, v2, v3 = _seed_sequence_state(derive_seeds(master, lo, hi))
+    def __init__(self, v0, v1, v2, v3):
         inc = (v2 << 1) | (v3 >> 63), (v3 << 1) | 1
         # pcg64_srandom: state = inc (one step from 0), add initstate, step
         h, l = _add128(*inc, v0, v1)
@@ -250,8 +255,8 @@ def _matcher_factory(model: ProcessModel, target):
 
         def match(prev, S):  # state: each row's last n-1 symbols
             W = np.concatenate([prev, S], axis=1)
-            windows = sliding_window_view(W, n, axis=1).reshape(-1, n)
-            return np.asarray(target(windows), dtype=bool).reshape(S.shape), W[:, S.shape[1]:]
+            hit = np.asarray(target(sliding_window_view(W, n, axis=1)), dtype=bool)
+            return hit, W[:, S.shape[1]:]
 
         return (lambda words: words[:, 1:]), match
     raise DomainError("target must be a TargetSet or a window predicate with .n")
@@ -276,17 +281,29 @@ def _advance(streams, table, match, state, last, cap: int):
     times = np.full(len(last), cap, dtype=np.int64)
     cens = np.ones(len(last), dtype=bool)
     live = np.arange(len(last))
-    for k in range(1, cap + 1, _CHUNK):  # k: time of the chunk's first window
-        S = _symbols(table, streams.draw(live, _CHUNK), last)
+    k, width = 1, _FIRST  # k: time of the round's first window
+    while live.size and k <= cap:
+        w = min(width, cap + 1 - k)  # no row draws past the cap
+        S = _symbols(table, streams.draw(live, w), last)
         hit, state = match(state, S)
-        hit[:, cap + 1 - k:] = False
         found = hit.any(axis=1)
         times[live[found]] = k + hit[found].argmax(axis=1)
         cens[live[found]] = False
         live, state, last = live[~found], state[~found], S[~found, -1]
-        if not live.size:
-            break
+        k, width = k + w, min(2 * width, _CHUNK)
     return times, cens
+
+
+def _tiles(master: int, N: int):
+    """(lo, hi, streams) for each row tile lo..hi-1 of a batch of N rows.
+    Seeding runs once for up to _SEED_TILES tiles, so memory stays bounded."""
+    step = _SEED_TILES * _TILE
+    for start in range(0, N, step):
+        stop = min(start + step, N)
+        state = _seed_sequence_state(derive_seeds(master, start, stop))
+        for lo in range(start, stop, _TILE):
+            hi = min(lo + _TILE, stop)
+            yield lo, hi, _TileStreams(*(v[lo - start:hi - start] for v in state))
 
 
 def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
@@ -315,9 +332,7 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
     times = np.empty(N, dtype=np.int64)
     cens = np.empty(N, dtype=bool)
     rejections = 0
-    for lo in range(0, N, _TILE):
-        hi = min(lo + _TILE, N)
-        streams = _TileStreams(seed, lo, hi)
+    for lo, hi, streams in _tiles(seed, N):
         rows = np.arange(hi - lo)
         if kind == "hitting":
             words = _symbols(table, streams.draw(rows, n), np.full(rows.size, -1))

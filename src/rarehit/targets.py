@@ -191,8 +191,16 @@ class HammingBallPredicate:
         return len(self.center)
 
     def __call__(self, windows):
-        """Membership of one window, or of each row of an (m, n) array."""
-        d = np.count_nonzero(np.asarray(windows) != np.asarray(self.center), axis=-1)
+        """Membership of each window of an (..., n) array, as an array of
+        shape (...); a single window gives a bool.  The mismatches are
+        counted one position at a time, so a strided view is never copied."""
+        windows = np.asarray(windows)
+        if windows.shape[-1:] != (self.n,):
+            raise RankMismatchError(f"windows must have length n = {self.n}, "
+                                    f"got shape {windows.shape}")
+        d = np.zeros(windows.shape[:-1], dtype=np.intp)
+        for j, c in enumerate(self.center):
+            d += windows[..., j] != c
         return d <= self.radius if d.ndim else bool(d <= self.radius)
 
 

@@ -689,7 +689,7 @@ BAD_TARGETS = [
     pytest.param([*SWEEP, "0", "--n-min", "5", "--n-max", "2", "--assert"], EXIT_CONFIG,
                  "no cylinder length in range(5, 3)", id="sweep-empty-n-range"),
     pytest.param([*SWEEP, "0", "--n-min", "0", "--n-max", "3"], EXIT_CONFIG,
-                 "--n-min must be >= 1, got 0", id="sweep-n-min-0"),
+                 "cylinder length n = 0 in range(0, 4) must be >= 1", id="sweep-n-min-0"),
     pytest.param(["tail", *NULL_TARGET, "--K", "5"], EXIT_CONFIG, "zero measure",
                  id="tail-null-set"),
     *[pytest.param(["rarity", "rate", "--kappa-table", table], EXIT_CONFIG,

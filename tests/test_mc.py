@@ -52,7 +52,7 @@ def _check_tile_streams(master, lo, rows, steps):
     """Draw each (live rows, width) step from one tile's vectorized streams
     and from numpy's per-trajectory Generators: the doubles must agree bit for
     bit."""
-    streams = mc._TileStreams(master, lo, lo + rows)
+    streams = mc._TileStreams(*mc._seed_sequence_state(mc.derive_seeds(master, lo, lo + rows)))
     gens = [np.random.Generator(np.random.PCG64(derive_seed(master, lo + r)))
             for r in range(rows)]
     for live, width in steps:
@@ -326,6 +326,61 @@ def test_prefix_stability_across_a_row_tile():
         b = sampler(mk, cylinder([0, 1]), 512, seed=4, censor_cap=50)
         assert np.array_equal(a.times[:512], b.times)
         assert np.array_equal(a.censored[:512], b.censored)
+
+
+SCHEDULE_CASES = {
+    "iid-explicit": (UNIFORM2, union([cylinder([1, 1, 0, 1, 0, 0]), cylinder([0, 0, 0, 1, 1, 1])])),
+    "markov-explicit": (markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1, 1])),
+    "iid-predicate": (uniform_iid(3), hamming_predicate([0, 1, 2, 0, 2, 1], 0.17, 3)),
+    "markov-predicate": (markov([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.3, 0.4, 0.3]]),
+                         hamming_predicate([2, 2, 0, 1], 0.25, 3)),
+}
+
+
+@pytest.fixture(scope="module")
+def default_schedule_batches():
+    """Each case's hitting and return batch under the default schedule: 1100
+    rows (three row tiles) with a cap of 45 that no sum of widths reaches."""
+    return {name: [sampler(model, target, 1100, seed=3, censor_cap=45)
+                   for sampler in (sample_hitting, sample_return)]
+            for name, (model, target) in SCHEDULE_CASES.items()}
+
+
+@pytest.mark.parametrize("first, seed_tiles", [(1, 1), (3, 2), (8, 1), (32, 4)])
+@pytest.mark.parametrize("name", SCHEDULE_CASES)
+def test_draw_schedule_is_not_part_of_the_contract(monkeypatch, default_schedule_batches,
+                                                   name, first, seed_tiles):
+    # rounds that start at another width, and tiles seeded in other groups
+    monkeypatch.setattr(mc, "_FIRST", first)
+    monkeypatch.setattr(mc, "_SEED_TILES", seed_tiles)
+    model, target = SCHEDULE_CASES[name]
+    for sampler, want in zip((sample_hitting, sample_return), default_schedule_batches[name]):
+        assert 0 < want.n_censored < want.N  # both hits and censored rows
+        got = sampler(model, target, 1100, seed=3, censor_cap=45)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.censored, want.censored)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 9, 24, 57, 100])
+@pytest.mark.parametrize("kind", ["hitting", "return"])
+def test_no_uniform_is_drawn_past_the_cap(monkeypatch, kind, cap):
+    draws = {}  # per tile: its streams (kept alive, so ids stay unique) and counts
+    real = mc._TileStreams.draw
+
+    def counted(self, rows, width):
+        draws.setdefault(id(self), (self, np.zeros(self.hi.size, dtype=np.int64)))[1][rows] += width
+        return real(self, rows, width)
+
+    monkeypatch.setattr(mc._TileStreams, "draw", counted)
+    target = cylinder([1, 0, 1, 1, 0, 1])
+    sampler = sample_hitting if kind == "hitting" else sample_return
+    batch = sampler(UNIFORM2, target, 700, seed=5, censor_cap=cap)
+    used = np.concatenate([counts for _, counts in draws.values()])  # in tile order
+    before = target.n if kind == "hitting" else 1  # uniforms of the initial window
+    assert batch.n_censored > 0 and used.size == batch.N
+    assert used.max() <= before + cap
+    assert (used[batch.censored] == before + cap).all()
+    assert (used >= before + batch.times).all()
 
 
 @pytest.mark.parametrize("sampler", [sample_hitting, sample_return])

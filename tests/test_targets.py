@@ -162,6 +162,37 @@ def test_hamming_predicate_agrees_with_expansion():
     assert pred(np.array(words)).tolist() == [w in t.words for w in words]
 
 
+@pytest.mark.parametrize("center, radius", [
+    ((0, 2, 1, 0), 0), ((0, 2, 1, 0), 1), ((0, 2, 1, 0), 2), ((0, 2, 1, 0), 4),
+    ((0, 2, 1, 0), 9), ((1,), 0), ((1,), 1)])
+def test_hamming_predicate_counts_mismatches_on_any_window_shape(center, radius):
+    pred, n = targets.HammingBallPredicate(center, radius, 3), len(center)
+
+    def rule(w):
+        return sum(a != b for a, b in zip(w, center)) <= radius
+
+    rng = np.random.default_rng(radius)
+    # one window: a bool, from a tuple or a 1-d array
+    for w in (center, rng.integers(0, 3, n).tolist(), [(c + 1) % 3 for c in center]):
+        assert pred(tuple(w)) is rule(w) and pred(np.array(w)) is rule(w)
+    # an (m, n) array: one boolean per row
+    M = rng.integers(0, 3, (60, n))
+    M[0] = center
+    got = pred(M)
+    assert got.dtype == bool and got.tolist() == [rule(w) for w in M.tolist()]
+    # an (r, w, n) strided view of sliding windows: one boolean per window
+    W = rng.integers(0, 3, (5, 20))
+    W[1, 3:3 + n] = center
+    V = np.lib.stride_tricks.sliding_window_view(W, n, axis=1)
+    got = pred(V)
+    assert got.dtype == bool and got.shape == (5, 21 - n)
+    assert got.tolist() == [[rule(w) for w in row] for row in V.tolist()]
+    # windows of another length are refused, not cut or padded
+    for bad in (np.zeros((3, n + 1), dtype=np.int64), np.zeros(n - 1, dtype=np.int64), 0):
+        with pytest.raises(errors.RankMismatchError, match=f"length n = {n}"):
+            pred(bad)
+
+
 def test_from_dict_specs():
     assert targets.from_dict({"cylinder": "0,1,1"}, 2).words == ((0, 1, 1),)
     t = targets.from_dict({"hamming": {"center": "0,0,0", "D": 0.34}}, 2)
