@@ -435,15 +435,45 @@ def test_automaton_does_not_need_sorted_words():
         assert bool(aut.accepting[state]) == (t >= 2 and tuple(stream[t - 2:t + 1]) in words)
 
 
-@pytest.mark.parametrize("model, target, size", [
+_README_CHAINS = [
     (uniform_iid(4), hamming_ball([0] * 8, 0.25, 4), 118),
     (uniform_iid(4), hamming_ball([0] * 10, 0.3, 4), 493),
     (markov([[0.9, 0.1], [0.5, 0.5]]), hamming_ball([0, 1] * 4, 0.13, 2), 34),
     (UNIFORM2, cylinder([1] * 24), 25),
     (EQUAL_ROWS, cylinder([2, 2, 2]), 4),  # symbols 0 and 1 share a class
-])
+]
+
+
+@pytest.mark.parametrize("model, target, size", _README_CHAINS)
 def test_lumped_chain_sizes(model, target, size):
     assert exact.ComposedChain(model, target).size == size
+
+
+def _chain_digest(chain):
+    """SHA-256 over the class ids, absorption vector and both kernels (their
+    indptr, indices and data when CSR), each with its dtype and shape."""
+    h = hashlib.sha256()
+    arrays = [chain._cls, chain.absorb]
+    for kernel in (chain.fullT, chain.survT):
+        arrays += ([kernel] if isinstance(kernel, np.ndarray)
+                   else [kernel.indptr, kernel.indices, kernel.data])
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case, digest", zip(_README_CHAINS, [
+    "5fb1b4ffd34b719ef268740fc67fa02300578c4ae144ff637215a49cbaa2dfec",
+    "ee865a733a9efb674133b7a6e2a73e3f987293779ddc30e2613d6f31c4d334ce",
+    "b1f5eb24ec5ab1ab4510b203f91b7ba310b72aeefa7d4a9a59609e724fbe8b7d",
+    "ba532af0884f2fdb63163286ef28e157523d8297a7b77a81e4a6fa94cd2ae68a",
+    "e19345c806796dfec09a5e4e5d3bb07ffddf4cf8276006c0323e493f3d0319ee",
+]), ids=["ball-0^8", "ball-0^10", "markov-ball-(01)^4", "cyl-1^24", "equal-rows-cyl-2,2,2"])
+def test_chain_bytes_are_pinned(case, digest):
+    # The chain build runs no BLAS, so these bytes do not depend on the kernel.
+    model, target, _ = case
+    assert _chain_digest(exact.ComposedChain(model, target)) == digest
 
 
 def test_markov_with_equal_rows_matches_the_oracle():
