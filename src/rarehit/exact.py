@@ -100,44 +100,45 @@ class OccurrenceAutomaton:
     here).  ``goto`` falls back along failure links, as in Aho-Corasick; all
     words share length n, so the accepting states are the nodes of depth n,
     the last kappa states, and word i ends in state S - kappa + i.  ``last``
-    is the symbol read into each state (-1 at the root).
+    is the symbol read into each state (-1 at the root) and ``depth`` its
+    distance from the root.
     """
 
     def __init__(self, target: TargetSet, q: int):
-        W = target.array
-        if W.max() >= q:
+        words = target.array
+        if words.max() >= q:
             raise SymbolOutOfRangeError(f"target symbols must lie in 0..{q - 1}")
-        kappa, n = W.shape
-        # Sorted words share their prefix with their predecessor up to the
-        # first differing position; from there on each prefix is a new node.
-        new = np.ones((kappa, n), dtype=bool)
-        new[1:] = np.logical_or.accumulate(W[1:] != W[:-1], axis=1)
-        first = np.concatenate(([1], 1 + np.cumsum(new.sum(axis=0))))  # first id per depth
-        node = first[:-1] + np.cumsum(new, axis=0) - 1  # node of each word prefix
-        parent = np.zeros_like(node)
-        parent[:, 1:] = node[:, :-1]
+        n = words.shape[1]
+        # Sorted unique words share their prefix with their predecessor up to
+        # the first differing position; from there on each prefix is a new
+        # node.  Masks are (n, kappa), so they read depth by depth, in id order.
+        split = np.concatenate(([0], (words[1:] != words[:-1]).argmax(axis=1)))
+        new = np.arange(n)[:, None] >= split
+        width = new.sum(axis=1)  # nodes per depth
+        first = np.concatenate(([1], 1 + np.cumsum(width)))  # first id per depth
+        parent = np.zeros(new.shape, dtype=np.int64)  # node of word i's first d symbols
+        parent[1:] = first[:-2, None] + np.cumsum(new[:-1], axis=1) - 1
         S = int(first[-1])
+        up = np.concatenate(([0], parent[new]))  # parent of each node
+        last = np.concatenate(([-1], words.T[new]))
         goto = np.full((S, q), -1, dtype=np.int64)
-        goto[parent[new], W[new]] = node[new]
-        up = np.zeros(S, dtype=np.int64)  # parent of each node
-        last = np.full(S, -1, dtype=np.int64)
-        up[node[new]] = parent[new]
-        last[node[new]] = W[new]
+        goto[up[1:], last[1:]] = np.arange(1, S)
         goto[0, goto[0] < 0] = 0
         fail = np.zeros(S, dtype=np.int64)
         # Depth by depth: a node's failure link is its parent's link followed
         # by its own symbol, and a missing edge falls back to the link's row;
         # both only read rows of smaller depth, which are already total.
         for d in range(1, n + 1):
-            ids = np.arange(first[d - 1], first[d])
+            ids = slice(first[d - 1], first[d])
             if d > 1:
                 fail[ids] = goto[fail[up[ids]], last[ids]]
             rows = goto[ids]
-            goto[ids] = np.where(rows < 0, goto[fail[ids]], rows)
+            np.copyto(rows, goto[fail[ids]], where=rows < 0)
         self.num_states = S
         self.goto = goto
         self.last = last
-        self.accepting = np.arange(S) >= first[n - 1]
+        self.depth = np.repeat(np.arange(n + 1), np.concatenate(([1], width)))
+        self.accepting = self.depth == n
 
 
 def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
@@ -178,6 +179,26 @@ def _coarsest_stable(key: np.ndarray, succ: np.ndarray) -> np.ndarray:
         cls, count = new, new_count
 
 
+def _lump(key: np.ndarray, seed: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_coarsest_stable(key, succ)`` and one member of each class, in two
+    stages: the coarsest stable partition refining ``key`` and the
+    non-negative ``seed``, then the canonical rounds on its quotient.
+
+    The first stage is stable and refines ``key``, so it refines every round
+    of the canonical refinement: each round's signatures are the same on a
+    class as on any of its members, every rank returns the same ids on the
+    quotient, and the rounds stop together.  A good seed (trie depth) takes
+    the first stage to its fixed point in fewer rounds over all the states.
+    """
+    fine = _coarsest_stable(key * (int(seed.max()) + 1) + seed, succ)
+    rep = np.empty(int(fine.max()) + 1, dtype=np.int64)
+    rep[fine] = np.arange(fine.size)  # any member: they all share their signatures
+    coarse = _coarsest_stable(key[rep], fine[succ[rep]])
+    top = np.empty(int(coarse.max()) + 1, dtype=np.int64)
+    top[coarse] = rep
+    return coarse[fine], top
+
+
 def _switch_point(size: int) -> float:
     """Steps a chain of ``size`` states pushes one at a time before it
     builds its block matrices and continues in blocks.
@@ -204,7 +225,10 @@ class ComposedChain:
     lumped to the coarsest partition that separates acceptance and the
     next-symbol law (``first_equal_row`` of the last symbol: always 0 for
     IID) and is stable under every symbol: a strong lumping, so tails and
-    absorption times are those of the pairs.
+    absorption times are those of the pairs.  ``_lump`` reaches it in two
+    stages, a refinement seeded with the trie depth and then the canonical
+    rounds on its quotient, with the ids the canonical rounds give on all
+    pairs; any member of a class stands for it in the kernels.
 
     ``fullT`` is the one-step kernel; ``survT`` drops every transition into
     an accepting automaton state, so pushing with it loses exactly the mass
@@ -232,9 +256,8 @@ class ComposedChain:
         succ = self._pair(aut.goto[state], np.arange(q))  # (pairs, q)
         into_accept = aut.accepting[aut.goto[state]]      # (pairs, q)
         key = aut.accepting[state] * q + model.first_equal_row[last]
-        cls = _coarsest_stable(key, succ)
-        size = int(cls.max()) + 1
-        rep = np.unique(cls, return_index=True)[1]  # one pair per class
+        cls, rep = _lump(key, aut.depth[state], succ)
+        size = rep.size
         prob = model.transition[last[rep]]
         surv = np.where(into_accept[rep], 0.0, prob)
         dst = cls[succ[rep]]

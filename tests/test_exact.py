@@ -523,6 +523,50 @@ def test_coarsest_stable_matches_reference(N, q, data):
     assert len(set(zip(got.tolist(), ref))) == len(set(ref)) == int(got.max()) + 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 80), q=st.integers(1, 14), seeding=st.sampled_from(
+    ["drawn", "discrete", "nothing"]), data=st.data())
+def test_two_stage_lumping_keeps_the_one_stage_ids(N, q, seeding, data):
+    key = np.array(data.draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)))
+    succ = np.array(data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=q, max_size=q),
+                                       min_size=N, max_size=N)))
+    seed = {"drawn": lambda: np.array(data.draw(st.lists(st.integers(0, 5), min_size=N,
+                                                         max_size=N))),
+            "discrete": lambda: np.arange(N),
+            "nothing": lambda: np.zeros(N, dtype=np.int64)}[seeding]()
+    cls, rep = exact._lump(key, seed, succ)
+    assert np.array_equal(cls, exact._coarsest_stable(key, succ))
+    assert np.array_equal(cls[rep], np.arange(rep.size))
+
+
+def test_depth_seeding_saves_rounds_over_all_pairs(monkeypatch):
+    # The canonical rounds alone rank all 10,570 pairs 11 times.
+    target = hamming_ball([0] * 10, 0.3, 4)
+    sizes = []
+    rank = exact._rank
+    monkeypatch.setattr(exact, "_rank", lambda x: sizes.append(x.size) or rank(x))
+    chain = exact.ComposedChain(uniform_iid(4), target)
+    pairs = chain._cls.size
+    assert pairs == 10_570 and 1 <= sizes.count(pairs) <= 5
+    # The depth-seeded classes are already the 493 lumped states.
+    assert sorted(set(sizes)) == [chain.size, pairs] == [493, pairs]
+
+
+def test_automaton_depth_is_the_trie_walk_length():
+    # Trie edges take precedence over failure links, so the first d symbols
+    # of a word lead from the root to that word's prefix node of depth d.
+    aut = build_automaton(hamming_ball([0] * 6, 0.34, 3), 3)
+    seen = np.zeros(aut.num_states, dtype=bool)
+    for word in hamming_ball([0] * 6, 0.34, 3).array:
+        state = 0
+        seen[state] = True
+        for d, sym in enumerate(word, 1):
+            state = aut.goto[state, sym]
+            assert aut.depth[state] == d
+            seen[state] = True
+    assert seen.all() and aut.depth[0] == 0
+
+
 _INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
