@@ -137,8 +137,14 @@ class OccurrenceAutomaton:
         self.num_states = S
         self.goto = goto
         self.last = last
-        self.depth = np.repeat(np.arange(n + 1), np.concatenate(([1], width)))
-        self.accepting = self.depth == n
+        self.accepting = np.arange(S) >= first[n - 1]
+        self._width = np.concatenate(([1], width))  # nodes per depth, the root's too
+
+    @property
+    def depth(self) -> np.ndarray:
+        """Each state's distance from the root, built on each access: a
+        chain reads it once, and an automaton kept alive does not hold it."""
+        return np.repeat(np.arange(self._width.size), self._width)
 
 
 def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
