@@ -530,10 +530,12 @@ def test_two_stage_lumping_keeps_the_one_stage_ids(N, q, seeding, data):
     key = np.array(data.draw(st.lists(st.integers(0, 3), min_size=N, max_size=N)))
     succ = np.array(data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=q, max_size=q),
                                        min_size=N, max_size=N)))
-    seed = {"drawn": lambda: np.array(data.draw(st.lists(st.integers(0, 5), min_size=N,
-                                                         max_size=N))),
-            "discrete": lambda: np.arange(N),
-            "nothing": lambda: np.zeros(N, dtype=np.int64)}[seeding]()
+    if seeding == "discrete":
+        seed = np.arange(N)
+    elif seeding == "nothing":
+        seed = np.zeros(N, dtype=np.int64)
+    else:
+        seed = np.array(data.draw(st.lists(st.integers(0, 5), min_size=N, max_size=N)))
     cls, rep = exact._lump(key, seed, succ)
     assert np.array_equal(cls, exact._coarsest_stable(key, succ))
     assert np.array_equal(cls[rep], np.arange(rep.size))
@@ -555,16 +557,18 @@ def test_depth_seeding_saves_rounds_over_all_pairs(monkeypatch):
 def test_automaton_depth_is_the_trie_walk_length():
     # Trie edges take precedence over failure links, so the first d symbols
     # of a word lead from the root to that word's prefix node of depth d.
-    aut = build_automaton(hamming_ball([0] * 6, 0.34, 3), 3)
+    target = hamming_ball([0] * 6, 0.34, 3)
+    aut = build_automaton(target, 3)
+    depth = aut.depth
     seen = np.zeros(aut.num_states, dtype=bool)
-    for word in hamming_ball([0] * 6, 0.34, 3).array:
+    seen[0] = depth[0] == 0
+    for word in target.array:
         state = 0
-        seen[state] = True
         for d, sym in enumerate(word, 1):
             state = aut.goto[state, sym]
-            assert aut.depth[state] == d
+            assert depth[state] == d
             seen[state] = True
-    assert seen.all() and aut.depth[0] == 0
+    assert seen.all()
 
 
 _INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
