@@ -3,16 +3,28 @@
 ``repr`` prints the shortest decimal that reads back as the same double,
 the closest one when several are shortest.  Schubfach (R. Giulietti, "The
 Schubfach way to render doubles", 2020) finds those digits with three
-128-bit products per value; here they run on uint64 arrays, one column of a
-chunk of rows at a time, so a float costs a few dozen array operations
-shared by the whole chunk instead of one ``repr`` call.  Digits are laid
-out as ``repr`` lays them out (fixed notation for -4 < decpt <= 16, else
-``d.ddde+XX``) and scattered into one '0'-filled byte buffer per chunk.
+128-bit products per value; here they run on uint64 arrays, one chunk of
+rows at a time, so a float costs a few dozen array operations shared by the
+whole chunk instead of one ``repr`` call.
+
+Each value's text is one run of bytes in a fixed-width slot, one slot row
+per value.  The digits come row-major from 4-digit groups looked up in a
+table, right-aligned in the slot, with a zero put in where ``repr`` puts the
+point: a value with integer part I and fraction digits F is written as the
+integer I 0 F, and that '0' becomes '.'.  Below 1, I is 0 and a leading zero
+of the slot prints it; in exponent notation I is the first digit, and
+``e±XX`` follows in a second slot.  The text runs from the first digit of I
+to the last non-zero digit of F (at least one, in fixed notation), so
+f 10^e below 1 in fixed notation prints as "0." and then f right-aligned in
+-e digits, trailing zeros dropped.  One table lookup per column gives the mask of those bytes;
+the rest are set to NUL.  A chunk's rows are its columns' slots side by
+side, a separator after each column, and its text is those bytes with the
+NULs dropped.
 
 Zero and positive normal doubles take this path, and non-negative integers
-take its digit and layout steps.  Everything else (negative, subnormal,
-infinite or NaN values, negative integers) is rare in a table and takes
-``repr`` itself.
+take its digit steps.  Everything else (negative, subnormal, infinite or
+NaN values, negative integers) is rare in a table and takes ``repr``
+itself.
 """
 from __future__ import annotations
 
@@ -20,11 +32,13 @@ from functools import cache
 
 import numpy as np
 
-_ZERO, _DOT, _E, _PLUS, _MINUS, _COMMA, _NEWLINE = b"0.e+-,\n"
+_ZERO, _DOT, _COMMA, _NEWLINE = b"0.,\n"
 _M32 = 0xFFFF_FFFF
 _M63 = (1 << 63) - 1
 _K_MIN, _K_MAX = -324, 292  # decimal exponents k that positive normal doubles need
 _POW10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
+_X_MIN, _X_MAX = -308, 308  # printed exponents of positive normal doubles
+_BLOCK = 4096  # values per Schubfach pass
 
 
 @cache
@@ -42,6 +56,15 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     for table in tables:
         table.flags.writeable = False  # shared by every caller
     return tables
+
+
+@cache
+def _exp_table() -> np.ndarray:
+    """``e±XX`` for the exponents x = _X_MIN.._X_MAX (row x - _X_MIN),
+    NUL-padded to 5 bytes, and a last row of NULs.  Built on first use."""
+    texts = [f"e{x:+03d}".encode() for x in range(_X_MIN, _X_MAX + 1)] + [b""]
+    table = np.frombuffer(b"".join(t.ljust(5, b"\0") for t in texts), dtype=np.uint8)
+    return table.reshape(-1, 5)  # read-only, as a view of bytes
 
 
 def _flog2pow10(e):
@@ -135,105 +158,110 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
-def _divmod(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """x // d and x % d: numpy divides by a constant several times faster
-    than it takes the remainder."""
-    q = x // d
-    return q, x - q * d
+@cache
+def _keep_table(width: int) -> np.ndarray:
+    """Row start (width + 1) + end is True on the bytes start..end - 1 of a
+    width-byte slot.  Built on first use for each width."""
+    j = np.arange(width)
+    bound = np.arange(width + 1)
+    table = ((bound[:, None, None] <= j) & (j < bound[None, :, None])).reshape(-1, width)
+    table.flags.writeable = False
+    return table
 
 
-def _digits(f: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(width, size) ASCII digits of uint64 values below 10^width, most
-    significant first, and how many of them are trailing zeros (all, and
-    more, for 0), from 4-digit groups looked up in tables."""
-    quads, quad_zeros = _quad_tables()
-    groups = []
-    for _ in range((width - 1) // 4):  # peel off 4-digit groups, least significant first
-        f, g = _divmod(f, 10 ** 4)
-        groups.append(g)
-    groups = [g.astype(np.intp) for g in [f] + groups[::-1]]
-    zeros = np.zeros(f.size, dtype=np.uint8)
-    for g in groups:
-        zeros = np.where(g == 0, zeros + 4, quad_zeros.take(g))
-    digits = np.stack([quads.take(g) for g in groups]).view(np.uint8)  # (groups, 4 size)
-    rows = 4 * len(groups)
-    return digits.reshape(-1, f.size, 4).transpose(0, 2, 1).reshape(rows, f.size)[rows - width:], zeros
+def _groups(f: np.ndarray, count: int) -> np.ndarray:
+    """(size, count) 4-digit groups of uint64 values below 10^(4 count),
+    most significant first."""
+    g = np.empty((f.size, count), dtype=np.intp)
+    for j in range(count - 1, 0, -1):
+        q = f // 10 ** 4  # numpy divides by a constant faster than it takes a remainder
+        g[:, j] = f - q * 10 ** 4
+        f = q
+    g[:, 0] = f
+    return g
 
 
-class _Numbers:
-    """Texts of a flat array of numbers, all floats or all integers: the
-    ``length`` of each, and ``write`` to scatter them into a '0'-filled row
-    buffer at given offsets."""
+def _trailing_zeros(g: np.ndarray) -> np.ndarray:
+    """Trailing zero digits of the numbers given by their groups, all of them
+    for 0.  Few numbers end in a zero group, so only those rows go on."""
+    quad_zeros = _quad_tables()[1]
+    zeros = quad_zeros.take(g[:, -1])  # 4 for a zero group
+    rest = np.flatnonzero(zeros == 4)
+    for j in range(g.shape[1] - 2, -1, -1):
+        if not rest.size:
+            break
+        more = quad_zeros.take(g[rest, j])
+        zeros[rest] += more
+        rest = rest[more == 4]
+    return zeros
 
-    def __init__(self, values: np.ndarray):
-        self.is_float = values.dtype.kind == "f"
-        if self.is_float:
-            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-            be = bits >> 52  # sign bit included: 1..0x7FE for positive normals
-            special = (bits != 0) & ((be == 0) | (be >= 0x7FF))
-            f, e = _shortest(np.where(special, 1 << 62, bits))  # 2.0 stands in
-            zero = special | (bits == 0)
-            f[zero] = 0  # prints as 0.0
-            e[zero] = 0
-        else:
-            special = values < 0
-            f = np.where(special, 0, values).astype(np.uint64)
-            e = 0
-        top = np.maximum(np.searchsorted(_POW10, f, side="right"), 1)  # digits of f
-        width = int(top.max(initial=1))
-        self.digits, zeros = _digits(f, width)
-        low = np.minimum(zeros, top - 1)  # 0 prints as one digit
-        self.n = n = top - low  # digits printed, 1 for zero
-        self.decpt = decpt = e + top  # value = 0.d1d2... 10^decpt
-        if self.is_float:
-            self.exp = (decpt <= -4) | (decpt > 16)
-            fixed = ~self.exp
-            # Digit j (0 = most significant) sits at lead + j, one further on
-            # from j = split, where the point comes in.
-            split = np.where(fixed, np.maximum(decpt, 0), 1)
-            lead = np.maximum(1 - decpt, 0) * fixed
-            self.power = np.abs(decpt - 1)
-            length = np.where(fixed, lead + np.maximum(n, split) + 1 + (n <= split),
-                              n + (n > 1) + 4 + (self.power >= 100))
-        else:
-            split, lead = decpt, 0  # digits only
-            length = decpt
-        self.ok = ~special
-        fallback = np.flatnonzero(special)
-        self.fallback = [(i, repr(v)) for i, v in zip(fallback.tolist(),
-                                                      values[fallback].tolist())]
-        length[fallback] = [len(text) for _, text in self.fallback]
-        self.length = length
-        # Column c of the digits goes to the value's start + base + c, one
-        # further on from column dot; count columns from first are printed.
-        self.first = width - top
-        self.count = (n * self.ok).astype(np.uintp)
-        self.base = lead - width + top
-        self.dot = width - top + split
 
-    def write(self, buf: np.ndarray, start: np.ndarray) -> None:
-        # Digits not printed go to the spare byte.
-        pos, spare = start + self.base - 1, buf.size - 1
-        shown = -self.first - 1
-        for c, digits in enumerate(self.digits):
-            pos += 1 + (self.dot == c)
-            shown += 1
-            buf[np.where(shown.view(np.uintp) < self.count, pos, spare)] = digits
-        if self.is_float:
-            n, exp = self.n, self.ok & self.exp
-            dot = self.ok & ~(self.exp & (n == 1))
-            buf[(start + np.where(self.exp, 1, np.maximum(self.decpt, 1)))[dot]] = _DOT
-            at = (start + n + (n > 1))[exp]  # the 'e'
-            power = self.power[exp]
-            wide = power >= 100
-            buf[at] = _E
-            buf[at + 1] = np.where(self.decpt[exp] > 0, _PLUS, _MINUS)
-            buf[at[wide] + 2] = power[wide] // 100 + _ZERO
-            buf[at + 2 + wide] = power // 10 % 10 + _ZERO
-            buf[at + 3 + wide] = power % 10 + _ZERO
-        for i, text in self.fallback:
-            o = int(start[i])
-            buf[o:o + len(text)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+def _pieces(values: np.ndarray) -> list[np.ndarray]:
+    """The texts of a flat array of numbers, all floats or all integers, as
+    byte slots, one row per value, with NUL in every byte not printed.
+    Floats in exponent notation have a second slot."""
+    is_float = values.dtype.kind == "f"
+    if is_float:
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+        be = bits >> 52  # sign bit included: 1..0x7FE for positive normals
+        special = (bits != 0) & ((be == 0) | (be >= 0x7FF))
+        zero = special | (bits == 0)
+        bits = np.where(special, 1 << 62, bits)  # 2.0 stands in
+        # In blocks, whose temporaries stay in cache.
+        f, k = map(np.concatenate, zip(*(_shortest(bits[i:i + _BLOCK])
+                                         for i in range(0, max(bits.size, 1), _BLOCK))))
+        # Schubfach's k puts f in [2^52, 10 2^53): 16 or 17 digits.
+        top = (f >= 10 ** 16).astype(np.int16)
+        top += 16
+        f[zero] = 0  # prints as 0.0
+        k[zero] = 0
+        top[zero] = 1
+        k = k.astype(np.int16)
+    else:
+        special = values < 0
+        f = np.where(special, 0, values).astype(np.uint64)
+        top = np.maximum(np.searchsorted(_POW10, f, side="right").astype(np.int16), 1)
+    if is_float:
+        decpt = k + top  # value = 0.d1d2... 10^decpt
+        exp = (decpt <= -4) | (decpt > 16)
+        fixed = ~exp
+        # Fraction digits: those of f after its first (exponent notation) or
+        # after the point, at least one in fixed notation.
+        frac = np.where(exp, top - 1, np.maximum(-k, 1))
+        # A whole value in fixed notation prints f 10^k and then '.0'.
+        f *= _POW10.take(np.where(fixed & (k >= 0), k + 1, 0))
+        p = _POW10.take(frac, mode="clip")  # 10^19 for 20 digits, all of f
+        f += 9 * (f // p) * p  # the zero where the point goes
+        length = np.where(exp, 1, np.maximum(decpt, 1)) + 1 + frac
+    else:
+        length = top
+    width = 4 * -(-int(length.max(initial=1)) // 4)
+    g = _groups(f, width // 4)
+    text = _quad_tables()[0].take(g).view(np.uint8)
+    start = width - length
+    if is_float:
+        dot = width - 1 - frac
+        text.ravel()[np.arange(0, text.size, width) + dot] = _DOT
+        # Up to the last non-zero digit; in fixed notation the first fraction
+        # digit too (the 0 of "1.0").
+        end = np.maximum(width - _trailing_zeros(g), dot + 2 * fixed)
+    else:
+        end = np.full(f.size, width)
+    fallback = np.flatnonzero(special)
+    if fallback.size:
+        texts = [repr(v).encode("ascii") for v in values[fallback].tolist()]
+        wide = max(width, *map(len, texts)) - width
+        if wide:
+            text = np.concatenate((np.empty((f.size, wide), dtype=np.uint8), text), axis=1)
+            width, start, end = width + wide, start + wide, end + wide
+        for i, t in zip(fallback.tolist(), texts):
+            text[i, :len(t)] = np.frombuffer(t, dtype=np.uint8)
+        start[fallback] = 0
+        end[fallback] = list(map(len, texts))
+    text *= _keep_table(width).take(start * (width + 1) + end, axis=0)
+    if not (is_float and exp.any()):
+        return [text]
+    return [text, _exp_table().take(np.where(exp, decpt - 1 - _X_MIN, -1), axis=0)]
 
 
 def rows_text(columns) -> str:
@@ -245,26 +273,28 @@ def rows_text(columns) -> str:
     """
     columns = [None if c is None else np.asarray(c) for c in columns]
     rows = next(c.size for c in columns if c is not None)
-    # Integer columns of one dtype kind are formatted together, which saves
-    # fixed costs on short chunks; float columns one at a time, which halves
-    # the temporaries of the float path.
+    # Columns of one dtype kind are formatted together, which saves the fixed
+    # cost of each array operation once per column.
     parts: dict = {}
     for i, c in enumerate(columns):
         if c is not None:
-            parts.setdefault(i if c.dtype.kind == "f" else c.dtype.kind, []).append(i)
-    length = np.zeros((len(columns), rows), dtype=np.intp)
-    texts = []
+            parts.setdefault(c.dtype.kind, []).append(i)
+    slots: list[list] = [[] for _ in columns]
     for idx in parts.values():
-        numbers = _Numbers(np.concatenate([columns[i] for i in idx]))
-        length[idx] = numbers.length.reshape(len(idx), rows)
-        texts.append((idx, numbers))
-    width = length + 1  # separators included
-    row_end = np.cumsum(width.sum(axis=0))
-    start = row_end - np.cumsum(width[::-1], axis=0)[::-1]
-    buf = np.full(int(row_end[-1]) + 1, _ZERO, dtype=np.uint8)  # a spare byte at the end
-    for idx, numbers in texts:
-        numbers.write(buf, start[idx].ravel())
-    end = start + length
-    buf[end[:-1]] = _COMMA
-    buf[end[-1]] = _NEWLINE
-    return buf[:-1].tobytes().decode("ascii")
+        values = columns[idx[0]] if len(idx) == 1 else np.concatenate([columns[i] for i in idx])
+        for text in _pieces(values):
+            for c, i in enumerate(idx):
+                slots[i].append(text[c * rows:(c + 1) * rows])
+    # Each column's slots side by side and a separator after them; the NULs
+    # between texts are dropped at the end.
+    buf = np.empty((rows, sum(t.shape[1] for column in slots for t in column) + len(columns)),
+                   dtype=np.uint8)
+    o = 0
+    for column in slots:
+        for text in column:
+            buf[:, o:o + text.shape[1]] = text
+            o += text.shape[1]
+        buf[:, o] = _COMMA
+        o += 1
+    buf[:, -1] = _NEWLINE
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
