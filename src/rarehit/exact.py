@@ -247,11 +247,11 @@ class ComposedChain:
     """
 
     def __init__(self, model: ProcessModel, target: TargetSet):
-        aut = build_automaton(target, model.alphabet_size)
         self._word_p = word_measures(model, target.array)  # mu of each word's cylinder
         self.mu_A = float(self._word_p.sum())  # as targets.measure sums it
         if self.mu_A <= 0.0:
             raise ZeroMeasureSetError("target has zero measure")
+        aut = build_automaton(target, model.alphabet_size)
         q = model.alphabet_size
         S = aut.num_states
         root_syms = np.flatnonzero((aut.goto == 0).any(axis=0))
@@ -260,12 +260,11 @@ class ComposedChain:
         state = np.concatenate((np.arange(1, S), np.zeros(root_syms.size, dtype=np.int64)))
         last = np.concatenate((aut.last[1:], root_syms))
         succ = self._pair(aut.goto[state], np.arange(q))  # (pairs, q)
-        into_accept = aut.accepting[aut.goto[state]]      # (pairs, q)
         key = aut.accepting[state] * q + model.first_equal_row[last]
         cls, rep = _lump(key, aut.depth[state], succ)
         size = rep.size
         prob = model.transition[last[rep]]
-        surv = np.where(into_accept[rep], 0.0, prob)
+        surv = np.where(aut.accepting[aut.goto[state[rep]]], 0.0, prob)
         dst = cls[succ[rep]]
         src = np.repeat(np.arange(size), q)
         self._cls = cls

@@ -132,7 +132,9 @@ def markov(transition) -> ProcessModel:
 
 def word_measures(model: ProcessModel, words: np.ndarray) -> np.ndarray:
     """Cylinder measures of the rows of a (count, n) word array: the product
-    pi[w0] P[w0, w1] ... P[w(n-2), w(n-1)], taken left to right."""
+    pi[w0] P[w0, w1] ... P[w(n-2), w(n-1)], taken left to right.  Once every
+    product has underflowed to 0 no later factor can change it, so a long
+    word stops there."""
     if words.size == 0:
         raise SymbolOutOfRangeError("empty word")
     if words.min() < 0 or words.max() >= model.alphabet_size:
@@ -140,6 +142,8 @@ def word_measures(model: ProcessModel, words: np.ndarray) -> np.ndarray:
     mu = model.stationary[words[:, 0]]
     for i in range(1, words.shape[1]):
         mu = mu * model.transition[words[:, i - 1], words[:, i]]
+        if i % 64 == 0 and not mu.any():  # every product underflowed, and 0 p = 0
+            break
     return mu
 
 

@@ -33,7 +33,7 @@ from .errors import (
 from . import exact
 from .exact import ComposedChain, TailDistribution, TailEngine
 from .process import ProcessModel, alpha_bound
-from .targets import TargetSet, measure, point_cylinders
+from .targets import TargetSet, point_cylinders
 
 DELTA_QUANTITATIVE = 0.25
 TRUNCATION_TARGET = 1e-4
@@ -138,12 +138,15 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
 
 
 def scale_certificate(model: ProcessModel, target: TargetSet,
+                      chain: ComposedChain | None = None,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
     """Full pipeline: exact hitting tail with auto-extended horizon and the
-    scale certificate read from it.  ``TailEngine.grow`` doubles the horizon
-    from max(4n, 64) until the threshold crossing j, and s = j + 2n with it,
-    lie within the table (or sqrt(d) >= 1); F never decreases, so that is
-    where the search stops refusing, and it runs once.
+    scale certificate read from it, on ``chain``, the composed chain of
+    (model, target), built here unless the caller has it.
+    ``TailEngine.grow`` doubles the horizon from max(4n, 64) until the
+    threshold crossing j, and s = j + 2n with it, lie within the table (or
+    sqrt(d) >= 1); F never decreases, so that is where the search stops
+    refusing, and it runs once.
 
     Raises ZeroMeasureSetError before any push when mu(A) = 0, and
     HorizonTooShortError before the doubling when the threshold cannot be
@@ -152,7 +155,8 @@ def scale_certificate(model: ProcessModel, target: TargetSet,
     """
     n = target.n
     alpha_n = alpha_bound(model, n)
-    chain = ComposedChain(model, target)
+    if chain is None:
+        chain = ComposedChain(model, target)
     engine = TailEngine(chain)
     sd = math.sqrt(_smallness(engine.extend(n).cdf, n, alpha_n))
     cap = exact.MAX_TAIL_STEPS
@@ -193,17 +197,19 @@ def verification_tail(model: ProcessModel, target: TargetSet,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
     """Scale certificate and the hitting tail extended for verification.
 
-    Refuses before any push: with ZeroMeasureSetError when mu(A) = 0, and
-    with HorizonTooShortError when H(K) cannot reach the truncation target
-    within the step cap, since H(K) >= 1 - K*mu(A).
+    Refuses before any push, from the mu(A) that the chain measured: with
+    ZeroMeasureSetError when mu(A) = 0, and with HorizonTooShortError when
+    H(K) cannot reach the truncation target within the step cap, since
+    H(K) >= 1 - K*mu(A).
     """
-    mu = measure(model, target)
-    if mu <= 0.0:
-        raise ZeroMeasureSetError("target has zero measure; no scale exists")
-    if 1.0 - TRUNCATION_TARGET > mu * exact.MAX_TAIL_STEPS:
+    try:
+        chain = ComposedChain(model, target)
+    except ZeroMeasureSetError:
+        raise ZeroMeasureSetError("target has zero measure; no scale exists") from None
+    if 1.0 - TRUNCATION_TARGET > chain.mu_A * exact.MAX_TAIL_STEPS:
         raise HorizonTooShortError(
             f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {exact.MAX_TAIL_STEPS}")
-    cert, tail = scale_certificate(model, target)
+    cert, tail = scale_certificate(model, target, chain)
     return cert, extend_for_verification(tail, cert.lam)
 
 

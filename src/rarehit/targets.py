@@ -65,8 +65,11 @@ class TargetSet:
             raise RankMismatchError(_LENGTH.format(n=n))
         if W.min() < 0:
             raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
-        W = W[np.lexsort(W.T[::-1])]
-        W = W[np.concatenate(([True], (W[1:] != W[:-1]).any(axis=1)))]
+        if W.shape[0] > 1:
+            W = W[np.lexsort(W.T[::-1])]
+            W = W[np.concatenate(([True], (W[1:] != W[:-1]).any(axis=1)))]
+        elif W is words:  # one word is sorted and distinct: copy it, not the caller's array
+            W = W.copy()
         W.flags.writeable = False
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "array", W)
