@@ -578,6 +578,18 @@ def test_sweep_to_n_max_2_63_refuses_as_a_short_sweep_does(tmp_path, capsys):
     assert results[0][0] == EXIT_RESOURCE and "Traceback" not in results[0][1]
 
 
+def test_sweep_refuses_a_cylinder_of_zero_measure_before_its_automaton(tmp_path, capsys,
+                                                                      monkeypatch):
+    # mu(0^n) = 2^-n underflows from n = 1075 on; the word is measured (up to
+    # the column where the product reaches 0) and refused, with no automaton.
+    monkeypatch.setattr(exact, "build_automaton", None)
+    code, _ = run(["sweep", "--model", "iid-uniform-2", "--point", "0",
+                   "--n-min", "200000", "--n-max", "200001"], tmp_path)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "analysis failed: target has zero measure; no scale exists\n")
+
+
 def test_lambda_trajectory_builds_no_cylinder_past_a_refusal(monkeypatch):
     built = _count_cylinders(monkeypatch)
     with pytest.raises(errors.HorizonTooShortError):

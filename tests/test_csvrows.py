@@ -1,10 +1,11 @@
 """Differential tests of the CSV row formatter against ``repr`` and ``str``.
 
 Every float must come out exactly as Python prints it, so the references
-below are ``repr`` and ``str`` themselves, over arbitrary bit patterns and
-over the values where shortest-digit algorithms go wrong: powers of two
-(whose rounding interval is asymmetric), powers of ten and their
-neighbours, and the fixed/exponent boundaries of the layout.
+below are ``repr`` and ``str`` themselves, over arbitrary bit patterns, over
+tail-shaped columns chunked as a CSV writer chunks them, and over the values
+where shortest-digit algorithms go wrong: powers of two (whose rounding
+interval is asymmetric), powers of ten and their neighbours, and the
+fixed/exponent boundaries of the layout.
 """
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,35 @@ def test_rows_match_an_f_string(rows, empty_last):
     k, x, y = (np.array(c) for c in zip(*rows))
     text = rows_text([k, x, None if empty_last else y])
     assert text == "".join(f"{a},{b!r},{'' if empty_last else repr(c)}\n" for a, b, c in rows)
+
+
+def _tail_column(data, rows: int) -> np.ndarray:
+    """``rows`` non-increasing values in (0, 1] as a tail table holds them:
+    1.0, then a decay that crosses 1e-4 (where repr switches from fixed to
+    exponent notation), then subnormals and zeros at the end."""
+    subnormal, zero = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2))
+    decay = rows - 1 - subnormal - zero
+    low = data.draw(st.floats(1e-12, 9e-5))  # the last normal value, below 1e-4
+    body = np.exp(np.linspace(0.0, np.log(low), decay + 1))[1:] * data.draw(st.floats(0.5, 1.0))
+    tiny = data.draw(st.lists(st.integers(1, (1 << 52) - 1), min_size=subnormal,
+                              max_size=subnormal))
+    tiny = np.sort(np.array(tiny, dtype=np.uint64))[::-1].view(np.float64)
+    return np.concatenate(([1.0], np.minimum.accumulate(body), tiny, np.zeros(zero)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 128), st.data())
+def test_tail_shaped_chunks_match_an_f_string(chunk, data):
+    # a row count that is not a multiple of the chunk size
+    rows = chunk * data.draw(st.integers(1, 5)) + data.draw(st.integers(1, chunk - 1)) + 6
+    rows += rows % chunk == 0
+    hit, ret = _tail_column(data, rows), _tail_column(data, rows)
+    assert np.all(np.diff(hit) <= 0) and (hit < 1e-4).any() and (hit >= 1e-4).any()
+    k = np.arange(rows)
+    text = "".join(rows_text([k[lo:lo + chunk], hit[lo:lo + chunk], ret[lo:lo + chunk]])
+                   for lo in range(0, rows, chunk))
+    assert text == "".join(f"{a},{b!r},{c!r}\n" for a, b, c in zip(k.tolist(), hit.tolist(),
+                                                                   ret.tolist()))
 
 
 def test_every_power_of_two():

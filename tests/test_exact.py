@@ -248,6 +248,24 @@ def test_tail_cli_output_golden_across_chunks(tmp_path):
         "51c95d78b343941f6fbe13d5181211dca3318d08cede536fd903321fae551608")
 
 
+def test_write_tails_csv_gives_the_same_bytes_in_one_chunk(monkeypatch):
+    # Rows are formatted _CSV_ROWS at a time; a table written in one piece
+    # must read the same, whatever each chunk's widths and layouts are.
+    A = cylinder([1] * 8)
+    K = 2 * exact._CSV_ROWS + 17
+    hit, ret = hitting_tail(UNIFORM2, A, K), exact.return_tail(UNIFORM2, A, K)
+    assert hit.values[-1] < 1e-4 < hit.values[exact._CSV_ROWS]  # both notations
+    texts = []
+    for rows in (exact._CSV_ROWS, K + 1):
+        monkeypatch.setattr(exact, "_CSV_ROWS", rows)
+        for pair in ((hit, ret), (hit, None), (None, ret)):
+            buf = io.StringIO()
+            exact.write_tails_csv(buf, *pair)
+            texts.append(buf.getvalue())
+    assert texts[:3] == texts[3:]
+    assert texts[0].count("\n") == 3 + K + 1
+
+
 class _Column:
     """Anything with values, mu_A, source and horizon exports as a column;
     a stand-in can carry values above 1, which no tail holds."""

@@ -116,6 +116,26 @@ def test_cylinder_measure_rejects_bad_words():
         cylinder_measure(m, [0, 2])
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 1100, 5000])
+def test_words_that_underflow_early_give_the_full_product(n):
+    # The product stops once every row is 0; it must equal the product taken
+    # over every column, row by row in Python floats.
+    m = markov([[0.6, 0.4], [1e-9, 1.0 - 1e-9]])
+    rng = np.random.default_rng(n)
+    words = np.zeros((4, n), dtype=np.int64)
+    words[1:] = rng.integers(0, 2, size=(3, n))
+    words[2, n // 2:] = 1  # long runs of 1 keep a row alive longer
+    words[3, :] = 1
+    for rows in (words, words[:3], words[1:2]):
+        full = []
+        for w in rows.tolist():
+            mu = float(m.stationary[w[0]])
+            for a, b in zip(w, w[1:]):
+                mu *= float(m.transition[a, b])
+            full.append(mu)
+        assert process.word_measures(m, rows).tolist() == full
+
+
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=6),
        st.lists(st.integers(0, 1), min_size=1, max_size=6))
 def test_iid_measure_multiplicative(u, v):

@@ -338,3 +338,23 @@ def test_certificate_and_verification_horizons(model, target, cert_K, verify_K):
     cert, tail = scale_certificate(model, target)
     assert tail.horizon == cert_K
     assert scaling.extend_for_verification(tail, cert.lam).horizon == verify_K
+
+
+def test_verify_measures_the_target_words_once(monkeypatch):
+    # The up-front refusals read mu(A) from the chain that the certificate
+    # then pushes on: the 277 words of the U4 ball are measured once.
+    from rarehit import process, targets
+    calls = []
+    real = process.word_measures
+
+    def counted(model, words):
+        calls.append(words.shape)
+        return real(model, words)
+
+    for module in (process, targets, exact):
+        monkeypatch.setattr(module, "word_measures", counted)
+    ball = hamming_ball([0] * 8, 0.25, 4)
+    cert, report, _ = verify(uniform_iid(4), ball)
+    assert calls == [(277, 8)]
+    assert report.passed
+

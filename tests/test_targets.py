@@ -294,6 +294,16 @@ def test_repeated_words_count_once():
     assert measure(uniform_iid(2), t) == 0.25
 
 
+def test_a_one_word_array_is_kept_as_given_without_a_sort(monkeypatch):
+    monkeypatch.setattr(np, "lexsort", None)  # one word needs no sort
+    words = np.array([[3, 0, 2, 2, 1]], dtype=np.int64)
+    t = targets.TargetSet(5, words)
+    assert t.array.tolist() == [[3, 0, 2, 2, 1]] and t.kappa == 1
+    assert t.array.dtype == np.int64 and not t.array.flags.writeable
+    assert t.array is not words and words.flags.writeable  # the caller's array is untouched
+    assert t == cylinder([3, 0, 2, 2, 1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(q=st.integers(2, 4), n=st.integers(1, 5), as_array=st.booleans(), data=st.data())
 def test_any_word_order_gives_the_sorted_set(q, n, as_array, data):
