@@ -290,11 +290,10 @@ def rows_text(columns) -> str:
     buf = np.empty((rows, sum(t.shape[1] for column in slots for t in column) + len(columns)),
                    dtype=np.uint8)
     o = 0
-    for column in slots:
+    for column, sep in zip(slots, [_COMMA] * (len(columns) - 1) + [_NEWLINE]):
         for text in column:
             buf[:, o:o + text.shape[1]] = text
             o += text.shape[1]
-        buf[:, o] = _COMMA
+        buf[:, o] = sep
         o += 1
-    buf[:, -1] = _NEWLINE
     return buf.tobytes().translate(None, b"\0").decode("ascii")

@@ -224,7 +224,8 @@ def _switch_point(size: int) -> float:
 class ComposedChain:
     """The exact setup of one (model, target): its automaton, mu(A) and a
     Markov chain over the classes of reachable (automaton state, last
-    symbol) pairs.  A target of measure zero is refused before any kernel.
+    symbol) pairs.  A target of measure zero is refused before its automaton
+    is built.
 
     A non-root automaton state fixes the last symbol; the root pairs with
     the symbols on which some transition falls back to it.  These pairs are
