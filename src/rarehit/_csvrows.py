@@ -217,11 +217,6 @@ def _pieces(values: np.ndarray) -> list[np.ndarray]:
         k[zero] = 0
         top[zero] = 1
         k = k.astype(np.int16)
-    else:
-        special = values < 0
-        f = np.where(special, 0, values).astype(np.uint64)
-        top = np.maximum(np.searchsorted(_POW10, f, side="right").astype(np.int16), 1)
-    if is_float:
         decpt = k + top  # value = 0.d1d2... 10^decpt
         exp = (decpt <= -4) | (decpt > 16)
         fixed = ~exp
@@ -234,7 +229,9 @@ def _pieces(values: np.ndarray) -> list[np.ndarray]:
         f += 9 * (f // p) * p  # the zero where the point goes
         length = np.where(exp, 1, np.maximum(decpt, 1)) + 1 + frac
     else:
-        length = top
+        special = values < 0
+        f = np.where(special, 0, values).astype(np.uint64)
+        length = np.maximum(np.searchsorted(_POW10, f, side="right").astype(np.int16), 1)
     width = 4 * -(-int(length.max(initial=1)) // 4)
     g = _groups(f, width // 4)
     text = _quad_tables()[0].take(g).view(np.uint8)
