@@ -151,6 +151,37 @@ def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
     return OccurrenceAutomaton(target, q)
 
 
+class PairIndex:
+    """Ids of the reachable (automaton state, last symbol) pairs of an
+    automaton.
+
+    A non-root state fixes the last symbol, and state s is pair s - 1; the
+    root pairs with the symbols on which some transition falls back to it,
+    and those pairs follow in symbol order.  Calling the index maps arrays
+    of states and last symbols to pair ids.
+    """
+
+    def __init__(self, aut: OccurrenceAutomaton):
+        self.aut = aut
+        syms = np.flatnonzero((aut.goto == 0).any(axis=0))  # the root's symbols
+        self.root = np.full(aut.goto.shape[1], -1, dtype=np.int64)
+        self.root[syms] = np.arange(aut.num_states - 1, aut.num_states - 1 + syms.size)
+
+    def __call__(self, state: np.ndarray, sym: np.ndarray) -> np.ndarray:
+        """Id of the reachable pair (state, sym), sym being the last symbol read."""
+        return np.where(state > 0, state - 1, self.root[sym])
+
+    def members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(state, last, nxt): each pair's automaton state and last symbol,
+        and the (states, q) table of the pair after each symbol from each
+        automaton state, so that ``nxt[state]`` holds each pair's successors."""
+        aut, syms = self.aut, np.flatnonzero(self.root >= 0)
+        state = np.concatenate((np.arange(1, aut.num_states), np.zeros(syms.size, dtype=np.int64)))
+        nxt = aut.goto - 1
+        np.copyto(nxt, self.root, where=nxt < 0)
+        return state, np.concatenate((aut.last[1:], syms)), nxt
+
+
 def _rank(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ranks of ``x`` (``np.unique(x, return_inverse=True)[1]``) and
     their count, from one stable argsort and a cumsum."""
@@ -227,11 +258,10 @@ class ComposedChain:
     symbol) pairs.  A target of measure zero is refused before its automaton
     is built.
 
-    A non-root automaton state fixes the last symbol; the root pairs with
-    the symbols on which some transition falls back to it.  These pairs are
-    lumped to the coarsest partition that separates acceptance and the
-    next-symbol law (``first_equal_row`` of the last symbol: always 0 for
-    IID) and is stable under every symbol: a strong lumping, so tails and
+    The pairs are numbered by ``PairIndex``.  They are lumped to the
+    coarsest partition that separates acceptance and the next-symbol law
+    (``first_equal_row`` of the last symbol: always 0 for IID) and is
+    stable under every symbol: a strong lumping, so tails and
     absorption times are those of the pairs.  ``_lump`` reaches it in two
     stages, a refinement seeded with the trie depth and then the canonical
     rounds on its quotient, with the ids the canonical rounds give on all
@@ -254,13 +284,9 @@ class ComposedChain:
             raise ZeroMeasureSetError("target has zero measure")
         aut = build_automaton(target, model.alphabet_size)
         q = model.alphabet_size
-        S = aut.num_states
-        root_syms = np.flatnonzero((aut.goto == 0).any(axis=0))
-        self._root_pair = np.full(q, -1, dtype=np.int64)
-        self._root_pair[root_syms] = np.arange(S - 1, S - 1 + root_syms.size)
-        state = np.concatenate((np.arange(1, S), np.zeros(root_syms.size, dtype=np.int64)))
-        last = np.concatenate((aut.last[1:], root_syms))
-        succ = self._pair(aut.goto[state], np.arange(q))  # (pairs, q)
+        self._pair = PairIndex(aut)
+        state, last, nxt = self._pair.members()
+        succ = nxt.take(state, axis=0)  # (pairs, q)
         key = aut.accepting[state] * q + model.first_equal_row[last]
         cls, rep = _lump(key, aut.depth[state], succ)
         size = rep.size
@@ -286,10 +312,6 @@ class ComposedChain:
             keep = surv.ravel() > 0.0
             self.survT = sp.csr_matrix((surv.ravel()[keep], (dst.ravel()[keep], src[keep])),
                                        shape=shape)
-
-    def _pair(self, state: np.ndarray, sym: np.ndarray) -> np.ndarray:
-        """Index of the reachable pair (state, sym), sym being the last symbol read."""
-        return np.where(state > 0, state - 1, self._root_pair[sym])
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

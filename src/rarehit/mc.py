@@ -3,13 +3,21 @@
 The trajectories of a row tile (at most _TILE rows) advance in lockstep.
 Each round draws the next uniforms of every live row: _FIRST in a tile's
 first round, twice as many in each later one up to _CHUNK, and never past
-the censoring cap.  It maps them to symbols with one binary search in the
-source's merged law bounds and then one table gather (IID) or one gather per
-column (Markov), and tests the windows with one occurrence-automaton gather
-per column (explicit targets) or one predicate call on the (rows, width, n)
-view of the round's windows (implicit ones); rows that hit then leave.
-Memory is O(_TILE * (_CHUNK + n)) whatever N and the censoring cap, beside
-the symbol table (_symbol_table) and the seed states of _SEED_TILES tiles.
+the censoring cap.  A round is time-major, a (width, rows) array whose row
+c holds uniform c of every live row, so each per-column step reads and
+writes one contiguous row.  One binary search in the source's merged law
+bounds gives every uniform its bin g, which fixes the symbol under every
+law.  For an explicit target each row's state is its reachable (automaton
+state, last symbol) pair, and one gather per column in the pair table
+T[g, p] moves it on; one acceptance gather over the round then gives the
+hits.  A Markov source whose pair table would outgrow its symbol table
+takes two gathers per column instead: the symbol, then the next pair.  For
+a predicate target the bins give the symbols (one table gather for IID
+sources, one gather per column for Markov ones), and one predicate call
+tests the (width, rows, n) view of the round's windows.  Rows that hit
+then leave.  Memory is O(_TILE * (_CHUNK + n)) whatever N and the censoring
+cap, beside the symbol table (_symbol_table), the pair tables (_pair_scan)
+and the seed states of _SEED_TILES tiles.
 
 Trajectory i consumes the uniforms of its own PCG64 stream, seeded by
 derive_seed(master, i), in order, one per symbol.  The round widths and the
@@ -27,6 +35,7 @@ checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -39,9 +48,10 @@ from .errors import (
     DomainError,
     HorizonMismatchError,
     RejectionBudgetExceededError,
+    SymbolOutOfRangeError,
     ZeroMeasureSetError,
 )
-from .exact import TailDistribution, build_automaton
+from .exact import PairIndex, TailDistribution, build_automaton
 from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
@@ -110,22 +120,34 @@ def _halves(values) -> tuple[np.ndarray, np.ndarray]:
 # G_c = 1 + M + ... + M^(c-1) mod 2^128 (Brown, Random number generation
 # with arbitrary strides, 1994); index c-1 holds step c.
 _POWERS = [pow(_PCG_MULT, c, _MOD128) for c in range(_CHUNK + 1)]
-_JUMP_A = _halves(_POWERS[1:])
-_JUMP_G = _halves([g % _MOD128 for g in accumulate(_POWERS[:-1])])
+_JUMP_A = [a[:, None] for a in _halves(_POWERS[1:])]
+_JUMP_G = [g[:, None] for g in _halves([g % _MOD128 for g in accumulate(_POWERS[:-1])])]
 
 
 def _mul128(xh, xl, ah, al):
-    """(xh, xl) * (ah, al) mod 2^128 on uint64 halves, broadcasting."""
+    """(xh, xl) * (ah, al) mod 2^128 on uint64 halves, broadcasting; the
+    product's four 32-bit partial products are summed in place."""
     x0, x1, a0, a1 = xl & _MASK32, xl >> 32, al & _MASK32, al >> 32
-    p01, p10 = x0 * a1, x1 * a0
-    mid = (x0 * a0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    hi = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + xl * ah + xh * al
-    return hi, xl * al
+    hi, lo, t = x1 * a1, x0 * a0, x0 * a1
+    lo >>= 32  # lo sums the carries into bit 64 until its last line
+    u = t & _MASK32
+    lo += u
+    hi += np.right_shift(t, 32, out=t)
+    np.multiply(x1, a0, out=t)
+    lo += np.bitwise_and(t, _MASK32, out=u)
+    hi += np.right_shift(t, 32, out=t)
+    hi += np.right_shift(lo, 32, out=lo)
+    hi += np.multiply(xl, ah, out=t)
+    hi += np.multiply(xh, al, out=t)
+    return hi, np.multiply(xl, al, out=lo)
 
 
 def _add128(xh, xl, ah, al):
-    lo = xl + al
-    return xh + ah + (lo < xl), lo
+    """(xh, xl) += (ah, al) mod 2^128, in place."""
+    xl += al
+    xh += ah
+    xh += xl < al  # the carry out of the low half
+    return xh, xl
 
 
 def _seed_sequence_state(seeds: np.ndarray) -> list[np.ndarray]:
@@ -168,23 +190,30 @@ class _TileStreams:
     def __init__(self, v0, v1, v2, v3):
         inc = (v2 << 1) | (v3 >> 63), (v3 << 1) | 1
         # pcg64_srandom: state = inc (one step from 0), add initstate, step
-        h, l = _add128(*inc, v0, v1)
+        h, l = _add128(inc[0].copy(), inc[1].copy(), v0, v1)
         self.hi, self.lo = _add128(*_mul128(h, l, *_halves([_PCG_MULT])), *inc)
-        self.gh, self.gl = _mul128(inc[0][:, None], inc[1][:, None], *_JUMP_G)
+        self.gh, self.gl = _mul128(*inc, *_JUMP_G)  # (_CHUNK, rows): step c in row c-1
 
     def draw(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """The next ``width`` uniforms of each listed row, one row each."""
-        U = np.empty((len(rows), width))
+        """The next ``width`` uniforms of each listed row, one row each: the
+        (rows, width) transpose of a contiguous (width, rows) array, whose
+        row c holds every listed row's uniform c."""
+        U = np.empty((width, len(rows)))
+        hi, lo = self.hi[rows], self.lo[rows]
         for c in range(0, width, _CHUNK):
             w = min(_CHUNK, width - c)
-            h, l = _mul128(self.hi[rows, None], self.lo[rows, None],
-                           _JUMP_A[0][:w], _JUMP_A[1][:w])
-            h, l = _add128(h, l, self.gh[rows, :w], self.gl[rows, :w])
-            self.hi[rows], self.lo[rows] = h[:, -1], l[:, -1]
-            x, rot = h ^ l, h >> 58  # XSL-RR output, then 53-bit double
-            U[:, c:c + w] = ((x >> rot) | (x << ((64 - rot) & 63))) >> 11
-        U *= 2.0 ** -53
-        return U
+            h, l = _add128(*_mul128(hi, lo, _JUMP_A[0][:w], _JUMP_A[1][:w]),
+                           self.gh[:w].take(rows, axis=1), self.gl[:w].take(rows, axis=1))
+            hi, lo = h[-1].copy(), l[-1].copy()
+            l ^= h  # XSL-RR output, then 53-bit double
+            h >>= 58
+            x = np.right_shift(l, h)
+            l <<= np.bitwise_and(np.subtract(64, h, out=h), 63, out=h)
+            l |= x
+            l >>= 11
+            np.multiply(l, 2.0 ** -53, out=U[c:c + w])
+        self.hi[rows], self.lo[rows] = hi, lo
+        return U.T
 
 
 def _symbol_table(model: ProcessModel) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +225,7 @@ def _symbol_table(model: ProcessModel) -> tuple[np.ndarray, np.ndarray]:
     its bounds cum[a, :q-1] at or below u.  G is the sorted merge of every
     law's bounds, each with its multiplicity, so g = #{G <= u} fixes all
     those counts, and law a maps u to L[g, a].  G is padded with +inf to
-    2^k - 1 entries for _symbols' binary search.
+    2^k - 1 entries for the binary search of _bins.
     """
     laws = model.stationary[None, :] if model.is_iid else np.vstack(
         [model.stationary, model.transition])
@@ -211,55 +240,125 @@ def _symbol_table(model: ProcessModel) -> tuple[np.ndarray, np.ndarray]:
     return G, L
 
 
-def _symbols(table, U: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Symbols of the uniforms U, row by row, each row continuing from its
-    ``last`` symbol (-1: none, draw from the stationary law)."""
-    G, L = table
-    # g = #{G <= u} for every u at once, by a branch-free binary search:
-    # k rounds of one gather and one comparison over all of U.
+def _bins(G: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """g = #{G <= u} for every u of U at once, by a branch-free binary
+    search: k rounds of one gather and one comparison over all of U."""
     g = np.zeros(U.shape, dtype=np.intp)
     step = (G.size + 1) >> 1
     while step:
         g += step * (G.take(g + (step - 1)) <= U)
         step >>= 1
-    m = L.shape[1]
-    if m == 1:  # IID: one law for every column
-        return L.ravel().take(g)
-    g *= m
+    return g
+
+
+def _symbols(table, U: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Symbols of the (rows, width) uniforms U, row by row, each row
+    continuing from its ``last`` symbol (-1: none, draw from the stationary
+    law).  The work runs on the time-major U.T, one contiguous row of it
+    per column when U is a transpose as _TileStreams.draw returns it, and
+    the symbols come back as the transpose of a time-major array too."""
+    G, L = table
+    g = _bins(G, U.T)
+    if L.shape[1] == 1:  # IID: one law for every column
+        return L.ravel().take(g).T
+    g *= L.shape[1]
     g += 1  # L[g, last + 1] sits at g*m + 1 + last; last = -1 reads the stationary law
-    flat, S = L.ravel(), np.empty(U.shape, dtype=np.int64)
-    for c in range(U.shape[1]):
-        last = S[:, c] = flat.take(g[:, c] + last)
-    return S
+    flat, S = L.ravel(), np.empty_like(g)
+    for c, row in enumerate(g):
+        row += last
+        # every index is in range; "wrap" lets take write straight into S
+        # ("raise", the default, would fill a buffer and copy it there)
+        last = flat.take(row, out=S[c], mode="wrap")
+    return S.T
 
 
-def _matcher_factory(model: ProcessModel, target):
-    """(init, match) for a target: ``init(words)`` is the matcher state of rows
-    whose last n symbols are the rows of ``words``; ``match(state, S)`` feeds
-    the (rows, width) symbols S and returns which of them end a window in the
-    target, and the new state."""
+def _scan(model: ProcessModel, target):
+    """(table, init, step) of the lockstep scan of a target: the source's
+    symbol table; ``init(words)``, the scan state of rows whose last n
+    symbols are the (rows, n) ``words``; and ``step(state, U)``, which feeds
+    each row the symbols of its uniforms U (rows, width) and returns the
+    time-major (width, rows) flags of the windows that end in the target,
+    and the new state.  A state's last axis runs over the rows."""
+    q = model.alphabet_size
     if isinstance(target, TargetSet):
-        aut = build_automaton(target, model.alphabet_size)
-        goto, q = aut.goto.ravel(), aut.goto.shape[1]
+        return _pair_scan(model, target)
+    if not (hasattr(target, "n") and callable(target)):
+        raise DomainError("target must be a TargetSet or a window predicate with .n")
+    if getattr(target, "q", q) != q:
+        raise SymbolOutOfRangeError(
+            f"predicate alphabet of {target.q} symbols differs from the model's {q}")
+    table, n = _symbol_table(model), target.n
 
-        def match(state, S):
-            hit = np.empty(S.shape, dtype=bool)
-            for c in range(S.shape[1]):
-                state = goto.take(state * q + S[:, c])
-                hit[:, c] = aut.accepting.take(state)
-            return hit, state
+    def step(prev, U):  # state: each row's last n symbols, time-major
+        W = np.empty((n + U.shape[1], U.shape[0]), dtype=np.int64)
+        W[:n] = prev
+        W[n:] = _symbols(table, U, prev[-1]).T
+        hit = target(sliding_window_view(W[1:], n, axis=0))
+        return np.asarray(hit, dtype=bool), W[U.shape[1]:]
 
-        return (lambda words: match(np.zeros(len(words), dtype=np.int64), words)[1]), match
-    if hasattr(target, "n") and callable(target):
-        n = target.n
+    return table, (lambda words: words.T), step
 
-        def match(prev, S):  # state: each row's last n-1 symbols
-            W = np.concatenate([prev, S], axis=1)
-            hit = np.asarray(target(sliding_window_view(W, n, axis=1)), dtype=bool)
-            return hit, W[:, S.shape[1]:]
 
-        return (lambda words: words[:, 1:]), match
-    raise DomainError("target must be a TargetSet or a window predicate with .n")
+def _pair_scan(model: ProcessModel, target: TargetSet):
+    """_scan of an explicit target.  The state is each row's reachable
+    (automaton state, last symbol) pair, numbered as in the composed chain
+    (exact.PairIndex), which fixes both the next symbol's law and the match.
+
+    The bin g of a uniform in G fixes the symbol under every law, so the
+    table T[g, p] of the pair after pair p gives each column in one add and
+    one gather, and the hits of a round in one acceptance gather.  T has
+    bins x pairs entries: q x pairs for an IID source, but about q^2 x pairs
+    for a Markov one.  It is built only while it holds no more entries than
+    the pairs' successor table (pairs x q) or L, plus one round; otherwise
+    each column gathers the symbol at its pair's law in L, then the next
+    pair from the automaton-sized table nxt.  The pairs are built before L,
+    and the automaton is dropped once they are.  Both write each column's
+    pairs into P with take's "wrap" mode, as _symbols does.
+    """
+    q = model.alphabet_size
+    aut = build_automaton(target, q)
+    state, last, nxt = PairIndex(aut).members()
+    accept = aut.accepting[state]
+    del aut
+    G, L = table = _symbol_table(model)
+    bins, m = L.shape
+    size = state.size
+    law = last + 1 if m > 1 else np.zeros_like(last)  # each pair's column of L
+    row_of = state * q  # each pair's row of nxt, flat
+    nxt_flat = nxt.ravel()
+
+    def init(words):
+        p = nxt[0].take(words[:, 0])
+        for c in range(1, words.shape[1]):
+            p = nxt_flat.take(row_of.take(p) + words[:, c])
+        return p
+
+    if bins * size <= max(size * q, L.size) + _TILE * _CHUNK:
+        T = nxt[state, L[:, law]].ravel()
+
+        def step(p, U):
+            g = _bins(G, U.T)
+            g *= size
+            P = np.empty_like(g)
+            for c, row in enumerate(g):
+                row += p
+                p = T.take(row, out=P[c], mode="wrap")
+            return accept.take(P), p
+    else:
+        flat = L.ravel()
+
+        def step(p, U):
+            g = _bins(G, U.T)
+            g *= m
+            P = np.empty_like(g)
+            for c, row in enumerate(g):
+                row += law.take(p)
+                i = row_of.take(p)
+                i += flat.take(row)
+                p = nxt_flat.take(i, out=P[c], mode="wrap")
+            return accept.take(P), p
+
+    return table, init, step
 
 
 def default_censor_cap(model: ProcessModel, target, mu_A: float | None = None) -> int:
@@ -274,22 +373,21 @@ def default_censor_cap(model: ProcessModel, target, mu_A: float | None = None) -
     return max(1, math.ceil(50.0 / mu_A))
 
 
-def _advance(streams, table, match, state, last, cap: int):
-    """Scan the rows of one tile in lockstep, from their matcher states and
-    last symbols, to their first hit at a time in 1..cap.  Returns the hit
-    times (cap when censored) and the censored flags."""
-    times = np.full(len(last), cap, dtype=np.int64)
-    cens = np.ones(len(last), dtype=bool)
-    live = np.arange(len(last))
+def _advance(streams, step, state, cap: int):
+    """Scan the rows of one tile in lockstep, from their scan states, to
+    their first hit at a time in 1..cap.  Returns the hit times (cap when
+    censored) and the censored flags."""
+    times = np.full(state.shape[-1], cap, dtype=np.int64)
+    cens = np.ones(times.size, dtype=bool)
+    live = np.arange(times.size)
     k, width = 1, _FIRST  # k: time of the round's first window
     while live.size and k <= cap:
         w = min(width, cap + 1 - k)  # no row draws past the cap
-        S = _symbols(table, streams.draw(live, w), last)
-        hit, state = match(state, S)
-        found = hit.any(axis=1)
-        times[live[found]] = k + hit[found].argmax(axis=1)
+        hit, state = step(state, streams.draw(live, w))
+        found = hit.any(axis=0)
+        times[live[found]] = k + hit.T[found].argmax(axis=1)
         cens[live[found]] = False
-        live, state, last = live[~found], state[~found], S[~found, -1]
+        live, state = live[~found], state[..., ~found]
         k, width = k + w, min(2 * width, _CHUNK)
     return times, cens
 
@@ -306,11 +404,23 @@ def _tiles(master: int, N: int):
             yield lo, hi, _TileStreams(*(v[lo - start:hi - start] for v in state))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: any integer, numpy's included, and
+    nothing else (no float, integral or not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
     """The lockstep scanner behind sample_hitting and sample_return: per row
     tile, draw each row's initial window, then advance the tile to its hits."""
+    N, seed = _integer("N", N), _integer("seed", seed)
     if N < 1:
         raise DomainError("N must be >= 1")
+    if censor_cap is not None:
+        censor_cap = _integer("censor_cap", censor_cap)
     explicit_return = kind == "return" and isinstance(target, TargetSet)
     mu_A = None
     if explicit_return:  # one measure serves the default cap and the word choice
@@ -323,8 +433,8 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
     if censor_cap > _INT64_MAX:
         raise CensorCapTooLargeError(
             f"censor_cap {censor_cap} exceeds the int64 hit-time limit {_INT64_MAX}")
-    init, match = _matcher_factory(model, target)
-    table, n = _symbol_table(model), target.n
+    table, init, step = _scan(model, target)
+    n = target.n
     if explicit_return:
         if mu_A <= 0.0:
             raise ZeroMeasureSetError("target has zero measure; returns are undefined")
@@ -350,8 +460,7 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
                 if rejections > REJECTION_BUDGET:
                     raise RejectionBudgetExceededError(
                         f"more than {REJECTION_BUDGET} rejected initial windows")
-        times[lo:hi], cens[lo:hi] = _advance(streams, table, match, init(words), words[:, -1],
-                                             censor_cap)
+        times[lo:hi], cens[lo:hi] = _advance(streams, step, init(words), censor_cap)
     return SampleBatch(kind, N, seed, times, cens, censor_cap)
 
 

@@ -302,6 +302,16 @@ def _mc_cases(draw):
             draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(1, 100)))
 
 
+def _rows(q, tenths=False):
+    """A stochastic q x q matrix of random rows; with ``tenths``, row 0 is
+    ten 0.1's (q = 10), whose float cumulative sum 0.9999999999999999 < 1."""
+    P = np.random.default_rng(q).integers(1, 10, (q, q)).astype(float)
+    P /= P.sum(axis=1, keepdims=True)
+    if tenths:
+        P[0] = 0.1
+    return P
+
+
 NEAR_PERIODIC = markov([[1e-9, 1 - 1e-9], [1 - 1e-9, 1e-9]])  # a hard regime for the sampler
 
 
@@ -310,6 +320,12 @@ NEAR_PERIODIC = markov([[1e-9, 1 - 1e-9], [1 - 1e-9, 1e-9]])  # a hard regime fo
 @example(case=(NEAR_PERIODIC, union([cylinder([0, 0, 1]), cylinder([1, 0, 1])]), "hitting", 600,
                2 ** 64 - 1, 70))
 @example(case=(NEAR_PERIODIC, hamming_predicate([0, 1, 0], 0.4, 2), "return", 40, 5, 90))
+# Explicit targets on a Markov source, on each side of the pair table's
+# memory rule: a q = 2 cylinder scans through the table (4 bins x 4 pairs),
+# a q = 16 ball falls back to the symbol map (256 bins x 154 pairs, more
+# than L's 256 x 17 entries plus a round's 512 x 32).
+@example(case=(markov([[0.7, 0.3], [0.2, 0.8]]), cylinder([1, 0, 1]), "hitting", 600, 77, 60))
+@example(case=(markov(_rows(16)), hamming_ball([0] * 4, 0.25, 16), "return", 60, 3, 100))
 def test_lockstep_batches_match_the_per_symbol_scanner(case):
     model, target, kind, N, seed, cap = case
     sampler = sample_hitting if kind == "hitting" else sample_return
@@ -446,6 +462,49 @@ def test_cap_beyond_int64_is_refused_before_any_draw(sampler, monkeypatch):
     assert issubclass(errors.CensorCapTooLargeError, errors.ResourceCapError)
 
 
+@pytest.mark.parametrize("arg, value", [("N", 2.5), ("N", 5.0), ("seed", 1.5), ("seed", None),
+                                        ("censor_cap", 10.5), ("censor_cap", 10.0)])
+@pytest.mark.parametrize("sampler", [sample_hitting, sample_return])
+def test_non_integer_arguments_raise_typed_error(sampler, arg, value):
+    args = {"N": 5, "seed": 1, "censor_cap": 10} | {arg: value}
+    with pytest.raises(errors.DomainError, match=f"{arg} must be an integer"):
+        sampler(UNIFORM2, cylinder([1]), **args)
+
+
+@pytest.mark.parametrize("sampler", [sample_hitting, sample_return])
+def test_numpy_integer_arguments_match_python_ints(sampler):
+    want = sampler(UNIFORM2, cylinder([1, 1]), 50, seed=2 ** 64 - 1, censor_cap=30)
+    got = sampler(UNIFORM2, cylinder([1, 1]), np.int32(50), seed=np.uint64(2 ** 64 - 1),
+                  censor_cap=np.int64(30))
+    assert (got.N, got.seed, got.censor_cap) == (want.N, want.seed, want.censor_cap)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.censored, want.censored)
+
+
+@pytest.mark.parametrize("model, pred", [(UNIFORM2, hamming_predicate([3, 3], 0.5, 4)),
+                                         (uniform_iid(3), hamming_predicate([0, 1], 0.5, 2))])
+@pytest.mark.parametrize("sampler", [sample_hitting, sample_return])
+def test_predicate_over_another_alphabet_raises_typed_error(sampler, model, pred):
+    with pytest.raises(errors.SymbolOutOfRangeError, match="predicate alphabet"):
+        sampler(model, pred, 10, seed=1, censor_cap=10)
+
+
+def test_markov_pair_table_memory_is_bounded():
+    # q = 64 Markov: 4,096 bins, so the pair table of this 381-pair ball
+    # would hold 1.6M entries (12.5 MB), six times L's 4,096 x 65.
+    import tracemalloc
+    model, ball = markov(_rows(64)), hamming_ball([0] * 3, 0.34, 64)
+    L = mc._symbol_table(model)[1]
+    tracemalloc.start()
+    try:
+        batch = sample_hitting(model, ball, 600, seed=0, censor_cap=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < batch.n_censored < batch.N
+    assert peak < 2 * L.nbytes
+
+
 def test_zero_measure_target_raises_typed_error():
     never_one = iid([1.0, 0.0])
     with pytest.raises(errors.ZeroMeasureSetError):  # the default cap is 50 / mu(A)
@@ -455,16 +514,6 @@ def test_zero_measure_target_raises_typed_error():
     # With a cap given, hitting a null set is well defined: never, so censored.
     batch = sample_hitting(never_one, cylinder([1, 1]), 10, seed=1, censor_cap=10)
     assert batch.censored.all()
-
-
-def _rows(q, tenths=False):
-    """A stochastic q x q matrix of random rows; with ``tenths``, row 0 is
-    ten 0.1's (q = 10), whose float cumulative sum 0.9999999999999999 < 1."""
-    P = np.random.default_rng(q).integers(1, 10, (q, q)).astype(float)
-    P /= P.sum(axis=1, keepdims=True)
-    if tenths:
-        P[0] = 0.1
-    return P
 
 
 SYMBOL_MODELS = {
