@@ -151,35 +151,23 @@ def build_automaton(target: TargetSet, q: int) -> OccurrenceAutomaton:
     return OccurrenceAutomaton(target, q)
 
 
-class PairIndex:
-    """Ids of the reachable (automaton state, last symbol) pairs of an
-    automaton.
+def reachable_pairs(aut: OccurrenceAutomaton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(state, last, nxt) of the reachable (automaton state, last symbol)
+    pairs: each pair's state and last symbol, and the (states, q) table of
+    the pair after each symbol from each state, so ``nxt[state]`` holds the
+    pairs' successors and ``nxt[0]`` the pair of each first symbol.
 
     A non-root state fixes the last symbol, and state s is pair s - 1; the
     root pairs with the symbols on which some transition falls back to it,
-    and those pairs follow in symbol order.  Calling the index maps arrays
-    of states and last symbols to pair ids.
+    and those pairs follow in symbol order.
     """
-
-    def __init__(self, aut: OccurrenceAutomaton):
-        self.aut = aut
-        syms = np.flatnonzero((aut.goto == 0).any(axis=0))  # the root's symbols
-        self.root = np.full(aut.goto.shape[1], -1, dtype=np.int64)
-        self.root[syms] = np.arange(aut.num_states - 1, aut.num_states - 1 + syms.size)
-
-    def __call__(self, state: np.ndarray, sym: np.ndarray) -> np.ndarray:
-        """Id of the reachable pair (state, sym), sym being the last symbol read."""
-        return np.where(state > 0, state - 1, self.root[sym])
-
-    def members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(state, last, nxt): each pair's automaton state and last symbol,
-        and the (states, q) table of the pair after each symbol from each
-        automaton state, so that ``nxt[state]`` holds each pair's successors."""
-        aut, syms = self.aut, np.flatnonzero(self.root >= 0)
-        state = np.concatenate((np.arange(1, aut.num_states), np.zeros(syms.size, dtype=np.int64)))
-        nxt = aut.goto - 1
-        np.copyto(nxt, self.root, where=nxt < 0)
-        return state, np.concatenate((aut.last[1:], syms)), nxt
+    S, syms = aut.num_states, np.flatnonzero((aut.goto == 0).any(axis=0))
+    root = np.full(aut.goto.shape[1], -1, dtype=np.int64)
+    root[syms] = np.arange(S - 1, S - 1 + syms.size)
+    nxt = aut.goto - 1
+    np.copyto(nxt, root, where=nxt < 0)
+    state = np.concatenate((np.arange(1, S), np.zeros(syms.size, dtype=np.int64)))
+    return state, np.concatenate((aut.last[1:], syms)), nxt
 
 
 def _rank(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -258,7 +246,7 @@ class ComposedChain:
     symbol) pairs.  A target of measure zero is refused before its automaton
     is built.
 
-    The pairs are numbered by ``PairIndex``.  They are lumped to the
+    The pairs are numbered by ``reachable_pairs``.  They are lumped to the
     coarsest partition that separates acceptance and the next-symbol law
     (``first_equal_row`` of the last symbol: always 0 for IID) and is
     stable under every symbol: a strong lumping, so tails and
@@ -284,8 +272,8 @@ class ComposedChain:
             raise ZeroMeasureSetError("target has zero measure")
         aut = build_automaton(target, model.alphabet_size)
         q = model.alphabet_size
-        self._pair = PairIndex(aut)
-        state, last, nxt = self._pair.members()
+        state, last, nxt = reachable_pairs(aut)
+        self._first = nxt[0].copy()
         succ = nxt.take(state, axis=0)  # (pairs, q)
         key = aut.accepting[state] * q + model.first_equal_row[last]
         cls, rep = _lump(key, aut.depth[state], succ)
@@ -336,15 +324,13 @@ class ComposedChain:
         "hitting" stationarity pushed through the first n symbols, whose
         window does not count; for "return" the law conditioned on A."""
         if kind == "hitting":
-            first = self._pair(self.aut.goto[0], np.arange(self.model.alphabet_size))
-            v = np.bincount(self._cls[first], self.model.stationary, self.size)
+            v = np.bincount(self._cls[self._first], self.model.stationary, self.size)
             for _ in range(self.target.n - 1):
                 v = self.fullT @ v
             return v
         if kind == "return":
             leaf = np.flatnonzero(self.aut.accepting)  # the state word i ends in, in word order
-            pair = self._pair(leaf, self.aut.last[leaf])
-            return np.bincount(self._cls[pair], self._word_p / self.mu_A, self.size)
+            return np.bincount(self._cls[leaf - 1], self._word_p / self.mu_A, self.size)
         raise InvalidTailError(f"kind must be hitting or return, got {kind!r}")
 
     def expected_absorption_times(self) -> np.ndarray:

@@ -25,10 +25,10 @@ tile sizes set only how far ahead they are drawn and are not part of the
 contract, so serial and parallel schedules produce identical batches.  The
 seed derivation below is part of the external contract.
 
-rarehit computes these streams itself, a round at a time for all rows of a
-tile (_TileStreams: the PCG64 step on uint64 arrays), from numpy's
-SeedSequence seeding run on uint32 arrays for up to _SEED_TILES tiles at
-once.  Each row equals numpy's Generator(PCG64(derive_seed(master, i))).random
+rarehit computes these streams itself (rarehit._pcg64), a round at a time
+for all rows of a tile (_TileStreams: the PCG64 step on uint64 arrays),
+from numpy's SeedSequence seeding run on uint32 arrays for up to
+_SEED_TILES tiles at once.  Each row equals numpy's Generator(PCG64(derive_seed(master, i))).random
 bit for bit, as tests/test_mc.py::test_tile_streams_match_numpy_generators
 checks.
 """
@@ -37,12 +37,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csvrows import rows_text
+from ._pcg64 import _CHUNK, _MASK64, _TileStreams, _seed_sequence_state
 from .errors import (
     CensorCapTooLargeError,
     DomainError,
@@ -51,16 +51,14 @@ from .errors import (
     SymbolOutOfRangeError,
     ZeroMeasureSetError,
 )
-from .exact import PairIndex, TailDistribution, build_automaton
+from .exact import TailDistribution, build_automaton, reachable_pairs
 from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
-_MASK64 = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1  # hit times are int64
 REJECTION_BUDGET = 10 ** 7  # rejected initial windows per return batch
 _TILE = 512   # rows scanned together: bounds memory at any N
-_FIRST = 8    # uniforms drawn per live row in a tile's first round
-_CHUNK = 32   # most uniforms per row and round: widths double from _FIRST
+_FIRST = 8    # uniforms per live row in a tile's first round; widths double to _CHUNK
 _SEED_TILES = 4  # tiles seeded together: one SeedSequence pass per group
 _CSV_ROWS = 4096  # rows formatted per write
 
@@ -100,120 +98,6 @@ class SampleBatch:
     @property
     def n_censored(self) -> int:
         return int(self.censored.sum())
-
-
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR on a
-# 128-bit LCG), re-implemented on uint32 / uint64 arrays so that a whole
-# row tile is seeded and stepped at once.
-_MASK32 = (1 << 32) - 1
-_MOD128 = 1 << 128
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _halves(values) -> tuple[np.ndarray, np.ndarray]:
-    """128-bit ints as (high, low) uint64 arrays."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
-
-
-# c steps of the LCG from state s give A_c s + inc G_c, with A_c = M^c and
-# G_c = 1 + M + ... + M^(c-1) mod 2^128 (Brown, Random number generation
-# with arbitrary strides, 1994); index c-1 holds step c.
-_POWERS = [pow(_PCG_MULT, c, _MOD128) for c in range(_CHUNK + 1)]
-_JUMP_A = [a[:, None] for a in _halves(_POWERS[1:])]
-_JUMP_G = [g[:, None] for g in _halves([g % _MOD128 for g in accumulate(_POWERS[:-1])])]
-
-
-def _mul128(xh, xl, ah, al):
-    """(xh, xl) * (ah, al) mod 2^128 on uint64 halves, broadcasting; the
-    product's four 32-bit partial products are summed in place."""
-    x0, x1, a0, a1 = xl & _MASK32, xl >> 32, al & _MASK32, al >> 32
-    hi, lo, t = x1 * a1, x0 * a0, x0 * a1
-    lo >>= 32  # lo sums the carries into bit 64 until its last line
-    u = t & _MASK32
-    lo += u
-    hi += np.right_shift(t, 32, out=t)
-    np.multiply(x1, a0, out=t)
-    lo += np.bitwise_and(t, _MASK32, out=u)
-    hi += np.right_shift(t, 32, out=t)
-    hi += np.right_shift(lo, 32, out=lo)
-    hi += np.multiply(xl, ah, out=t)
-    hi += np.multiply(xh, al, out=t)
-    return hi, np.multiply(xl, al, out=lo)
-
-
-def _add128(xh, xl, ah, al):
-    """(xh, xl) += (ah, al) mod 2^128, in place."""
-    xl += al
-    xh += ah
-    xh += xl < al  # the carry out of the low half
-    return xh, xl
-
-
-def _seed_sequence_state(seeds: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence(seed).generate_state(4, np.uint64) for each uint64 seed,
-    as four uint64 arrays (v0..v3)."""
-    hc = 0x43B0D7E5  # the hash constant depends on the call count only
-
-    def hashmix(v):
-        nonlocal hc
-        v = v ^ hc
-        hc = hc * 0x931E8875 & _MASK32
-        v = v * hc
-        return v ^ (v >> 16)
-
-    def mix(x, y):
-        r = x * 0xCA01F9DD - y * 0x4973F715
-        return r ^ (r >> 16)
-
-    zero = np.zeros(seeds.size, dtype=np.uint32)
-    pool = [hashmix(w) for w in ((seeds & _MASK32).astype(np.uint32),
-                                 (seeds >> 32).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hc, words = 0x8B51F9DD, []
-    for i in range(8):
-        v = pool[i % 4] ^ hc
-        hc = hc * 0x58F38DED & _MASK32
-        v = v * hc
-        words.append((v ^ (v >> 16)).astype(np.uint64))
-    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
-
-
-class _TileStreams:
-    """PCG64 streams, one per row of the SeedSequence states v0..v3 (as
-    _seed_sequence_state returns them): the row seeded from s draws exactly
-    what numpy's Generator(PCG64(s)).random would."""
-
-    def __init__(self, v0, v1, v2, v3):
-        inc = (v2 << 1) | (v3 >> 63), (v3 << 1) | 1
-        # pcg64_srandom: state = inc (one step from 0), add initstate, step
-        h, l = _add128(inc[0].copy(), inc[1].copy(), v0, v1)
-        self.hi, self.lo = _add128(*_mul128(h, l, *_halves([_PCG_MULT])), *inc)
-        self.gh, self.gl = _mul128(*inc, *_JUMP_G)  # (_CHUNK, rows): step c in row c-1
-
-    def draw(self, rows: np.ndarray, width: int) -> np.ndarray:
-        """The next ``width`` uniforms of each listed row, one row each: the
-        (rows, width) transpose of a contiguous (width, rows) array, whose
-        row c holds every listed row's uniform c."""
-        U = np.empty((width, len(rows)))
-        hi, lo = self.hi[rows], self.lo[rows]
-        for c in range(0, width, _CHUNK):
-            w = min(_CHUNK, width - c)
-            h, l = _add128(*_mul128(hi, lo, _JUMP_A[0][:w], _JUMP_A[1][:w]),
-                           self.gh[:w].take(rows, axis=1), self.gl[:w].take(rows, axis=1))
-            hi, lo = h[-1].copy(), l[-1].copy()
-            l ^= h  # XSL-RR output, then 53-bit double
-            h >>= 58
-            x = np.right_shift(l, h)
-            l <<= np.bitwise_and(np.subtract(64, h, out=h), 63, out=h)
-            l |= x
-            l >>= 11
-            np.multiply(l, 2.0 ** -53, out=U[c:c + w])
-        self.hi[rows], self.lo[rows] = hi, lo
-        return U.T
 
 
 def _symbol_table(model: ProcessModel) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +186,7 @@ def _scan(model: ProcessModel, target):
 def _pair_scan(model: ProcessModel, target: TargetSet):
     """_scan of an explicit target.  The state is each row's reachable
     (automaton state, last symbol) pair, numbered as in the composed chain
-    (exact.PairIndex), which fixes both the next symbol's law and the match.
+    (exact.reachable_pairs), which fixes both the next symbol's law and the match.
 
     The bin g of a uniform in G fixes the symbol under every law, so the
     table T[g, p] of the pair after pair p gives each column in one add and
@@ -317,7 +201,7 @@ def _pair_scan(model: ProcessModel, target: TargetSet):
     """
     q = model.alphabet_size
     aut = build_automaton(target, q)
-    state, last, nxt = PairIndex(aut).members()
+    state, last, nxt = reachable_pairs(aut)
     accept = aut.accepting[state]
     del aut
     G, L = table = _symbol_table(model)
@@ -461,6 +345,7 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
                     raise RejectionBudgetExceededError(
                         f"more than {REJECTION_BUDGET} rejected initial windows")
         times[lo:hi], cens[lo:hi] = _advance(streams, step, init(words), censor_cap)
+        del streams  # freed before the next tile's are built
     return SampleBatch(kind, N, seed, times, cens, censor_cap)
 
 
