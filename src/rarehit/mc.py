@@ -28,9 +28,9 @@ seed derivation below is part of the external contract.
 rarehit computes these streams itself (rarehit._pcg64), a round at a time
 for all rows of a tile (_TileStreams: the PCG64 step on uint64 arrays),
 from numpy's SeedSequence seeding run on uint32 arrays for up to
-_SEED_TILES tiles at once.  Each row equals numpy's Generator(PCG64(derive_seed(master, i))).random
-bit for bit, as tests/test_mc.py::test_tile_streams_match_numpy_generators
-checks.
+_SEED_TILES tiles at once.  Each row equals numpy's
+Generator(PCG64(derive_seed(master, i))).random bit for bit, as
+tests/test_mc.py::test_tile_streams_match_numpy_generators checks.
 """
 from __future__ import annotations
 
@@ -186,7 +186,8 @@ def _scan(model: ProcessModel, target):
 def _pair_scan(model: ProcessModel, target: TargetSet):
     """_scan of an explicit target.  The state is each row's reachable
     (automaton state, last symbol) pair, numbered as in the composed chain
-    (exact.reachable_pairs), which fixes both the next symbol's law and the match.
+    (exact.reachable_pairs); it fixes both the next symbol's law and the
+    match.
 
     The bin g of a uniform in G fixes the symbol under every law, so the
     table T[g, p] of the pair after pair p gives each column in one add and
