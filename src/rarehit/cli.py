@@ -117,9 +117,10 @@ def _cmd_limitlaw(args):
     if not args.s0 >= 0.0:  # NaN included
         raise DomainError(f"--s0 must be non-negative, got {args.s0}")
     model, target, config = _inputs(args, "limitlaw", s0=args.s0)
-    cert, tail, ret = limitlaw.certified_tails(model, target)
+    analysis = scaling.Analysis(model, target)
+    tail, (cert, _) = analysis.verification, analysis.certificate
     F = limitlaw.StepLaw(tail, cert.lam)
-    G = limitlaw.StepLaw(ret, cert.lam)
+    G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
     t_max = 0.9 * F.t_max
     if args.s0 >= t_max:
         raise DomainError(f"s0 = {args.s0:g} must lie below the usable horizon "

@@ -58,6 +58,11 @@ class HorizonTooLongError(ResourceCapError):
     """A tail horizon beyond the step cap was requested."""
 
 
+class MeasureUnderflowError(ResourceCapError):
+    """A positive measure or probability falls below the float range, so
+    double precision cannot carry it."""
+
+
 class InvalidTailError(RarehitError):
     """A tail table is not a survival function, or a tail request is malformed."""
 

@@ -56,7 +56,7 @@ class TailDistribution:
     conditional one on A.  ``source`` records how the table was produced.
     ``absorbed``, when present, is F(k) = mu(tau_A <= k) accumulated from
     non-negative increments, exact to full relative precision where 1 - H(k)
-    cancels; ``engine`` is the TailEngine that can extend the table.
+    cancels.
     """
 
     kind: str
@@ -64,7 +64,6 @@ class TailDistribution:
     mu_A: float
     source: str
     absorbed: np.ndarray | None = field(default=None, repr=False, compare=False)
-    engine: "TailEngine | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.values
@@ -436,8 +435,7 @@ class TailEngine:
         whose first ``steps + 1`` entries never change.
         """
         H, F = self._tables(K)
-        return TailDistribution(self.kind, H, self.chain.mu_A, "exact", absorbed=F,
-                                engine=self)
+        return TailDistribution(self.kind, H, self.chain.mu_A, "exact", absorbed=F)
 
     def grow(self, K: int, reached) -> TailDistribution:
         """The tail at the first horizon of K, 2K, 4K, ... (the last capped

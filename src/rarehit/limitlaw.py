@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridEmptyError, HorizonTooShortError
-from .exact import TailDistribution, TailEngine
+from .exact import TailDistribution
 from .process import ProcessModel
-from .scaling import ScaleCertificate, sup_deviation, verification_tail, verify_exponential_bound
-from .targets import TargetSet, point_cylinders
+from .scaling import Analysis, ScaleCertificate, sup_deviation, verify_exponential_bound
+from .targets import point_cylinders
 
 
 class StepLaw:
@@ -122,26 +122,18 @@ class DiagnosticsRow:
     bound: float
 
 
-def certified_tails(model: ProcessModel, target: TargetSet,
-                    ) -> tuple[ScaleCertificate, TailDistribution, TailDistribution]:
-    """Scale certificate, the hitting tail extended for verification and the
-    return tail to the same horizon, both pushed on one composed chain."""
-    cert, hit = verification_tail(model, target)
-    ret = TailEngine(hit.engine.chain, "return").extend(hit.horizon)
-    return cert, hit, ret
-
-
 def convergence_diagnostics(model: ProcessModel, point: str, n_range,
                             s0: float = 0.05) -> list[DiagnosticsRow]:
     """Per-n sup-deviations of the rescaled laws from the exponential, one row
-    per cylinder of ``point_cylinders(point, n_range)``, each built as its row
-    is reached.  D_hit and the bound 12*sqrt(d) + 2*mu(A_n) are those of
-    ``verify_exponential_bound``; D_ret is read from ``StepLaw(ret, lam)``."""
+    per cylinder of ``point_cylinders(point, n_range)``, each an ``Analysis``
+    built as its row is reached.  D_hit and the bound 12*sqrt(d) + 2*mu(A_n)
+    are those of ``verify_exponential_bound``; D_ret is read off its ``G``."""
     rows = []
     for target in point_cylinders(point, n_range):
-        cert, hit, ret = certified_tails(model, target)
+        analysis = Analysis(model, target)
+        hit, (cert, _) = analysis.verification, analysis.certificate
         report = verify_exponential_bound(hit, cert)
-        G = StepLaw(ret, cert.lam)
+        G = StepLaw(analysis.return_tail, cert.lam)
         d_ret = sup_deviation(G.levels, G.step, s0)
         rows.append(DiagnosticsRow(cert, report.sup_dev, d_ret, report.bound + 2.0 * cert.mu_A))
     return rows

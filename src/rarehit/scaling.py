@@ -10,8 +10,8 @@ Quantities, from the hitting tail H and the mixing bound at gap n:
 
 ``scale_search`` builds the whole certificate from one tail, lambda and its
 checks included; delta, the regime and the nominal flag are derived from d.
-The certificate's horizon and the longer one verification needs are both
-found by ``TailEngine.grow`` on one engine.
+``Analysis`` finds the certificate's horizon and the longer one verification
+needs with ``TailEngine.grow`` on one engine.
 For delta >= 1/4 the explicit bound exceeds 3 and nothing is asserted; when
 the threshold sqrt(d) is unreachable there is no s, and a nominal
 lambda = 1 is emitted so downstream rescaling stays total.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     DomainError,
     HorizonTooShortError,
     InvalidTailError,
+    MeasureUnderflowError,
     ZeroMeasureSetError,
     ZeroTailError,
 )
@@ -94,7 +96,8 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
 
     Raises HorizonTooShortError when the tail table ends before the
     defining threshold crossing (or before s itself, which the
-    certificate checks need), and ZeroTailError when H(s-2n) = 0.
+    certificate checks need), ZeroTailError when H(s-2n) = 0, and
+    MeasureUnderflowError when d = 0 although mu(A) > 0.
     """
     if tail.kind != "hitting":
         raise InvalidTailError("scale_search needs a hitting tail")
@@ -104,6 +107,10 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
         raise HorizonTooShortError(f"horizon {tail.horizon} < n={n}")
     F = tail.cdf  # F[j] = mu(tau <= j)
     d = _smallness(F, n, alpha_n)
+    if d <= 0.0:  # F[n] >= mu(A) > 0 in exact arithmetic: every increment underflowed
+        raise MeasureUnderflowError(
+            f"d = 0 with mu(A) = {tail.mu_A:.3g} > 0: the hitting probabilities "
+            "underflow double precision; no scale is computed")
     sd = math.sqrt(d)
     if sd >= 1.0:
         # The defining threshold is unreachable (so delta >= 3); nothing pins
@@ -112,7 +119,7 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
     above = np.nonzero(F >= sd)[0]
     if above.size == 0:
         raise HorizonTooShortError("threshold sqrt(d) not reached within horizon")
-    j = int(above[0])  # smallest j with mu(tau <= j) >= sqrt(d); j >= 1 since F[0]=0
+    j = int(above[0])  # smallest j with F[j] >= sqrt(d); j >= 1, as F[0] = 0 < sqrt(d)
     s = j + 2 * n
     if tail.horizon < s:
         raise HorizonTooShortError(f"horizon {tail.horizon} < s={s}")
@@ -137,35 +144,64 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
     return cert
 
 
-def scale_certificate(model: ProcessModel, target: TargetSet,
-                      chain: ComposedChain | None = None,
-                      ) -> tuple[ScaleCertificate, TailDistribution]:
-    """Full pipeline: exact hitting tail with auto-extended horizon and the
-    scale certificate read from it, on ``chain``, the composed chain of
-    (model, target), built here unless the caller has it.
-    ``TailEngine.grow`` doubles the horizon from max(4n, 64) until the
-    threshold crossing j, and s = j + 2n with it, lie within the table (or
-    sqrt(d) >= 1); F never decreases, so that is where the search stops
-    refusing, and it runs once.
-
-    Raises ZeroMeasureSetError before any push when mu(A) = 0, and
-    HorizonTooShortError before the doubling when the threshold cannot be
-    reached within exact.MAX_TAIL_STEPS: by stationarity mu(tau <= j) <= j*mu(A),
-    so the crossing needs j >= sqrt(d)/mu(A).
+class Analysis:
+    """The certified analysis of one (model, target): the chain, refused when
+    mu(A) = 0, alpha(n) and the hitting engine.  It caches ``certificate``,
+    ``verification`` (the hitting tail grown for the explicit bound) and
+    ``return_tail`` (on the same chain, to that horizon), each resuming the
+    engine where the last one stopped.
     """
-    n = target.n
-    alpha_n = alpha_bound(model, n)
-    if chain is None:
-        chain = ComposedChain(model, target)
-    engine = TailEngine(chain)
-    sd = math.sqrt(_smallness(engine.extend(n).cdf, n, alpha_n))
-    cap = exact.MAX_TAIL_STEPS
-    if sd < 1.0 and sd > chain.mu_A * (cap - 2 * n):
-        raise HorizonTooShortError(
-            f"threshold sqrt(d)={sd:.3g} with mu(A)={chain.mu_A:.3g} needs more "
-            f"than {cap} steps")
-    tail = engine.grow(max(4 * n, 64), lambda H, F: sd >= 1.0 or F[F.size - 1 - 2 * n] >= sd)
-    return scale_search(tail, n, alpha_n), tail
+
+    def __init__(self, model: ProcessModel, target: TargetSet):
+        try:
+            self.chain = ComposedChain(model, target)
+        except ZeroMeasureSetError:
+            raise ZeroMeasureSetError("target has zero measure; no scale exists") from None
+        self.alpha_n = alpha_bound(model, target.n)
+        self.engine = TailEngine(self.chain)
+
+    @cached_property
+    def certificate(self) -> tuple[ScaleCertificate, TailDistribution]:
+        """The scale certificate and the hitting tail it was read from, the
+        first horizon of max(4n, 64), doubled, where the threshold crossing
+        j, and s = j + 2n with it, lie within the table (or sqrt(d) >= 1);
+        F never decreases, so that is where the one scale search succeeds.
+
+        Raises HorizonTooShortError before the doubling when the threshold
+        cannot be reached within exact.MAX_TAIL_STEPS: by stationarity
+        mu(tau <= j) <= j*mu(A), so the crossing needs j >= sqrt(d)/mu(A).
+        """
+        n, mu_A, cap = self.chain.target.n, self.chain.mu_A, exact.MAX_TAIL_STEPS
+        sd = math.sqrt(_smallness(self.engine.extend(n).cdf, n, self.alpha_n))
+        if sd < 1.0 and sd > mu_A * (cap - 2 * n):
+            raise HorizonTooShortError(
+                f"threshold sqrt(d)={sd:.3g} with mu(A)={mu_A:.3g} needs more "
+                f"than {cap} steps")
+        tail = self.engine.grow(
+            max(4 * n, 64), lambda H, F: sd >= 1.0 or F[F.size - 1 - 2 * n] >= sd)
+        return scale_search(tail, n, self.alpha_n), tail
+
+    @cached_property
+    def verification(self) -> TailDistribution:
+        """The certificate's hitting tail extended for verification; refused
+        before the certificate when H(K) >= 1 - K*mu(A) keeps H(K) above the
+        truncation target within the step cap."""
+        if 1.0 - TRUNCATION_TARGET > self.chain.mu_A * exact.MAX_TAIL_STEPS:
+            raise HorizonTooShortError(
+                f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {exact.MAX_TAIL_STEPS}")
+        cert, tail = self.certificate
+        return extend_for_verification(self.engine, tail.horizon, cert.lam)
+
+    @cached_property
+    def return_tail(self) -> TailDistribution:
+        """The return tail on the same chain, to the verified horizon."""
+        return TailEngine(self.chain, "return").extend(self.verification.horizon)
+
+
+def scale_certificate(model: ProcessModel, target: TargetSet,
+                      ) -> tuple[ScaleCertificate, TailDistribution]:
+    """``Analysis(model, target).certificate``: the certificate and its tail."""
+    return Analysis(model, target).certificate
 
 
 def _truncation(H: np.ndarray, step: float) -> float:
@@ -175,42 +211,19 @@ def _truncation(H: np.ndarray, step: float) -> float:
     return max(float(H[-1]), math.exp(-step * (H.size - 1)))
 
 
-def extend_for_verification(tail: TailDistribution, lam: float) -> TailDistribution:
-    """Grow an engine-built hitting tail, with ``TailEngine.grow`` from its
-    horizon, until both H(K) and exp(-lam*mu*K) fall below the truncation
+def extend_for_verification(engine: TailEngine, K: int, lam: float) -> TailDistribution:
+    """Grow the hitting tail of ``engine``, with ``TailEngine.grow`` from
+    horizon K, until both H(K) and exp(-lam*mu*K) fall below the truncation
     target.
 
-    Raises InvalidTailError for a tail without an engine, and
-    HorizonTooShortError at once when exp(-lam*mu*K) cannot fall below the
-    target within exact.MAX_TAIL_STEPS.
+    Raises HorizonTooShortError at once when exp(-lam*mu*K) cannot fall
+    below the target within exact.MAX_TAIL_STEPS.
     """
-    if tail.engine is None:
-        raise InvalidTailError("extend_for_verification needs a tail built by a TailEngine")
-    step, cap = lam * tail.mu_A, exact.MAX_TAIL_STEPS
+    step, cap = lam * engine.chain.mu_A, exact.MAX_TAIL_STEPS
     if math.log(1.0 / TRUNCATION_TARGET) > step * cap:
         raise HorizonTooShortError(
             f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {cap}")
-    return tail.engine.grow(tail.horizon, lambda H, F: _truncation(H, step) <= TRUNCATION_TARGET)
-
-
-def verification_tail(model: ProcessModel, target: TargetSet,
-                      ) -> tuple[ScaleCertificate, TailDistribution]:
-    """Scale certificate and the hitting tail extended for verification.
-
-    Refuses before any push, from the mu(A) that the chain measured: with
-    ZeroMeasureSetError when mu(A) = 0, and with HorizonTooShortError when
-    H(K) cannot reach the truncation target within the step cap, since
-    H(K) >= 1 - K*mu(A).
-    """
-    try:
-        chain = ComposedChain(model, target)
-    except ZeroMeasureSetError:
-        raise ZeroMeasureSetError("target has zero measure; no scale exists") from None
-    if 1.0 - TRUNCATION_TARGET > chain.mu_A * exact.MAX_TAIL_STEPS:
-        raise HorizonTooShortError(
-            f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {exact.MAX_TAIL_STEPS}")
-    cert, tail = scale_certificate(model, target, chain)
-    return cert, extend_for_verification(tail, cert.lam)
+    return engine.grow(K, lambda H, F: _truncation(H, step) <= TRUNCATION_TARGET)
 
 
 def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
@@ -258,10 +271,10 @@ def verify_exponential_bound(tail: TailDistribution,
 
 def verify(model: ProcessModel, target: TargetSet,
            ) -> tuple[ScaleCertificate, VerificationReport, TailDistribution]:
-    """Certificate + explicit-bound verification on exact tails."""
-    cert, tail = verification_tail(model, target)
-    report = verify_exponential_bound(tail, cert)
-    return cert, report, tail
+    """Certificate + explicit-bound verification on the tails of one ``Analysis``."""
+    analysis = Analysis(model, target)
+    tail, (cert, _) = analysis.verification, analysis.certificate
+    return cert, verify_exponential_bound(tail, cert), tail
 
 
 def lambda_trajectory(model: ProcessModel, point: str, n_range,

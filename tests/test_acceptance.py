@@ -125,11 +125,10 @@ def test_criterion_6_limit_law_relations():
                      (UNIFORM2, cylinder([0, 1])),
                      (markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1])),
                      (iid([0.8, 0.2]), cylinder([1, 1, 1]))]:
-        cert, tail = scaling.scale_certificate(model, A)
-        tail = scaling.extend_for_verification(tail, cert.lam)
-        ret = return_tail(model, A, tail.horizon)
-        F = limitlaw.StepLaw(tail, cert.lam)
-        G = limitlaw.StepLaw(ret, cert.lam)
+        analysis = scaling.Analysis(model, A)
+        cert, _ = analysis.certificate
+        F = limitlaw.StepLaw(analysis.verification, cert.lam)
+        G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
         grid = np.linspace(0.01, 0.9 * min(F.t_max, G.t_max), 60)
         pairs = [(grid[i], grid[j])
                  for i in range(0, 60, 6) for j in range(i + 1, 60, 6)]

@@ -234,7 +234,8 @@ def test_null_target_tail_refused_before_any_push(tmp_path, capsys):
         tracemalloc.stop()
     assert (code, text) == (EXIT_CONFIG, "")
     assert peak < 1 << 20
-    assert "target has zero measure" in capsys.readouterr().err
+    # tail builds its own chain: no scale is involved, so none is named
+    assert capsys.readouterr().err == "analysis failed: target has zero measure\n"
 
 
 @pytest.mark.parametrize("D", ["inf", "nan", "-0.1"])
@@ -445,7 +446,8 @@ def test_failed_allocation_exits_resource_with_one_line():
 def test_every_resource_cap_error_exits_resource(monkeypatch, tmp_path, capsys):
     caps = [errors.AlphabetTooLargeError, errors.EnumerationTooLargeError,
             errors.ExpansionTooLargeError, errors.RejectionBudgetExceededError,
-            errors.HorizonTooShortError, errors.HorizonTooLongError]
+            errors.HorizonTooShortError, errors.HorizonTooLongError,
+            errors.MeasureUnderflowError]
     assert set(caps) <= set(errors.ResourceCapError.__subclasses__())
     for exc in caps:
         def refuse(*a, **kw):
@@ -533,17 +535,35 @@ def test_unreachable_scale_exit_resource(tmp_path):
 
 def test_sweep_assert_builds_each_certificate_once(tmp_path, monkeypatch):
     calls = []
-    real = scaling.scale_certificate
+    real = scaling.scale_search
 
-    def counted(model, target, *a, **kw):
-        calls.append(target.n)
-        return real(model, target, *a, **kw)
+    def counted(tail, n, alpha_n):
+        calls.append(n)
+        return real(tail, n, alpha_n)
 
-    monkeypatch.setattr(scaling, "scale_certificate", counted)
+    monkeypatch.setattr(scaling, "scale_search", counted)
     code, _ = run(["sweep", "--model", "iid-uniform-2", "--point", "0,1",
                    "--n-min", "2", "--n-max", "6", "--assert"], tmp_path)
     assert code == EXIT_OK
     assert calls == [2, 3, 4, 5, 6]
+
+
+ONES_1074 = ["--model", "iid-uniform-2", "--target", "cyl:" + ",".join(["1"] * 1074)]
+
+
+def test_lambda_refuses_an_underflowed_target(tmp_path, capsys):
+    # mu(1^1074) = 2^-1074 is the smallest subnormal: every absorbed increment
+    # underflows, so d = 0, which would certify s = 2n and lambda = 0.
+    assert run(["lambda", *ONES_1074, "--assert"], tmp_path) == (EXIT_RESOURCE, "")
+    assert capsys.readouterr().err == (
+        "resource cap exceeded: d = 0 with mu(A) = 4.94e-324 > 0: the hitting "
+        "probabilities underflow double precision; no scale is computed\n")
+    # verify, limitlaw and sweep refuse it before the certificate, from mu(A)
+    for argv in (["verify", *ONES_1074], ["limitlaw", *ONES_1074],
+                 ["sweep", "--model", "iid-uniform-2", "--point", "1", "--n-min", "1074",
+                  "--n-max", "1074"]):
+        assert run(argv, tmp_path) == (EXIT_RESOURCE, "")
+        assert "H(K) <= 0.0001 needs K > cap" in capsys.readouterr().err
 
 
 def _count_cylinders(monkeypatch):
@@ -649,7 +669,8 @@ BAD_TARGETS = [
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    pytest.param(["lambda", *NULL_TARGET], EXIT_CONFIG, "zero measure", id="lambda-null-set"),
+    pytest.param(["lambda", *NULL_TARGET], EXIT_CONFIG, "target has zero measure; no scale exists",
+                 id="lambda-null-set"),
     pytest.param(["verify", *NULL_TARGET], EXIT_CONFIG, "zero measure", id="verify-null-set"),
     pytest.param(["limitlaw", *NULL_TARGET], EXIT_CONFIG, "zero measure",
                  id="limitlaw-null-set"),

@@ -3,9 +3,11 @@
 Library code refuses with a typed RarehitError, never with a bare check: no
 ``assert`` statement (stripped under ``python -O``) and no ``raise`` of
 ``ValueError`` or ``AssertionError``, which callers cannot tell apart from
-bugs.  And no module imports scipy when it is itself imported: scipy's
+bugs.  No module imports scipy when it is itself imported: scipy's
 sparse modules take most of a process's start-up, so they are imported
-inside the functions that use them.
+inside the functions that use them.  And no module other than
+``__init__.py``, which re-exports, imports a name it never reads: a
+leftover import hides what a module really depends on.
 """
 import ast
 from pathlib import Path
@@ -70,3 +72,33 @@ def test_the_scipy_rule_sees_what_it_forbids(tmp_path):
                    "import scipyx\nfrom .scipy import x\n")
     assert [v.split(": ")[1] for v in _scipy_at_import(bad)] == [
         "import scipy.sparse", "import scipy", "import scipy", "import scipy.optimize"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by an import (``from __future__`` aside) that the module
+    never reads, in source order."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names]
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(bound) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert modules
+    assert [v for path in modules for v in _unused_imports(path)] == []
+
+
+def test_the_unused_import_rule_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from __future__ import annotations\nimport os\nimport numpy as np\n"
+                   "import os.path\nfrom . import exact\nfrom x import (a, b as c)\n"
+                   "print(a, os.sep)\n"
+                   "def f():\n    import scipy.sparse as sp\n    return exact\n"
+                   "np = 1\n")
+    assert [v.split(": ")[1] for v in _unused_imports(bad)] == ["np", "c", "sp"]

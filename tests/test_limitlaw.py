@@ -26,11 +26,10 @@ UNIFORM2 = uniform_iid(2)
 
 
 def _laws(model, target):
-    cert, tail = scaling.scale_certificate(model, target)
-    tail = scaling.extend_for_verification(tail, cert.lam)
-    ret = return_tail(model, target, tail.horizon)
-    F = limitlaw.StepLaw(tail, cert.lam)
-    G = limitlaw.StepLaw(ret, cert.lam)
+    analysis = scaling.Analysis(model, target)
+    cert, _ = analysis.certificate
+    F = limitlaw.StepLaw(analysis.verification, cert.lam)
+    G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
     return cert, F, G
 
 
@@ -198,8 +197,7 @@ def test_verify_and_sweep_share_the_hitting_deviation():
     assert report.sup_dev == row.d_hit == 0.14380382468551522
     assert row.bound == report.bound + 2 * cert.mu_A
     # D_ret is read off the rescaled return law, not a second copy of it.
-    _, _, ret = limitlaw.certified_tails(UNIFORM2, cylinder([0, 0]))
-    G = limitlaw.StepLaw(ret, cert.lam)
+    G = limitlaw.StepLaw(scaling.Analysis(UNIFORM2, cylinder([0, 0])).return_tail, cert.lam)
     for s0 in (0.0, 0.05):
         (row,) = convergence_diagnostics(UNIFORM2, "0", range(2, 3), s0)
         assert row.d_ret == scaling.sup_deviation(G.levels, G.step, s0)
@@ -207,7 +205,8 @@ def test_verify_and_sweep_share_the_hitting_deviation():
 
 def test_return_deviation_starts_at_s0():
     target = cylinder([0, 1])
-    cert, _, ret = limitlaw.certified_tails(UNIFORM2, target)
+    analysis = scaling.Analysis(UNIFORM2, target)
+    (cert, _), ret = analysis.certificate, analysis.return_tail
     G = ret.values / cert.lam
     step = cert.lam * cert.mu_A
     for s0 in (0.0, 0.05, 0.5 * step, 3.0):

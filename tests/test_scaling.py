@@ -183,18 +183,13 @@ def test_unverifiable_horizon_refused_at_once(monkeypatch):
     with pytest.raises(errors.HorizonTooShortError):
         verify(UNIFORM2, cylinder([1] * 40))
     # exp(-lam*mu*K) <= 1e-4 needs K ~ 9.2/(lam*2^-12) > 1000: no push.
-    cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 12))
-    steps = tail.engine.steps
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
+    cert, tail = analysis.certificate
+    steps = analysis.engine.steps
     monkeypatch.setattr(exact, "MAX_TAIL_STEPS", 1000)
     with pytest.raises(errors.HorizonTooShortError):
-        scaling.extend_for_verification(tail, cert.lam)
-    assert tail.engine.steps == steps
-
-
-def test_extension_needs_an_engine_built_tail():
-    tail = exact.brute_force_tail(UNIFORM2, cylinder([1, 1]), 8)
-    with pytest.raises(errors.InvalidTailError):
-        scaling.extend_for_verification(tail, 1.0)
+        scaling.extend_for_verification(analysis.engine, tail.horizon, cert.lam)
+    assert analysis.engine.steps == steps
 
 
 def test_certificate_reads_accumulated_F():
@@ -290,10 +285,18 @@ def test_zero_measure_target_refused_before_any_push(monkeypatch):
     never_one = iid([1.0, 0.0])
     pushed = []
     monkeypatch.setattr(exact.TailEngine, "extend", lambda self, K: pushed.append(K))
-    for call in (scale_certificate, scaling.verification_tail, verify):
+    for call in (scale_certificate, scaling.Analysis, verify):
         with pytest.raises(errors.ZeroMeasureSetError):
             call(never_one, cylinder([1, 1]))
     assert pushed == []
+
+
+def test_scale_search_refuses_an_underflowed_smallness():
+    # mu(A) = 2^-1074 > 0, but every absorbed increment underflowed: F = 0
+    # and d = 0, where j = 0 would give s = 2n and lambda = 0.
+    tail = TailDistribution("hitting", np.ones(40), 5e-324, "exact", absorbed=np.zeros(40))
+    with pytest.raises(errors.MeasureUnderflowError, match="underflow"):
+        scale_search(tail, 4, 0.0)
 
 
 def test_scale_search_refuses_a_zero_measure_tail():
@@ -335,26 +338,60 @@ def test_scale_search_runs_once_per_certificate(monkeypatch):
 def test_certificate_and_verification_horizons(model, target, cert_K, verify_K):
     # The certificate tail and the verification tail end where the outputs
     # pinned elsewhere were computed: K, 2K, 4K, ... from max(4n, 64).
-    cert, tail = scale_certificate(model, target)
-    assert tail.horizon == cert_K
-    assert scaling.extend_for_verification(tail, cert.lam).horizon == verify_K
+    analysis = scaling.Analysis(model, target)
+    assert analysis.certificate[1].horizon == cert_K
+    assert analysis.verification.horizon == verify_K
 
 
-def test_verify_measures_the_target_words_once(monkeypatch):
-    # The up-front refusals read mu(A) from the chain that the certificate
-    # then pushes on: the 277 words of the U4 ball are measured once.
-    from rarehit import process, targets
-    calls = []
-    real = process.word_measures
+U4_BALL = ["--model", "iid-uniform-4", "--target", "hamming:0,0,0,0,0,0,0,0:0.25"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    pytest.param(["lambda", *U4_BALL, "--assert"], [(277, 8)], id="lambda"),
+    pytest.param(["verify", *U4_BALL, "--assert"], [(277, 8)], id="verify"),
+    pytest.param(["limitlaw", *U4_BALL, "--assert"], [(277, 8)], id="limitlaw"),
+    pytest.param(["tail", *U4_BALL, "--K", "300"], [(277, 8)], id="tail"),
+    pytest.param(["sweep", "--model", "iid-uniform-4", "--point", "0,1", "--n-min", "2",
+                  "--n-max", "4", "--assert"], [(1, 2), (1, 3), (1, 4)], id="sweep"),
+])
+def test_verify_measures_the_target_words_once(monkeypatch, tmp_path, argv, words):
+    # Each run builds one composed chain per target: the up-front refusals,
+    # the certificate, verification and the return tail all read it, so
+    # the 277 words of the U4 ball (or each sweep row's word) are measured once.
+    from rarehit import cli, process, targets
+    calls, chains = [], []
+    real_measures, real_init = process.word_measures, exact.ComposedChain.__init__
 
     def counted(model, words):
         calls.append(words.shape)
-        return real(model, words)
+        return real_measures(model, words)
+
+    def built(self, model, target):
+        chains.append(target.n)
+        real_init(self, model, target)
 
     for module in (process, targets, exact):
         monkeypatch.setattr(module, "word_measures", counted)
-    ball = hamming_ball([0] * 8, 0.25, 4)
-    cert, report, _ = verify(uniform_iid(4), ball)
-    assert calls == [(277, 8)]
-    assert report.passed
+    monkeypatch.setattr(exact.ComposedChain, "__init__", built)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert calls == words
+    assert chains == [n for _, n in words]
 
+
+def test_analysis_resumes_one_engine_and_caches_each_result(monkeypatch):
+    analysis = scaling.Analysis(markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1, 1, 0]))
+    cert, tail = analysis.certificate
+    assert tail.horizon == 64
+    hit = analysis.verification
+    assert hit.horizon == 1024 and hit.values[:65].tolist() == tail.values.tolist()
+    ret = analysis.return_tail
+    assert (ret.kind, ret.horizon, ret.mu_A) == ("return", 1024, hit.mu_A)
+    # The resumed engine matches fresh engines on a fresh chain bit for bit.
+    model, target = analysis.chain.model, analysis.chain.target
+    assert np.array_equal(hit.values, hitting_tail(model, target, 1024).values)
+    assert np.array_equal(ret.values, exact.return_tail(model, target, 1024).values)
+    # Cached: a second read pushes nothing and builds no tail.
+    monkeypatch.setattr(exact.TailEngine, "extend", None)
+    monkeypatch.setattr(exact.TailEngine, "grow", None)
+    assert analysis.certificate[0] is cert and analysis.certificate[1] is tail
+    assert analysis.verification is hit and analysis.return_tail is ret
