@@ -59,8 +59,7 @@ class HorizonTooLongError(ResourceCapError):
 
 
 class MeasureUnderflowError(ResourceCapError):
-    """A positive measure or probability falls below the float range, so
-    double precision cannot carry it."""
+    """A positive measure underflows double precision."""
 
 
 class InvalidTailError(RarehitError):

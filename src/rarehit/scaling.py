@@ -107,10 +107,9 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
         raise HorizonTooShortError(f"horizon {tail.horizon} < n={n}")
     F = tail.cdf  # F[j] = mu(tau <= j)
     d = _smallness(F, n, alpha_n)
-    if d <= 0.0:  # F[n] >= mu(A) > 0 in exact arithmetic: every increment underflowed
+    if d <= 0.0:  # F[n] >= mu(A) > 0 exactly, so every increment underflowed
         raise MeasureUnderflowError(
-            f"d = 0 with mu(A) = {tail.mu_A:.3g} > 0: the hitting probabilities "
-            "underflow double precision; no scale is computed")
+            f"d = 0 although mu(A) = {tail.mu_A:.3g} > 0: early-hit probabilities underflow")
     sd = math.sqrt(d)
     if sd >= 1.0:
         # The defining threshold is unreachable (so delta >= 3); nothing pins
@@ -145,12 +144,9 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
 
 
 class Analysis:
-    """The certified analysis of one (model, target): the chain, refused when
-    mu(A) = 0, alpha(n) and the hitting engine.  It caches ``certificate``,
-    ``verification`` (the hitting tail grown for the explicit bound) and
-    ``return_tail`` (on the same chain, to that horizon), each resuming the
-    engine where the last one stopped.
-    """
+    """One (model, target): its chain (refused when mu(A) = 0), alpha(n) and
+    hitting engine, and the certificate, verification tail and return tail,
+    each cached and resuming the engine where the last one stopped."""
 
     def __init__(self, model: ProcessModel, target: TargetSet):
         try:
@@ -162,15 +158,11 @@ class Analysis:
 
     @cached_property
     def certificate(self) -> tuple[ScaleCertificate, TailDistribution]:
-        """The scale certificate and the hitting tail it was read from, the
-        first horizon of max(4n, 64), doubled, where the threshold crossing
-        j, and s = j + 2n with it, lie within the table (or sqrt(d) >= 1);
-        F never decreases, so that is where the one scale search succeeds.
-
-        Raises HorizonTooShortError before the doubling when the threshold
-        cannot be reached within exact.MAX_TAIL_STEPS: by stationarity
-        mu(tau <= j) <= j*mu(A), so the crossing needs j >= sqrt(d)/mu(A).
-        """
+        """The scale certificate and its hitting tail, grown from max(4n, 64)
+        until the crossing j and s = j + 2n lie in the table (or sqrt(d) >= 1):
+        F never decreases, so the one scale search then succeeds.  Refused
+        before the doubling when the crossing, at j >= sqrt(d)/mu(A) since
+        mu(tau <= j) <= j*mu(A), lies past exact.MAX_TAIL_STEPS."""
         n, mu_A, cap = self.chain.target.n, self.chain.mu_A, exact.MAX_TAIL_STEPS
         sd = math.sqrt(_smallness(self.engine.extend(n).cdf, n, self.alpha_n))
         if sd < 1.0 and sd > mu_A * (cap - 2 * n):
@@ -183,9 +175,8 @@ class Analysis:
 
     @cached_property
     def verification(self) -> TailDistribution:
-        """The certificate's hitting tail extended for verification; refused
-        before the certificate when H(K) >= 1 - K*mu(A) keeps H(K) above the
-        truncation target within the step cap."""
+        """The certificate's tail grown for verification, refused before it when
+        H(K) >= 1 - K*mu(A) keeps H(K) above the truncation target at the cap."""
         if 1.0 - TRUNCATION_TARGET > self.chain.mu_A * exact.MAX_TAIL_STEPS:
             raise HorizonTooShortError(
                 f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {exact.MAX_TAIL_STEPS}")
@@ -200,7 +191,7 @@ class Analysis:
 
 def scale_certificate(model: ProcessModel, target: TargetSet,
                       ) -> tuple[ScaleCertificate, TailDistribution]:
-    """``Analysis(model, target).certificate``: the certificate and its tail."""
+    """``Analysis(model, target).certificate``."""
     return Analysis(model, target).certificate
 
 

@@ -556,8 +556,8 @@ def test_lambda_refuses_an_underflowed_target(tmp_path, capsys):
     # underflows, so d = 0, which would certify s = 2n and lambda = 0.
     assert run(["lambda", *ONES_1074, "--assert"], tmp_path) == (EXIT_RESOURCE, "")
     assert capsys.readouterr().err == (
-        "resource cap exceeded: d = 0 with mu(A) = 4.94e-324 > 0: the hitting "
-        "probabilities underflow double precision; no scale is computed\n")
+        "resource cap exceeded: d = 0 although mu(A) = 4.94e-324 > 0: early-hit "
+        "probabilities underflow\n")
     # verify, limitlaw and sweep refuse it before the certificate, from mu(A)
     for argv in (["verify", *ONES_1074], ["limitlaw", *ONES_1074],
                  ["sweep", "--model", "iid-uniform-2", "--point", "1", "--n-min", "1074",
