@@ -95,8 +95,8 @@ def _cmd_tail(args):
     sep = "," if target.array.max() >= 10 else ""
     config["target"] = {"n": target.n, "words": [sep.join(map(str, w)) for w in target.words]}
     chain = exact.ComposedChain(model, target)
-    hit = exact.TailEngine(chain).extend(args.K)
-    ret = exact.TailEngine(chain, "return").extend(args.K)
+    hit = exact.TailEngine(chain).extend(args.K, absorbed=False)
+    ret = exact.TailEngine(chain, "return").extend(args.K, absorbed=False)
     return config, lambda fp: exact.write_tails_csv(fp, hit, ret), True
 
 

@@ -40,12 +40,13 @@ from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 BRUTE_FORCE_CAP = 2 * 10 ** 7
-MAX_TAIL_STEPS = 10 ** 8  # longest tail an engine pushes (16 bytes a step)
+MAX_TAIL_STEPS = 10 ** 8  # longest tail an engine pushes (8 bytes a step, 16 with F)
 _DENSE_LIMIT = 600  # largest chain whose block matrices are ever built
 _BLOCK = 128  # steps per block push on dense chains
 _STACK = 1 << 16  # doubles of live vectors stacked per chunk of a block push
 _MONOTONE_SLACK = 1e-12
 _CSV_ROWS = 4096  # rows formatted per write: bounded memory at any horizon
+_CHECK_ROWS = 1 << 16  # entries per chunk of a tail's validation
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,21 @@ class TailDistribution:
         v = self.values
         if v.ndim != 1 or v.size < 1:
             raise HorizonNonPositiveError("tail needs at least H(0)")
-        if not np.isfinite(v).all():
-            raise InvalidTailError("tail values must be finite")
+        # Chunk by chunk, each overlapping the next by one entry for the
+        # differences, so the checks allocate no horizon-length temporary;
+        # the messages keep their order of precedence.
+        rises, low = False, 0.0
+        for lo in range(0, v.size, _CHECK_ROWS):
+            c = v[lo:lo + _CHECK_ROWS + 1]
+            if not np.isfinite(c).all():
+                raise InvalidTailError("tail values must be finite")
+            rises = rises or bool((np.diff(c) > _MONOTONE_SLACK).any())
+            low = min(low, float(c.min()))
         if abs(v[0] - 1.0) > 1e-9:
             raise InvalidTailError(f"H(0) must be 1, got {v[0]!r}")
-        if np.any(np.diff(v) > _MONOTONE_SLACK):
+        if rises:
             raise InvalidTailError("tail must be non-increasing")
-        if v.min() < -_MONOTONE_SLACK:
+        if low < -_MONOTONE_SLACK:
             raise InvalidTailError("tail values must be non-negative")
 
     @property
@@ -84,7 +93,9 @@ class TailDistribution:
 
     @property
     def cdf(self) -> np.ndarray:
-        """F(k) = mu(tau_A <= k): the absorbed mass when carried, else 1 - H."""
+        """F(k) = mu(tau_A <= k): the absorbed mass when carried, else 1 - H,
+        which cancels where F is tiny.  Tails pushed without F (verification
+        and return tails of an ``Analysis``, ``rarehit tail``) carry none."""
         return 1.0 - self.values if self.absorbed is None else self.absorbed
 
 
@@ -351,67 +362,109 @@ class TailEngine:
     The engine keeps the chain and the live vector and only ever pushes
     steps it has not pushed before: single steps up to the chain's
     ``switch``, blocks from there on.  A block push first stacks the live
-    vectors at the start of each block, then computes H and F at all their
+    vectors at the start of each block, then computes H (and F) at all their
     steps with one stacked ``matmul`` per table, which runs the same gemv per
     block as a block-by-block product.  The switch depends on the chain size
     alone, so an engine extended in several calls matches a fresh one bit
     for bit.
-    Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
-    every increment is non-negative, so F never cancels.  Engines of both
-    kinds on one chain share its block matrices.  ``grow`` tests its stop
-    rule ``reached(H, F)`` on the bare tables and builds one validated
-    ``TailDistribution`` per call.
+    Beside H it can accumulate F(k) = mu(tau_A <= k) from the absorbed
+    mass; every increment is non-negative, so F never cancels.  Only the
+    scale certificate reads F, so a push asked for with ``absorbed=False``
+    fills H alone, and F stays at the last step that has it, with the live
+    vector of that step.  A later request for F replays the increments from
+    there: the same products on the same vectors, so F has the bits of a
+    fresh engine's.  Engines of both kinds on one chain share its block
+    matrices.  ``grow`` tests its stop rule ``reached(H, F)`` on the bare
+    tables and builds one validated ``TailDistribution`` per call.
     """
 
     def __init__(self, chain: ComposedChain, kind: str = "hitting"):
         self._v = chain.start(kind)  # live vector after the steps pushed
+        self._vF = self._v  # live vector at the last step F holds
         self.kind = kind
         self.chain = chain
         self.steps = 0  # steps pushed so far
+        self._f_steps = 0  # steps F holds: at most ``steps``
         self._H = np.ones(1)
         self._F = np.zeros(1)
 
-    def _tables(self, K: int) -> tuple[np.ndarray, np.ndarray]:
-        """H and F for k = 0..K as ``extend`` returns them, without the tail."""
+    def _tables(self, K: int, absorbed: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """H, and F when ``absorbed``, for k = 0..K as ``extend`` returns them,
+        without the tail."""
         if K < 1:
             raise HorizonNonPositiveError("K must be >= 1")
         if K > MAX_TAIL_STEPS:
             raise HorizonTooLongError(f"K = {K} exceeds the step cap {MAX_TAIL_STEPS}")
-        k0 = self.steps
-        if K > k0:
-            chain = self.chain
-            switch = chain.switch
-            k1 = K if K <= switch else switch + -(-(K - switch) // _BLOCK) * _BLOCK
-            H = np.empty(k1 + 1)
-            F = np.empty(k1 + 1)
-            H[:k0 + 1] = self._H
-            F[:k0 + 1] = self._F
-            v = self._v
-            absorb, survT = chain.absorb, chain.survT
-            for k in range(k0, min(k1, switch)):
-                F[k + 1] = absorb @ v
-                v = survT @ v
-                H[k + 1] = v.sum()
-            if k1 > switch:
-                v = self._push_blocks(v, H, F, max(k0, switch), k1)
-            # Clamp float dust so monotonicity holds exactly; both fix-ups
-            # run left to right, so they agree with a single pass from k = 0.
-            np.minimum.accumulate(H[k0:], out=H[k0:])
-            np.clip(H[k0:], 0.0, 1.0, out=H[k0:])
-            np.cumsum(F[k0:], out=F[k0:])
-            np.minimum(F[k0:], 1.0, out=F[k0:])
-            self._v, self._H, self._F, self.steps = v, H, F, k1
+        switch = self.chain.switch
+        k1 = K if K <= switch else switch + -(-(K - switch) // _BLOCK) * _BLOCK
+        k0, f0 = self.steps, self._f_steps
+        if absorbed and f0 < min(k1, k0):  # replay F up to where H ends
+            f1 = min(k1, k0)
+            self._vF = self._push(self._vF, f0, f1, None, self._grow("_F", f1))
+            self._f_steps = f1
+        if k1 > k0:
+            F = self._grow("_F", k1) if absorbed else None
+            self._v = self._push(self._v, k0, k1, self._grow("_H", k1), F)
+            self.steps = k1
+            if absorbed:
+                self._vF, self._f_steps = self._v, k1
         H = self._H[:K + 1]
-        F = self._F[:K + 1]
         H.flags.writeable = False
+        if not absorbed:
+            return H, None
+        F = self._F[:K + 1]
         F.flags.writeable = False
         return H, F
 
-    def _push_blocks(self, v: np.ndarray, H: np.ndarray, F: np.ndarray,
+    def _grow(self, name: str, k1: int) -> np.ndarray:
+        """The table held in attribute ``name``, with room for k = 0..k1.
+
+        It grows in place when nothing else refers to it, so old and new are
+        never alive together (glibc moves a large block by remapping its
+        pages), and is copied when a tail handed out earlier still views it,
+        which ``resize`` detects from the reference count: the attribute is
+        taken off for the call, so the table's one other reference is this
+        frame's."""
+        table = vars(self).pop(name)
+        try:
+            if table.size <= k1:
+                table.resize(k1 + 1)
+        except ValueError:
+            table = np.concatenate((table, np.empty(k1 + 1 - table.size)))
+        finally:
+            setattr(self, name, table)
+        return table
+
+    def _push(self, v: np.ndarray, k0: int, k1: int,
+              H: np.ndarray | None, F: np.ndarray | None) -> np.ndarray:
+        """Fill H and F, each unless None, at steps k0+1..k1 from the live
+        vector ``v`` at k0, single steps up to the switch and whole blocks
+        beyond it; return the live vector at k1."""
+        absorb, survT, switch = self.chain.absorb, self.chain.survT, self.chain.switch
+        for k in range(k0, min(k1, switch)):
+            if F is not None:
+                F[k + 1] = absorb @ v
+            v = survT @ v
+            if H is not None:
+                H[k + 1] = v.sum()
+        if k1 > switch:
+            v = self._push_blocks(v, H, F, max(k0, switch), k1)
+        # Clamp float dust so monotonicity holds exactly; both fix-ups run
+        # left to right, so they agree with a single pass from k = 0.
+        if H is not None:
+            np.minimum.accumulate(H[k0:], out=H[k0:])
+            np.clip(H[k0:], 0.0, 1.0, out=H[k0:])
+        if F is not None:
+            np.cumsum(F[k0:], out=F[k0:])
+            np.minimum(F[k0:], 1.0, out=F[k0:])
+        return v
+
+    def _push_blocks(self, v: np.ndarray, H: np.ndarray | None, F: np.ndarray | None,
                      k0: int, k1: int) -> np.ndarray:
-        """Fill H and F (F as increments) at steps k0+1..k1, whole blocks
-        from live vector ``v``, stacking at most _STACK doubles of live
-        vectors at a time; return the live vector at k1."""
+        """Fill H and F (F as increments), each unless None, at steps
+        k0+1..k1, whole blocks from live vector ``v``, stacking at most
+        _STACK doubles of live vectors at a time; return the live vector at
+        k1."""
         R, A, push = self.chain.blocks
         dot = push.dot  # the bound method skips np.dot's dispatch, half its cost here
         blocks = (k1 - k0) // _BLOCK
@@ -423,33 +476,37 @@ class TailEngine:
             for b in range(m):
                 dot(V[b], out=V[b + 1])
             rows = slice(k0 + lo * _BLOCK + 1, k0 + (lo + m) * _BLOCK + 1)
-            np.matmul(R, V[:m, :, None], out=H[rows].reshape(m, _BLOCK, 1))
-            np.matmul(A, V[:m, :, None], out=F[rows].reshape(m, _BLOCK, 1))
+            for table, M in ((H, R), (F, A)):
+                if table is not None:
+                    np.matmul(M, V[:m, :, None], out=table[rows].reshape(m, _BLOCK, 1))
             V[0] = V[m]
         return V[0].copy()
 
-    def extend(self, K: int) -> TailDistribution:
-        """H(k) and F(k) for k = 0..K, pushing only the steps still missing.
+    def extend(self, K: int, *, absorbed: bool = True) -> TailDistribution:
+        """H(k), and F(k) unless ``absorbed`` is false, for k = 0..K,
+        pushing only the steps still missing.  Without F the tail carries
+        ``absorbed=None`` and its ``cdf`` is 1 - H.
 
         The returned arrays are read-only views of the engine's buffers,
         whose first ``steps + 1`` entries never change.
         """
-        H, F = self._tables(K)
+        H, F = self._tables(K, absorbed)
         return TailDistribution(self.kind, H, self.chain.mu_A, "exact", absorbed=F)
 
-    def grow(self, K: int, reached) -> TailDistribution:
+    def grow(self, K: int, reached, *, absorbed: bool = True) -> TailDistribution:
         """The tail at the first horizon of K, 2K, 4K, ... (the last capped
         at MAX_TAIL_STEPS) where ``reached(H, F)`` holds, H and F being
-        read-only views of the tables for k = 0..horizon.  Only the tail
-        returned is built and validated.
+        read-only views of the tables for k = 0..horizon (F None, and the
+        tail without it, unless ``absorbed``).  Only the tail returned is
+        built and validated.
 
         Raises HorizonTooShortError when it fails at the cap.
         """
-        while not reached(*self._tables(K)):
+        while not reached(*self._tables(K, absorbed)):
             if K >= MAX_TAIL_STEPS:
                 raise HorizonTooShortError(f"needed horizon exceeds cap {MAX_TAIL_STEPS}")
             K = min(2 * K, MAX_TAIL_STEPS)
-        return self.extend(K)
+        return self.extend(K, absorbed=absorbed)
 
 
 def hitting_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:

@@ -126,17 +126,19 @@ def convergence_diagnostics(model: ProcessModel, point: str, n_range,
                             s0: float = 0.05) -> list[DiagnosticsRow]:
     """Per-n sup-deviations of the rescaled laws from the exponential, one row
     per cylinder of ``point_cylinders(point, n_range)``, each an ``Analysis``
-    built as its row is reached.  D_hit and the bound 12*sqrt(d) + 2*mu(A_n)
+    built as its row is reached and dropped before the next, so the sweep
+    peaks at its largest row.  D_hit and the bound 12*sqrt(d) + 2*mu(A)
     are those of ``verify_exponential_bound``; D_ret is read off its ``G``."""
-    rows = []
-    for target in point_cylinders(point, n_range):
-        analysis = Analysis(model, target)
-        hit, (cert, _) = analysis.verification, analysis.certificate
-        report = verify_exponential_bound(hit, cert)
-        G = StepLaw(analysis.return_tail, cert.lam)
-        d_ret = sup_deviation(G.levels, G.step, s0)
-        rows.append(DiagnosticsRow(cert, report.sup_dev, d_ret, report.bound + 2.0 * cert.mu_A))
-    return rows
+    return [_diagnostics_row(Analysis(model, target), s0)
+            for target in point_cylinders(point, n_range)]
+
+
+def _diagnostics_row(analysis: Analysis, s0: float) -> DiagnosticsRow:
+    hit, (cert, _) = analysis.verification, analysis.certificate
+    report = verify_exponential_bound(hit, cert)
+    G = StepLaw(analysis.return_tail, cert.lam)
+    d_ret = sup_deviation(G.levels, G.step, s0)
+    return DiagnosticsRow(cert, report.sup_dev, d_ret, report.bound + 2.0 * cert.mu_A)
 
 
 def write_diagnostics_csv(fp, rows: list[DiagnosticsRow]) -> None:

@@ -40,7 +40,7 @@ from .targets import TargetSet, point_cylinders
 DELTA_QUANTITATIVE = 0.25
 TRUNCATION_TARGET = 1e-4
 _CHECK_SLACK = 1e-12
-_SUP_CHUNK = 1 << 16  # horizon entries per chunk of the sup-deviation
+_SUP_CHUNK = 1 << 13  # horizon entries per chunk of the sup-deviation
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,9 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
 class Analysis:
     """One (model, target): its chain (refused when mu(A) = 0), alpha(n) and
     hitting engine, and the certificate, verification tail and return tail,
-    each cached and resuming the engine where the last one stopped."""
+    each cached and resuming the engine where the last one stopped.  Only
+    the certificate's tail carries F; the verification and return tails are
+    pushed without it (``absorbed`` None, ``cdf`` 1 - H)."""
 
     def __init__(self, model: ProcessModel, target: TargetSet):
         try:
@@ -185,8 +187,9 @@ class Analysis:
 
     @cached_property
     def return_tail(self) -> TailDistribution:
-        """The return tail on the same chain, to the verified horizon."""
-        return TailEngine(self.chain, "return").extend(self.verification.horizon)
+        """The return tail on the same chain, to the verified horizon, without F."""
+        return TailEngine(self.chain, "return").extend(self.verification.horizon,
+                                                       absorbed=False)
 
 
 def scale_certificate(model: ProcessModel, target: TargetSet,
@@ -205,7 +208,8 @@ def _truncation(H: np.ndarray, step: float) -> float:
 def extend_for_verification(engine: TailEngine, K: int, lam: float) -> TailDistribution:
     """Grow the hitting tail of ``engine``, with ``TailEngine.grow`` from
     horizon K, until both H(K) and exp(-lam*mu*K) fall below the truncation
-    target.
+    target.  The stop rule reads H alone, so F is not pushed: the tail
+    carries ``absorbed`` None.
 
     Raises HorizonTooShortError at once when exp(-lam*mu*K) cannot fall
     below the target within exact.MAX_TAIL_STEPS.
@@ -214,7 +218,8 @@ def extend_for_verification(engine: TailEngine, K: int, lam: float) -> TailDistr
     if math.log(1.0 / TRUNCATION_TARGET) > step * cap:
         raise HorizonTooShortError(
             f"exp(-lam*mu*K) <= {TRUNCATION_TARGET:g} needs K > cap {cap}")
-    return engine.grow(K, lambda H, F: _truncation(H, step) <= TRUNCATION_TARGET)
+    return engine.grow(K, lambda H, F: _truncation(H, step) <= TRUNCATION_TARGET,
+                       absorbed=False)
 
 
 def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
@@ -224,19 +229,36 @@ def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
     at the two endpoints of a flat (the first flat starting at s0); past the
     last flat both sides lie below max(levels[-1], exp(-step*K)).  The flats
     are taken chunk by chunk, one exp array serving both endpoints, so memory
-    stays bounded at any horizon and the max equals a one-pass max bit for bit.
+    stays bounded at any horizon.
+
+    The scan stops at the first chunk start m where the rest cannot raise
+    the sup: a later term |levels[k] - exp(-t)| has k >= m and
+    0 < exp(-t) <= exp(-m*step), so it is at most
+    max(max levels[m:], exp(-m*step)) + max(0, -min levels[m:]), and
+    rounding, monotone, keeps the computed term below the computed bound
+    (exp(-m*step) is taken with a margin over exp's last-bit error).  The
+    suffix extremes come from one pass of per-chunk max and min, which also
+    finds a NaN.  So the result equals a one-pass max bit for bit, for any
+    levels: non-monotone, or below zero by float dust.
     """
     if not s0 >= 0.0:  # NaN included
         raise DomainError(f"s0 must be non-negative, got {s0}")
-    if np.isnan(levels).any():  # max() would skip a NaN
-        raise DomainError("levels must not be NaN")
     K = levels.size - 1
+    starts = np.arange(0, K + 1, _SUP_CHUNK)
+    top = np.maximum.reduceat(levels, starts)
+    if np.isnan(top).any():  # maximum propagates a NaN, which max() would skip
+        raise DomainError("levels must not be NaN")
     if s0 / step >= K + 1:  # floor(s0/step) > K, infinity included
         raise HorizonTooShortError(f"s0={s0} beyond tail horizon {K}")
+    top = np.maximum.accumulate(top[::-1])[::-1]  # max of levels from chunk c on
+    low = np.minimum.accumulate(np.minimum.reduceat(levels, starts)[::-1])[::-1]
     k0 = int(math.floor(s0 / step))
     sup = max(float(levels[-1]), math.exp(-step * K))
-    for lo in range(k0, K + 1, _SUP_CHUNK):
-        hi = min(lo + _SUP_CHUNK, K + 1)
+    for c in range(k0 // _SUP_CHUNK, starts.size):
+        lo, hi = max(k0, c * _SUP_CHUNK), min((c + 1) * _SUP_CHUNK, K + 1)
+        e_max = math.exp(-step * lo) * (1.0 + 1e-12)
+        if max(float(top[c]), e_max) + max(0.0, -float(low[c])) <= sup:
+            break
         t = step * np.arange(lo, hi + 1)
         t[0] = max(t[0], s0)
         e = np.exp(-t)
@@ -262,7 +284,8 @@ def verify_exponential_bound(tail: TailDistribution,
 
 def verify(model: ProcessModel, target: TargetSet,
            ) -> tuple[ScaleCertificate, VerificationReport, TailDistribution]:
-    """Certificate + explicit-bound verification on the tails of one ``Analysis``."""
+    """Certificate + explicit-bound verification on the tails of one
+    ``Analysis``; the returned verification tail carries H only."""
     analysis = Analysis(model, target)
     tail, (cert, _) = analysis.verification, analysis.certificate
     return cert, verify_exponential_bound(tail, cert), tail

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,60 @@ def test_engine_resumes_exactly_across_the_switch_point(where, case):
     assert ("blocks" in vars(engine.chain)) is (switch < K2)
 
 
+def _check_absorbed_replay(case):
+    """Engines that push H alone and are then asked for F give a fresh
+    engine's H and F bit for bit: F replayed from step 0 or from an earlier
+    F, inside the H already pushed or up to it before a push of both."""
+    model, target, kind, K1, K2 = case
+    fresh = exact.TailEngine(exact.ComposedChain(model, target), kind).extend(K2)
+    chain = exact.ComposedChain(model, target)
+    for pushes in ([(K1, False), (K2, True)],
+                   [(K2, False), (K1, True), (K2, True)],
+                   [(K1, True), (K2, False), (K2, True)]):
+        engine = exact.TailEngine(chain, kind)
+        for K, absorbed in pushes:
+            tail = engine.extend(K, absorbed=absorbed)
+            assert np.array_equal(tail.values, fresh.values[:K + 1])
+            if absorbed:
+                assert np.array_equal(tail.absorbed, fresh.absorbed[:K + 1])
+            else:
+                assert tail.absorbed is None
+                assert np.array_equal(tail.cdf, 1.0 - tail.values)
+
+
+@pytest.mark.parametrize("where", ["dense", "sparse", "0", "inside", "beyond"])
+@settings(max_examples=25, deadline=None)
+@given(case=_engine_cases())
+def test_engine_replays_F_after_H_only_pushes(where, case):
+    # Dense and sparse chains at their own switch, then the switch at 0,
+    # between the two horizons, or past the second, as above.
+    K1, K2 = case[3], case[4]
+    with pytest.MonkeyPatch.context() as mp:
+        if where == "sparse":
+            mp.setattr(exact, "_DENSE_LIMIT", 0)
+        elif where != "dense":
+            switch = {"0": 0, "inside": (K1 + K2) // 2, "beyond": K2 + 1}[where]
+            mp.setattr(exact, "_switch_point", lambda size: switch)
+        _check_absorbed_replay(case)
+
+
+def test_h_only_growth_is_in_place_unless_a_tail_views_the_table(monkeypatch):
+    monkeypatch.setattr(exact, "_CHECK_ROWS", 1 << 10)  # keep validation's chunks small
+    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1] * 5)))
+    held = engine.extend(256, absorbed=False)
+    engine.extend(1 << 16, absorbed=False)  # copied: the held tail still views the old table
+    assert held.values.base is not engine._H
+    tracemalloc.start()
+    try:
+        engine.extend(1 << 17, absorbed=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * ((1 << 17) + 1)  # a copy would hold 1.5 tables at once
+    assert engine._F.size == 1  # F was never pushed
+    assert np.array_equal(held.values, engine.extend(256).values)
+
+
 def test_absorbed_mass_keeps_precision_for_tiny_mu():
     # H(0) - H(1) = mu(A) by stationarity; 1 - H(1) cancels for tiny mu(A)
     # (off by 0.7% at 0.6^60), the accumulated F(1) does not.
@@ -407,6 +462,21 @@ def test_non_finite_or_negative_tail_tables_are_refused(values, message):
     # [1, -5, -6] (it decreases); +inf fails it, but as a non-finite value.
     with pytest.raises(errors.InvalidTailError, match=message):
         exact.TailDistribution("hitting", np.array(values), 0.1, "exact")
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, 0.5, 0.5, 0.6], "non-increasing"),  # the rise crosses a chunk boundary
+    ([1.0, 0.9, 0.8, 0.9, 0.5, math.nan], "finite"),  # a later NaN outranks a rise
+    ([0.5, 0.4, 0.3, math.inf], "finite"),  # and a wrong H(0)
+    ([0.5, 0.4, 0.3, 0.6], "H\\(0\\) must be 1"),  # which outranks a rise
+    ([1.0, 0.9, 0.8, 0.9, -0.5], "non-increasing"),  # which outranks a negative
+    ([1.0, 0.5, 0.4, 0.3, -2e-12], "non-negative"),
+])
+def test_tail_checks_keep_their_order_across_chunks(monkeypatch, values, message):
+    monkeypatch.setattr(exact, "_CHECK_ROWS", 3)
+    with pytest.raises(errors.InvalidTailError, match=message):
+        exact.TailDistribution("hitting", np.array(values), 0.1, "exact")
+    exact.TailDistribution("hitting", np.array([1.0, 0.5, 0.5, 0.4, 0.4, -1e-13]), 0.1, "exact")
 
 
 def test_float_dust_below_zero_is_a_valid_tail():
@@ -678,25 +748,26 @@ def _per_block_reference(chain, kind, K):
 
 
 def _stacked_push_mismatches(K=2999):
-    """(chain size, kind, blocks per chunk, horizon resumed from) wherever
-    the engine's stacked block push differs in any bit from the per-block
-    reference; None is the default chunk, 0 a fresh engine."""
+    """(chain size, kind, blocks per chunk, horizon resumed from, whether
+    that resume pushed F) wherever the engine's stacked block push differs
+    in any bit from the per-block reference; None is the default chunk, 0 a
+    fresh engine.  After an H-only resume, F is replayed from step 0."""
     bad = []
     for model, target, size in _STACK_CHAINS:
         chain = exact.ComposedChain(model, target)
         for kind in ("hitting", "return"):
             H, F = _per_block_reference(chain, kind, K)
             for blocks in (None, 1, 2, 3):
-                for resume_at in (0, 100, 700):
+                for resume_at, absorbed in ((0, True), (100, True), (700, True), (700, False)):
                     with pytest.MonkeyPatch.context() as mp:
                         if blocks:
                             mp.setattr(exact, "_STACK", (blocks + 1) * size)
                         engine = exact.TailEngine(chain, kind)
                         if resume_at:
-                            engine.extend(resume_at)
+                            engine.extend(resume_at, absorbed=absorbed)
                         tail = engine.extend(K)
                     if not (np.array_equal(tail.values, H) and np.array_equal(tail.absorbed, F)):
-                        bad.append((size, kind, blocks, resume_at))
+                        bad.append((size, kind, blocks, resume_at, absorbed))
     return bad
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,3 +217,36 @@ def test_return_deviation_starts_at_s0():
         left = np.abs(G[k0:] - np.exp(-np.maximum(step * k, s0))).max()
         right = np.abs(G[k0:] - np.exp(-step * (k + 1))).max()
         assert row.d_ret == max(left, right, G[-1], np.exp(-step * ret.horizon))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_peaks_at_its_largest_row():
+    # Each row's tables are freed before the next row is built: row 11's
+    # hitting, return and G tables would add 1.5 of row 12's horizon arrays.
+    K = 131072  # row 12's verified horizon
+    convergence_diagnostics(UNIFORM2, "0", range(12, 13))  # warm every cache
+    row = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(12, 13)))
+    sweep = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(10, 13)))
+    assert scaling.Analysis(UNIFORM2, cylinder([0] * 12)).verification.horizon == K
+    assert sweep <= row + 0.1 * 8 * (K + 1)
+
+
+def test_verification_and_return_tails_carry_no_F():
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 6))
+    (_, cert_tail), hit, ret = analysis.certificate, analysis.verification, analysis.return_tail
+    assert cert_tail.absorbed is not None
+    assert hit.absorbed is None and ret.absorbed is None
+    # The engine still gives the F a fresh engine gives, and it meets the
+    # discrete Haydn-Lacroix-Vaienti identity with the return tail.
+    F = analysis.engine.extend(hit.horizon).absorbed
+    fresh = hitting_tail(UNIFORM2, cylinder([1] * 6), hit.horizon)
+    assert np.array_equal(F, fresh.absorbed)
+    assert np.max(np.abs(ret.mu_A * ret.values[:-1] - np.diff(F))) <= 1e-15

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarehit import (
     TailDistribution,
@@ -272,6 +274,91 @@ def test_sup_deviation_rejects_s0_outside_the_table():
             sup_deviation(levels, 1.0, s0)
     assert sup_deviation(levels, 1.0, 9.5) == pytest.approx(
         _flat_endpoint_sup(levels, 1.0, 9.5), rel=1e-15)
+
+
+def _one_pass_sup(levels, step, s0=0.0):
+    """sup_deviation in one pass over the whole table: no chunks, no early stop."""
+    K = levels.size - 1
+    k0 = int(math.floor(s0 / step))
+    t = step * np.arange(k0, K + 2)
+    t[0] = max(t[0], s0)
+    e = np.exp(-t)
+    flats = levels[k0:]
+    return max(float(levels[-1]), math.exp(-step * K),
+               float(np.abs(flats - e[:-1]).max()), float(np.abs(flats - e[1:]).max()))
+
+
+class _CountedExp:
+    """numpy, with the number of exp terms taken counted."""
+
+    def __init__(self):
+        self.terms = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.terms += np.size(x)
+        return np.exp(x)
+
+
+def test_sup_deviation_stops_early_on_engine_tails(monkeypatch):
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
+    (cert, _), hit, ret = analysis.certificate, analysis.verification, analysis.return_tail
+    step = cert.lam * cert.mu_A
+    counted = _CountedExp()
+    monkeypatch.setattr(scaling, "np", counted)
+    for levels in (hit.values, ret.values / cert.lam):
+        for s0 in (0.0, 0.05, 1.0):
+            assert sup_deviation(levels, step, s0) == _one_pass_sup(levels, step, s0)
+    # The verification tail needs H(K) <= 1e-4; its sup is reached long before.
+    counted.terms = 0
+    sup_deviation(hit.values, step)
+    assert hit.horizon == 131072 and counted.terms < hit.horizon // 3
+
+
+def test_sup_deviation_scans_to_a_late_bump_or_a_negative_level():
+    step, K = 1e-3, 40000
+    exponential = np.exp(-step * np.arange(K + 1))
+    bump = exponential.copy()
+    bump[30000] = 0.5  # far above the running sup, past several chunks
+    dip = exponential.copy()
+    dip[35000] = -0.25  # a negative level widens the gap beyond max(levels, exp)
+    dust = np.minimum(exponential, 0.999)
+    dust[20000:] = -1e-13
+    for levels in (bump, dip, dust):
+        for s0 in (0.0, 0.05, 12.0):
+            assert sup_deviation(levels, step, s0) == _one_pass_sup(levels, step, s0)
+    assert sup_deviation(bump, step) == pytest.approx(0.5 - math.exp(-30.0), rel=1e-12)
+    assert sup_deviation(dip, step) == pytest.approx(0.25 + math.exp(-35.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sup_deviation_equals_one_pass_for_any_levels(chunk, data):
+    size = data.draw(st.integers(1, 60))
+    levels = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=size, max_size=size)))
+    step = data.draw(st.floats(0.01, 2.0))
+    s0 = data.draw(st.floats(0.0, step * size, exclude_max=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scaling, "_SUP_CHUNK", chunk)
+        assert sup_deviation(levels, step, s0) == _one_pass_sup(levels, step, s0)
+
+
+def test_verification_peaks_at_three_horizon_arrays():
+    # H alone, grown in place: no F, no copy per doubling, no horizon-length
+    # temporaries in the tail's checks or in the sup-deviation.
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
+    tracemalloc.start()
+    try:
+        tail = analysis.verification
+        verify_exponential_bound(tail, analysis.certificate[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tail.horizon == 131072 and tail.absorbed is None
+    assert peak <= 3 * 8 * (tail.horizon + 1)
 
 
 @pytest.mark.parametrize("levels", [[1.0, math.nan, 0.5], [math.nan], [1.0, 0.5, math.nan]])
