@@ -118,7 +118,7 @@ def _cmd_limitlaw(args):
         raise DomainError(f"--s0 must be non-negative, got {args.s0}")
     model, target, config = _inputs(args, "limitlaw", s0=args.s0)
     analysis = scaling.Analysis(model, target)
-    tail, (cert, _) = analysis.verification, analysis.certificate
+    cert, tail = analysis.verification
     F = limitlaw.StepLaw(tail, cert.lam)
     G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
     t_max = 0.9 * F.t_max

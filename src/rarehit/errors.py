@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all rarehit modules."""
+"""Exception hierarchy shared by all rarehit modules, and the integer
+argument check that raises one."""
+
+import operator
 
 
 class RarehitError(Exception):
@@ -108,3 +111,12 @@ class GridEmptyError(RarehitError):
 
 class ConfigInvalidError(RarehitError):
     """CLI configuration could not be parsed or validated."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: any integer, numpy's included, and
+    nothing else (no float, integral or not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

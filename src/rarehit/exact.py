@@ -35,6 +35,7 @@ from .errors import (
     SingularSystemError,
     SymbolOutOfRangeError,
     ZeroMeasureSetError,
+    _integer,
 )
 from .process import ProcessModel, word_measures
 from .targets import TargetSet, measure
@@ -367,47 +368,56 @@ class TailEngine:
     block as a block-by-block product.  The switch depends on the chain size
     alone, so an engine extended in several calls matches a fresh one bit
     for bit.
-    Beside H it can accumulate F(k) = mu(tau_A <= k) from the absorbed
-    mass; every increment is non-negative, so F never cancels.  Only the
-    scale certificate reads F, so a push asked for with ``absorbed=False``
-    fills H alone, and F stays at the last step that has it, with the live
-    vector of that step.  A later request for F replays the increments from
-    there: the same products on the same vectors, so F has the bits of a
-    fresh engine's.  Engines of both kinds on one chain share its block
-    matrices.  ``grow`` tests its stop rule ``reached(H, F)`` on the bare
-    tables and builds one validated ``TailDistribution`` per call.
+    Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
+    every increment is non-negative, so F never cancels.  Only the scale
+    certificate reads F, and ``Analysis`` pushes it before its H-only tails:
+    F is pushed alongside H until the first push with ``absorbed=False``,
+    and a later request for F past its last step raises InvalidTailError.
+    Engines of both kinds on one chain share its block matrices.  ``grow``
+    tests its stop rule ``reached(H, F)`` on the bare tables and builds one
+    validated ``TailDistribution`` per call.
     """
 
     def __init__(self, chain: ComposedChain, kind: str = "hitting"):
         self._v = chain.start(kind)  # live vector after the steps pushed
-        self._vF = self._v  # live vector at the last step F holds
         self.kind = kind
         self.chain = chain
         self.steps = 0  # steps pushed so far
-        self._f_steps = 0  # steps F holds: at most ``steps``
         self._H = np.ones(1)
-        self._F = np.zeros(1)
+        self._F = np.zeros(1)  # ends at ``steps`` until an H-only push
 
     def _tables(self, K: int, absorbed: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """H, and F when ``absorbed``, for k = 0..K as ``extend`` returns them,
         without the tail."""
+        K = _integer("K", K)
         if K < 1:
             raise HorizonNonPositiveError("K must be >= 1")
         if K > MAX_TAIL_STEPS:
             raise HorizonTooLongError(f"K = {K} exceeds the step cap {MAX_TAIL_STEPS}")
-        switch = self.chain.switch
+        k0, f_end, switch = self.steps, self._F.size - 1, self.chain.switch
+        if absorbed and f_end < min(K, k0):
+            raise InvalidTailError(
+                f"F ends at step {f_end}: this engine has pushed H alone past it")
         k1 = K if K <= switch else switch + -(-(K - switch) // _BLOCK) * _BLOCK
-        k0, f0 = self.steps, self._f_steps
-        if absorbed and f0 < min(k1, k0):  # replay F up to where H ends
-            f1 = min(k1, k0)
-            self._vF = self._push(self._vF, f0, f1, None, self._grow("_F", f1))
-            self._f_steps = f1
         if k1 > k0:
+            H = self._grow("_H", k1)
             F = self._grow("_F", k1) if absorbed else None
-            self._v = self._push(self._v, k0, k1, self._grow("_H", k1), F)
-            self.steps = k1
-            if absorbed:
-                self._vF, self._f_steps = self._v, k1
+            v, absorb, survT = self._v, self.chain.absorb, self.chain.survT
+            for k in range(k0, min(k1, switch)):
+                if F is not None:
+                    F[k + 1] = absorb @ v
+                v = survT @ v
+                H[k + 1] = v.sum()
+            if k1 > switch:
+                v = self._push_blocks(v, H, F, max(k0, switch), k1)
+            self._v, self.steps = v, k1
+            # Clamp float dust so monotonicity holds exactly; both fix-ups
+            # run left to right, so they agree with a single pass from k = 0.
+            np.minimum.accumulate(H[k0:], out=H[k0:])
+            np.clip(H[k0:], 0.0, 1.0, out=H[k0:])
+            if F is not None:
+                np.cumsum(F[k0:], out=F[k0:])
+                np.minimum(F[k0:], 1.0, out=F[k0:])
         H = self._H[:K + 1]
         H.flags.writeable = False
         if not absorbed:
@@ -435,36 +445,11 @@ class TailEngine:
             setattr(self, name, table)
         return table
 
-    def _push(self, v: np.ndarray, k0: int, k1: int,
-              H: np.ndarray | None, F: np.ndarray | None) -> np.ndarray:
-        """Fill H and F, each unless None, at steps k0+1..k1 from the live
-        vector ``v`` at k0, single steps up to the switch and whole blocks
-        beyond it; return the live vector at k1."""
-        absorb, survT, switch = self.chain.absorb, self.chain.survT, self.chain.switch
-        for k in range(k0, min(k1, switch)):
-            if F is not None:
-                F[k + 1] = absorb @ v
-            v = survT @ v
-            if H is not None:
-                H[k + 1] = v.sum()
-        if k1 > switch:
-            v = self._push_blocks(v, H, F, max(k0, switch), k1)
-        # Clamp float dust so monotonicity holds exactly; both fix-ups run
-        # left to right, so they agree with a single pass from k = 0.
-        if H is not None:
-            np.minimum.accumulate(H[k0:], out=H[k0:])
-            np.clip(H[k0:], 0.0, 1.0, out=H[k0:])
-        if F is not None:
-            np.cumsum(F[k0:], out=F[k0:])
-            np.minimum(F[k0:], 1.0, out=F[k0:])
-        return v
-
-    def _push_blocks(self, v: np.ndarray, H: np.ndarray | None, F: np.ndarray | None,
+    def _push_blocks(self, v: np.ndarray, H: np.ndarray, F: np.ndarray | None,
                      k0: int, k1: int) -> np.ndarray:
-        """Fill H and F (F as increments), each unless None, at steps
-        k0+1..k1, whole blocks from live vector ``v``, stacking at most
-        _STACK doubles of live vectors at a time; return the live vector at
-        k1."""
+        """Fill H, and F (as increments) unless None, at steps k0+1..k1,
+        whole blocks from live vector ``v``, stacking at most _STACK doubles
+        of live vectors at a time; return the live vector at k1."""
         R, A, push = self.chain.blocks
         dot = push.dot  # the bound method skips np.dot's dispatch, half its cost here
         blocks = (k1 - k0) // _BLOCK
@@ -476,9 +461,9 @@ class TailEngine:
             for b in range(m):
                 dot(V[b], out=V[b + 1])
             rows = slice(k0 + lo * _BLOCK + 1, k0 + (lo + m) * _BLOCK + 1)
-            for table, M in ((H, R), (F, A)):
-                if table is not None:
-                    np.matmul(M, V[:m, :, None], out=table[rows].reshape(m, _BLOCK, 1))
+            np.matmul(R, V[:m, :, None], out=H[rows].reshape(m, _BLOCK, 1))
+            if F is not None:
+                np.matmul(A, V[:m, :, None], out=F[rows].reshape(m, _BLOCK, 1))
             V[0] = V[m]
         return V[0].copy()
 
@@ -538,6 +523,7 @@ def brute_force_tail(model: ProcessModel, target: TargetSet, K: int,
                      kind: str = "hitting") -> TailDistribution:
     """Independent oracle: enumerate all words of length K+n with their
     measures and locate window matches directly, up to BRUTE_FORCE_CAP words."""
+    K = _integer("K", K)
     if K < 1:
         raise HorizonNonPositiveError("K must be >= 1")
     if kind not in ("hitting", "return"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridEmptyError, HorizonTooShortError
+from .errors import DomainError, GridEmptyError, HorizonTooShortError, MeasureUnderflowError
 from .exact import TailDistribution
 from .process import ProcessModel
 from .scaling import Analysis, ScaleCertificate, sup_deviation, verify_exponential_bound
@@ -33,6 +33,12 @@ class StepLaw:
         self.tail = tail
         self.lam = lam
         self.step = lam * tail.mu_A
+        if not self.step > 0.0:  # NaN included
+            if lam > 0.0 and tail.mu_A > 0.0:
+                raise MeasureUnderflowError(
+                    f"lam*mu(A) underflows: lam = {lam:.3g}, mu(A) = {tail.mu_A:.3g}")
+            raise DomainError(f"lam*mu(A) must be positive, got lam = {lam}, "
+                              f"mu(A) = {tail.mu_A}")
         self.levels = 1.0 - tail.values if tail.kind == "hitting" else tail.values / lam
 
     @property
@@ -134,7 +140,7 @@ def convergence_diagnostics(model: ProcessModel, point: str, n_range,
 
 
 def _diagnostics_row(analysis: Analysis, s0: float) -> DiagnosticsRow:
-    hit, (cert, _) = analysis.verification, analysis.certificate
+    cert, hit = analysis.verification
     report = verify_exponential_bound(hit, cert)
     G = StepLaw(analysis.return_tail, cert.lam)
     d_ret = sup_deviation(G.levels, G.step, s0)

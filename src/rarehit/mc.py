@@ -35,7 +35,6 @@ tests/test_mc.py::test_tile_streams_match_numpy_generators checks.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,7 @@ from .errors import (
     RejectionBudgetExceededError,
     SymbolOutOfRangeError,
     ZeroMeasureSetError,
+    _integer,
 )
 from .exact import TailDistribution, build_automaton, reachable_pairs
 from .process import ProcessModel, word_measures
@@ -287,15 +287,6 @@ def _tiles(master: int, N: int):
         for lo in range(start, stop, _TILE):
             hi = min(lo + _TILE, stop)
             yield lo, hi, _TileStreams(*(v[lo - start:hi - start] for v in state))
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int: any integer, numpy's included, and
-    nothing else (no float, integral or not)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:

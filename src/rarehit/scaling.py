@@ -145,10 +145,10 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
 
 class Analysis:
     """One (model, target): its chain (refused when mu(A) = 0), alpha(n) and
-    hitting engine, and the certificate, verification tail and return tail,
-    each cached and resuming the engine where the last one stopped.  Only
-    the certificate's tail carries F; the verification and return tails are
-    pushed without it (``absorbed`` None, ``cdf`` 1 - H)."""
+    hitting engine, and the certificate, the verification (certificate and
+    tail) and the return tail, each cached and resuming the engine where the
+    last one stopped.  Only the certificate's tail carries F, and it is
+    pushed first; the later tails carry ``absorbed`` None (``cdf`` 1 - H)."""
 
     def __init__(self, model: ProcessModel, target: TargetSet):
         try:
@@ -176,19 +176,20 @@ class Analysis:
         return scale_search(tail, n, self.alpha_n), tail
 
     @cached_property
-    def verification(self) -> TailDistribution:
-        """The certificate's tail grown for verification, refused before it when
-        H(K) >= 1 - K*mu(A) keeps H(K) above the truncation target at the cap."""
+    def verification(self) -> tuple[ScaleCertificate, TailDistribution]:
+        """The certificate and its tail grown for verification, refused before
+        the certificate when H(K) >= 1 - K*mu(A) keeps H(K) above the
+        truncation target at the cap."""
         if 1.0 - TRUNCATION_TARGET > self.chain.mu_A * exact.MAX_TAIL_STEPS:
             raise HorizonTooShortError(
                 f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {exact.MAX_TAIL_STEPS}")
         cert, tail = self.certificate
-        return extend_for_verification(self.engine, tail.horizon, cert.lam)
+        return cert, extend_for_verification(self.engine, tail.horizon, cert.lam)
 
     @cached_property
     def return_tail(self) -> TailDistribution:
         """The return tail on the same chain, to the verified horizon, without F."""
-        return TailEngine(self.chain, "return").extend(self.verification.horizon,
+        return TailEngine(self.chain, "return").extend(self.verification[1].horizon,
                                                        absorbed=False)
 
 
@@ -243,6 +244,8 @@ def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
     """
     if not s0 >= 0.0:  # NaN included
         raise DomainError(f"s0 must be non-negative, got {s0}")
+    if not step > 0.0:  # NaN included
+        raise DomainError(f"step must be positive, got {step}")
     K = levels.size - 1
     starts = np.arange(0, K + 1, _SUP_CHUNK)
     top = np.maximum.reduceat(levels, starts)
@@ -284,10 +287,9 @@ def verify_exponential_bound(tail: TailDistribution,
 
 def verify(model: ProcessModel, target: TargetSet,
            ) -> tuple[ScaleCertificate, VerificationReport, TailDistribution]:
-    """Certificate + explicit-bound verification on the tails of one
-    ``Analysis``; the returned verification tail carries H only."""
-    analysis = Analysis(model, target)
-    tail, (cert, _) = analysis.verification, analysis.certificate
+    """Certificate + explicit-bound verification on ``Analysis.verification``;
+    the returned verification tail carries H only."""
+    cert, tail = Analysis(model, target).verification
     return cert, verify_exponential_bound(tail, cert), tail
 
 

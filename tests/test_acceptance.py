@@ -126,8 +126,8 @@ def test_criterion_6_limit_law_relations():
                      (markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1])),
                      (iid([0.8, 0.2]), cylinder([1, 1, 1]))]:
         analysis = scaling.Analysis(model, A)
-        cert, _ = analysis.certificate
-        F = limitlaw.StepLaw(analysis.verification, cert.lam)
+        cert, tail = analysis.verification
+        F = limitlaw.StepLaw(tail, cert.lam)
         G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
         grid = np.linspace(0.01, 0.9 * min(F.t_max, G.t_max), 60)
         pairs = [(grid[i], grid[j])

@@ -157,6 +157,25 @@ def test_horizon_errors():
         return_tail(UNIFORM2, cylinder([1]), -1)
 
 
+def test_horizons_must_be_integers():
+    # A float is refused with a typed error, integral or not, before any
+    # push or enumeration; numpy integers serve as Python ints do.
+    target = cylinder([1, 1])
+    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, target))
+    calls = (lambda K: hitting_tail(UNIFORM2, target, K),
+             lambda K: return_tail(UNIFORM2, target, K),
+             engine.extend,
+             lambda K: engine.grow(K, lambda H, F: True),
+             lambda K: brute_force_tail(UNIFORM2, target, K))
+    for call in calls:
+        for K in (100.0, 2.5, "8"):
+            with pytest.raises(errors.DomainError, match="K must be an integer"):
+                call(K)
+    assert engine.steps == 0
+    for call in calls:
+        assert np.array_equal(call(np.int32(8)).values, call(8).values)
+
+
 def test_zero_measure_set(monkeypatch):
     # refused by the chain before it lumps the pairs or builds a kernel
     degenerate = iid([1.0, 0.0])
@@ -378,31 +397,38 @@ def test_engine_resumes_exactly_across_the_switch_point(where, case):
     assert ("blocks" in vars(engine.chain)) is (switch < K2)
 
 
-def _check_absorbed_replay(case):
-    """Engines that push H alone and are then asked for F give a fresh
-    engine's H and F bit for bit: F replayed from step 0 or from an earlier
-    F, inside the H already pushed or up to it before a push of both."""
+def _check_F_after_H_only_push(case):
+    """After an H-only push, F keeps a fresh engine's bits up to its last
+    step (0 when the first push is H-only) and is refused past it, naming
+    that step; a refusal pushes nothing.  An H-only request inside the steps
+    already pushed leaves F going on."""
     model, target, kind, K1, K2 = case
     fresh = exact.TailEngine(exact.ComposedChain(model, target), kind).extend(K2)
     chain = exact.ComposedChain(model, target)
-    for pushes in ([(K1, False), (K2, True)],
-                   [(K2, False), (K1, True), (K2, True)],
-                   [(K1, True), (K2, False), (K2, True)]):
+    for first in (0, K1):
         engine = exact.TailEngine(chain, kind)
-        for K, absorbed in pushes:
-            tail = engine.extend(K, absorbed=absorbed)
-            assert np.array_equal(tail.values, fresh.values[:K + 1])
-            if absorbed:
-                assert np.array_equal(tail.absorbed, fresh.absorbed[:K + 1])
-            else:
-                assert tail.absorbed is None
-                assert np.array_equal(tail.cdf, 1.0 - tail.values)
+        if first:
+            engine.extend(first)
+        f_end = engine.steps
+        tail = engine.extend(K2, absorbed=False)
+        assert tail.absorbed is None and np.array_equal(tail.cdf, 1.0 - fresh.values)
+        if f_end >= K2:  # K2 lies in the first push's last block: no step was H-only
+            assert np.array_equal(engine.extend(K2).absorbed, fresh.absorbed)
+            continue
+        if f_end:
+            assert np.array_equal(engine.extend(f_end).absorbed, fresh.absorbed[:f_end + 1])
+        steps = engine.steps
+        for K in (f_end + 1, K2):
+            with pytest.raises(errors.InvalidTailError, match=f"F ends at step {f_end}:"):
+                engine.extend(K)
+        assert engine.steps == steps
+        assert np.array_equal(engine.extend(K2, absorbed=False).values, fresh.values)
 
 
 @pytest.mark.parametrize("where", ["dense", "sparse", "0", "inside", "beyond"])
 @settings(max_examples=25, deadline=None)
 @given(case=_engine_cases())
-def test_engine_replays_F_after_H_only_pushes(where, case):
+def test_engine_refuses_F_past_an_H_only_push(where, case):
     # Dense and sparse chains at their own switch, then the switch at 0,
     # between the two horizons, or past the second, as above.
     K1, K2 = case[3], case[4]
@@ -412,7 +438,7 @@ def test_engine_replays_F_after_H_only_pushes(where, case):
         elif where != "dense":
             switch = {"0": 0, "inside": (K1 + K2) // 2, "beyond": K2 + 1}[where]
             mp.setattr(exact, "_switch_point", lambda size: switch)
-        _check_absorbed_replay(case)
+        _check_F_after_H_only_push(case)
 
 
 def test_h_only_growth_is_in_place_unless_a_tail_views_the_table(monkeypatch):
@@ -429,7 +455,7 @@ def test_h_only_growth_is_in_place_unless_a_tail_views_the_table(monkeypatch):
         tracemalloc.stop()
     assert peak < 1.25 * 8 * ((1 << 17) + 1)  # a copy would hold 1.5 tables at once
     assert engine._F.size == 1  # F was never pushed
-    assert np.array_equal(held.values, engine.extend(256).values)
+    assert np.array_equal(held.values, engine.extend(256, absorbed=False).values)
 
 
 def test_absorbed_mass_keeps_precision_for_tiny_mu():
@@ -751,7 +777,7 @@ def _stacked_push_mismatches(K=2999):
     """(chain size, kind, blocks per chunk, horizon resumed from, whether
     that resume pushed F) wherever the engine's stacked block push differs
     in any bit from the per-block reference; None is the default chunk, 0 a
-    fresh engine.  After an H-only resume, F is replayed from step 0."""
+    fresh engine.  An H-only resume goes on H-only and is compared on H."""
     bad = []
     for model, target, size in _STACK_CHAINS:
         chain = exact.ComposedChain(model, target)
@@ -765,8 +791,10 @@ def _stacked_push_mismatches(K=2999):
                         engine = exact.TailEngine(chain, kind)
                         if resume_at:
                             engine.extend(resume_at, absorbed=absorbed)
-                        tail = engine.extend(K)
-                    if not (np.array_equal(tail.values, H) and np.array_equal(tail.absorbed, F)):
+                        tail = engine.extend(K, absorbed=absorbed)
+                    same_F = (np.array_equal(tail.absorbed, F) if absorbed
+                              else tail.absorbed is None)
+                    if not (np.array_equal(tail.values, H) and same_F):
                         bad.append((size, kind, blocks, resume_at, absorbed))
     return bad
 

@@ -28,8 +28,8 @@ UNIFORM2 = uniform_iid(2)
 
 def _laws(model, target):
     analysis = scaling.Analysis(model, target)
-    cert, _ = analysis.certificate
-    F = limitlaw.StepLaw(analysis.verification, cert.lam)
+    cert, tail = analysis.verification
+    F = limitlaw.StepLaw(tail, cert.lam)
     G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
     return cert, F, G
 
@@ -176,6 +176,18 @@ def test_step_law_rejects_times_outside_its_table():
         F.integral(1.0, 0.5)
 
 
+def test_step_law_refuses_a_step_that_is_not_positive():
+    # lam*mu(A) underflows although both are positive; else one of them is not.
+    tiny = exact.TailDistribution("hitting", np.array([1.0, 0.5]), 1e-320, "exact")
+    with pytest.raises(errors.MeasureUnderflowError, match="underflows"):
+        limitlaw.StepLaw(tiny, 1e-10)
+    tail = hitting_tail(UNIFORM2, cylinder([1]), 8)
+    null = exact.TailDistribution("hitting", np.array([1.0, 0.5]), 0.0, "exact")
+    for t, lam in ((tail, 0.0), (tail, -1.0), (tail, math.nan), (null, 1.0)):
+        with pytest.raises(errors.DomainError, match="must be positive"):
+            limitlaw.StepLaw(t, lam)
+
+
 def test_step_law_reads_its_role_and_measure_from_the_tail():
     hit = hitting_tail(UNIFORM2, cylinder([1, 1]), 8)
     ret = return_tail(UNIFORM2, cylinder([1, 1]), 8)
@@ -235,18 +247,19 @@ def test_sweep_peaks_at_its_largest_row():
     convergence_diagnostics(UNIFORM2, "0", range(12, 13))  # warm every cache
     row = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(12, 13)))
     sweep = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(10, 13)))
-    assert scaling.Analysis(UNIFORM2, cylinder([0] * 12)).verification.horizon == K
+    assert scaling.Analysis(UNIFORM2, cylinder([0] * 12)).verification[1].horizon == K
     assert sweep <= row + 0.1 * 8 * (K + 1)
 
 
 def test_verification_and_return_tails_carry_no_F():
     analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 6))
-    (_, cert_tail), hit, ret = analysis.certificate, analysis.verification, analysis.return_tail
-    assert cert_tail.absorbed is not None
+    (cert, hit), ret = analysis.verification, analysis.return_tail
+    assert cert is analysis.certificate[0]
+    assert analysis.certificate[1].absorbed is not None
     assert hit.absorbed is None and ret.absorbed is None
-    # The engine still gives the F a fresh engine gives, and it meets the
-    # discrete Haydn-Lacroix-Vaienti identity with the return tail.
-    F = analysis.engine.extend(hit.horizon).absorbed
-    fresh = hitting_tail(UNIFORM2, cylinder([1] * 6), hit.horizon)
-    assert np.array_equal(F, fresh.absorbed)
+    # The engine refuses F past the certificate's horizon; a fresh engine's
+    # F meets the discrete Haydn-Lacroix-Vaienti identity with the return tail.
+    with pytest.raises(errors.InvalidTailError):
+        analysis.engine.extend(hit.horizon)
+    F = hitting_tail(UNIFORM2, cylinder([1] * 6), hit.horizon).absorbed
     assert np.max(np.abs(ret.mu_A * ret.values[:-1] - np.diff(F))) <= 1e-15

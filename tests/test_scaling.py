@@ -276,6 +276,12 @@ def test_sup_deviation_rejects_s0_outside_the_table():
         _flat_endpoint_sup(levels, 1.0, 9.5), rel=1e-15)
 
 
+def test_sup_deviation_refuses_a_step_that_is_not_positive():
+    for step in (0.0, -1.0, math.nan):
+        with pytest.raises(errors.DomainError, match="step must be positive"):
+            sup_deviation(np.ones(3), step)
+
+
 def _one_pass_sup(levels, step, s0=0.0):
     """sup_deviation in one pass over the whole table: no chunks, no early stop."""
     K = levels.size - 1
@@ -304,7 +310,7 @@ class _CountedExp:
 
 def test_sup_deviation_stops_early_on_engine_tails(monkeypatch):
     analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
-    (cert, _), hit, ret = analysis.certificate, analysis.verification, analysis.return_tail
+    (cert, hit), ret = analysis.verification, analysis.return_tail
     step = cert.lam * cert.mu_A
     counted = _CountedExp()
     monkeypatch.setattr(scaling, "np", counted)
@@ -352,8 +358,8 @@ def test_verification_peaks_at_three_horizon_arrays():
     analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
     tracemalloc.start()
     try:
-        tail = analysis.verification
-        verify_exponential_bound(tail, analysis.certificate[0])
+        cert, tail = analysis.verification
+        verify_exponential_bound(tail, cert)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -427,7 +433,7 @@ def test_certificate_and_verification_horizons(model, target, cert_K, verify_K):
     # pinned elsewhere were computed: K, 2K, 4K, ... from max(4n, 64).
     analysis = scaling.Analysis(model, target)
     assert analysis.certificate[1].horizon == cert_K
-    assert analysis.verification.horizon == verify_K
+    assert analysis.verification[1].horizon == verify_K
 
 
 U4_BALL = ["--model", "iid-uniform-4", "--target", "hamming:0,0,0,0,0,0,0,0:0.25"]
@@ -469,7 +475,8 @@ def test_analysis_resumes_one_engine_and_caches_each_result(monkeypatch):
     analysis = scaling.Analysis(markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1, 1, 0]))
     cert, tail = analysis.certificate
     assert tail.horizon == 64
-    hit = analysis.verification
+    verified, hit = analysis.verification
+    assert verified is cert
     assert hit.horizon == 1024 and hit.values[:65].tolist() == tail.values.tolist()
     ret = analysis.return_tail
     assert (ret.kind, ret.horizon, ret.mu_A) == ("return", 1024, hit.mu_A)
@@ -481,4 +488,4 @@ def test_analysis_resumes_one_engine_and_caches_each_result(monkeypatch):
     monkeypatch.setattr(exact.TailEngine, "extend", None)
     monkeypatch.setattr(exact.TailEngine, "grow", None)
     assert analysis.certificate[0] is cert and analysis.certificate[1] is tail
-    assert analysis.verification is hit and analysis.return_tail is ret
+    assert analysis.verification[1] is hit and analysis.return_tail is ret
