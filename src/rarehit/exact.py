@@ -8,9 +8,9 @@ whose transition row is the next symbol's law) and holds mu(A) and both
 start laws; a resumable ``TailEngine`` on it pushes a start law through the
 survival kernel, one step at a time up to a switch point set by the chain
 size and in blocks of steps beyond it, accumulating the mass absorbed by
-the event beside the surviving mass.  Blocks move the live vector on one
-block at a time and read the tables of a whole run of blocks with one
-stacked ``matmul``.  A brute-force enumeration oracle provides an
+the event beside the surviving mass.  Both move the live vector on one
+step or block at a time into a stack, and read the tables of a whole run
+of them at once.  A brute-force enumeration oracle provides an
 independent check.
 
 scipy is imported on first use, not with this module: by the first chain
@@ -239,12 +239,16 @@ def _switch_point(size: int) -> float:
     """Steps a chain of ``size`` states pushes one at a time before it
     builds its block matrices and continues in blocks.
 
-    The build squares a dense size x size matrix seven times and costs about
-    size**3 / 36,000 single sparse steps (measured at 11, 218 and 493
-    states), so switching there costs at most about twice the cheaper
-    schedule for any horizon.  Rounded down to a multiple of _BLOCK (0 for
-    chains of up to 166 states); never (inf) above _DENSE_LIMIT, where
-    powers fill in.
+    The build squares a dense size x size matrix seven times.  It cost
+    about size**3 / 36,000 single sparse steps of 8-14 us each (measured at
+    11, 218 and 493 states), so switching there cost at most about twice
+    the cheaper schedule for any horizon.  Stacked single steps
+    (``TailEngine._push_steps``) take about 2 us, so the build is now worth
+    about five times as many, but the constant stays: the switch decides
+    which steps of a CSR chain are single ones, and moving it changes the
+    last bits of those chains' tails, so the golden reports would have to
+    be pinned again.  Rounded down to a multiple of _BLOCK (0 for chains of
+    up to 166 states); never (inf) above _DENSE_LIMIT, where powers fill in.
     """
     if size > _DENSE_LIMIT:
         return math.inf
@@ -362,10 +366,11 @@ class TailEngine:
 
     The engine keeps the chain and the live vector and only ever pushes
     steps it has not pushed before: single steps up to the chain's
-    ``switch``, blocks from there on.  A block push first stacks the live
-    vectors at the start of each block, then computes H (and F) at all their
-    steps with one stacked ``matmul`` per table, which runs the same gemv per
-    block as a block-by-block product.  The switch depends on the chain size
+    ``switch``, blocks from there on.  Either push first stacks the live
+    vectors, then computes H (and F) at all their steps at once: single
+    steps with a row-wise sum and a stacked ``matmul``, blocks with one
+    stacked ``matmul`` per table, which runs the same gemv per block as a
+    block-by-block product.  The switch depends on the chain size
     alone, so an engine extended in several calls matches a fresh one bit
     for bit.
     Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
@@ -402,12 +407,9 @@ class TailEngine:
         if k1 > k0:
             H = self._grow("_H", k1)
             F = self._grow("_F", k1) if absorbed else None
-            v, absorb, survT = self._v, self.chain.absorb, self.chain.survT
-            for k in range(k0, min(k1, switch)):
-                if F is not None:
-                    F[k + 1] = absorb @ v
-                v = survT @ v
-                H[k + 1] = v.sum()
+            v = self._v
+            if k0 < switch:
+                v = self._push_steps(v, H, F, k0, min(k1, switch))
             if k1 > switch:
                 v = self._push_blocks(v, H, F, max(k0, switch), k1)
             self._v, self.steps = v, k1
@@ -444,6 +446,33 @@ class TailEngine:
         finally:
             setattr(self, name, table)
         return table
+
+    def _push_steps(self, v: np.ndarray, H: np.ndarray, F: np.ndarray | None,
+                    k0: int, k1: int) -> np.ndarray:
+        """Fill H, and F (as increments) unless None, at steps k0+1..k1, one
+        CSR step at a time from live vector ``v``, stacking at most _STACK
+        doubles of live vectors at a time; return the live vector at k1.
+
+        Each step is scipy's compiled kernel (what ``survT @ v`` runs, without
+        its dispatch) adding into the next zeroed row; then one row-wise sum
+        gives H and one stacked ``matmul`` F at all the chunk's steps."""
+        from scipy.sparse._sparsetools import csr_matvec
+        T, absorb = self.chain.survT, self.chain.absorb
+        size, steps = v.size, k1 - k0
+        per_chunk = min(steps, max(1, _STACK // size - 1))
+        V = np.empty((per_chunk + 1, size))
+        V[0] = v
+        for lo in range(0, steps, per_chunk):
+            m = min(per_chunk, steps - lo)
+            V[1:m + 1] = 0.0
+            for i in range(m):
+                csr_matvec(size, size, T.indptr, T.indices, T.data, V[i], V[i + 1])
+            rows = slice(k0 + lo + 1, k0 + lo + m + 1)
+            V[1:m + 1].sum(axis=1, out=H[rows])
+            if F is not None:
+                np.matmul(V[:m, None, :], absorb[:, None], out=F[rows].reshape(m, 1, 1))
+            V[0] = V[m]
+        return V[0].copy()
 
     def _push_blocks(self, v: np.ndarray, H: np.ndarray, F: np.ndarray | None,
                      k0: int, k1: int) -> np.ndarray:

@@ -13,7 +13,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
 
 import numpy as np
 
@@ -42,10 +41,11 @@ class TargetSet:
     duplicates; everything downstream (measures, the occurrence automaton,
     the Monte Carlo samplers) reads that array.  ``TargetSet(n, words)``
     takes the words as equal-length symbol sequences or as a (kappa, n)
-    integer array, in any order and with repeats; the constructor sorts
-    them with one lexsort and drops repeats.  ``words``, the same rows as a
-    tuple of int tuples, is derived on first use.  A set is immutable, and
-    two sets are equal when their ranks and words are.
+    integer array, in any order and with repeats; unless the rows already
+    ascend, the constructor sorts them with one lexsort and drops repeats.
+    ``words``, the same rows as a tuple of int tuples, is derived on first
+    use.  A set is immutable, and two sets are equal when their ranks and
+    words are.
     """
 
     n: int
@@ -65,10 +65,10 @@ class TargetSet:
             raise RankMismatchError(_LENGTH.format(n=n))
         if W.min() < 0:
             raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
-        if W.shape[0] > 1:
+        if not _ascending(W):
             W = W[np.lexsort(W.T[::-1])]
             W = W[np.concatenate(([True], (W[1:] != W[:-1]).any(axis=1)))]
-        elif W is words:  # one word is sorted and distinct: copy it, not the caller's array
+        elif W is words:  # already sorted and distinct: copy it, not the caller's array
             W = W.copy()
         W.flags.writeable = False
         object.__setattr__(self, "n", int(n))
@@ -94,6 +94,16 @@ class TargetSet:
 
     def __hash__(self):
         return hash((self.n, self.array.tobytes()))
+
+
+def _ascending(W: np.ndarray) -> bool:
+    """Whether every row of W lies lexicographically above the one before
+    it, so the rows are sorted and distinct: the first nonzero entry of each
+    row's difference from its predecessor must be positive.  Symbols are
+    non-negative, so no difference overflows."""
+    step = W[1:] - W[:-1]
+    first = (step != 0).argmax(axis=1)
+    return bool((step[np.arange(first.size), first] > 0).all())
 
 
 def _int64_rows(n: int, words) -> np.ndarray:
@@ -145,18 +155,21 @@ def hamming_ball(center, D: float, q: int) -> TargetSet:
     if size > HAMMING_EXPANSION_CAP:
         raise ExpansionTooLargeError(
             f"Hamming ball has {size} words, cap is {HAMMING_EXPANSION_CAP}")
-    # k changed positions: every k-subset of positions times every vector of
-    # k offsets in 1..q-1, added to the center mod q.
-    c_arr = np.array(c, dtype=np.int64)
-    parts = [c_arr[None]]
-    for k in range(1, radius + 1):
-        pos = np.array(list(combinations(range(n), k)), dtype=np.int64)
-        off = np.array(list(product(range(1, q), repeat=k)), dtype=np.int64).reshape(-1, k)
-        pos, off = np.repeat(pos, len(off), axis=0), np.tile(off, (len(pos), 1))
-        words = np.tile(c_arr, (len(pos), 1))
-        np.put_along_axis(words, pos, (c_arr[pos] + off) % q, axis=1)
-        parts.append(words)
-    W = np.concatenate(parts)
+    # Position by position, each kept prefix's children in symbol order,
+    # pruned at the radius, so the words come out sorted and distinct.
+    # kept[j] codes each kept prefix of length j + 1 as parent * q + symbol,
+    # its parent being a kept prefix of length j; miss counts mismatches.
+    miss, symbols, kept = np.zeros(1, dtype=np.int64), np.arange(q), []
+    for s in c:
+        child = (miss[:, None] + (symbols != s)).ravel()
+        kept.append(np.flatnonzero(child <= radius))
+        miss = child[kept[-1]]
+    W = np.empty((miss.size, n), dtype=np.int64)
+    row = np.arange(miss.size)
+    for j in range(n - 1, -1, -1):  # each word's symbols, from its last prefix back
+        code = kept[j][row]
+        W[:, j] = code % q
+        row = code // q
     ts = TargetSet(n, W)
     if not ts.kappa == len(W) == size:
         raise ConsistencyError(f"expanded {ts.kappa} distinct words, the ball has {size}")

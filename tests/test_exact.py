@@ -739,7 +739,8 @@ def test_grow_pushes_nothing_when_K_is_reached():
 
 
 # Dense chains of 6, 11, 25, 34 and 118 states, which push blocks from step
-# 0, and a 218-state chain that switches to blocks at step 256.
+# 0, a 218-state chain that switches to blocks at step 256, and a 493-state
+# chain whose 2999 steps are all single ones.
 _STACK_CHAINS = [
     (UNIFORM2, cylinder([1] * 5), 6),
     (UNIFORM2, cylinder([1] * 10), 11),
@@ -747,12 +748,14 @@ _STACK_CHAINS = [
     (markov([[0.9, 0.1], [0.5, 0.5]]), hamming_ball([0, 1] * 4, 0.13, 2), 34),
     (uniform_iid(4), hamming_ball([0] * 8, 0.25, 4), 118),
     (uniform_iid(4), hamming_ball([0] * 10, 0.2, 4), 218),
+    (uniform_iid(4), hamming_ball([0] * 10, 0.3, 4), 493),
 ]
 
 
 def _per_block_reference(chain, kind, K):
-    """H and F pushed one block at a time: np.dot(R, v), np.dot(A, v) and
-    push @ v per block after the single steps, then the engine's fix-ups."""
+    """H and F pushed one step at a time (absorb @ v, survT @ v and a sum
+    per step) up to the switch, then one block at a time (np.dot(R, v),
+    np.dot(A, v) and push @ v per block), then the engine's fix-ups."""
     switch = chain.switch
     k1 = K if K <= switch else switch + -(-(K - switch) // exact._BLOCK) * exact._BLOCK
     H, F = np.ones(k1 + 1), np.zeros(k1 + 1)
@@ -774,10 +777,11 @@ def _per_block_reference(chain, kind, K):
 
 
 def _stacked_push_mismatches(K=2999):
-    """(chain size, kind, blocks per chunk, horizon resumed from, whether
-    that resume pushed F) wherever the engine's stacked block push differs
-    in any bit from the per-block reference; None is the default chunk, 0 a
-    fresh engine.  An H-only resume goes on H-only and is compared on H."""
+    """(chain size, kind, blocks or steps per chunk, horizon resumed from,
+    whether that resume pushed F) wherever the engine's stacked push differs
+    in any bit from the per-step and per-block reference; None is the
+    default chunk, 0 a fresh engine.  An H-only resume goes on H-only and is
+    compared on H."""
     bad = []
     for model, target, size in _STACK_CHAINS:
         chain = exact.ComposedChain(model, target)
@@ -802,7 +806,7 @@ def _stacked_push_mismatches(K=2999):
 def test_stacked_push_keeps_the_per_block_bits():
     chains = [exact.ComposedChain(m, t) for m, t, _ in _STACK_CHAINS]
     assert [(c.size, c.switch) for c in chains] == (
-        [(size, 0) for _, _, size in _STACK_CHAINS[:5]] + [(218, 256)])
+        [(size, 0) for _, _, size in _STACK_CHAINS[:5]] + [(218, 256), (493, 3328)])
     assert _stacked_push_mismatches() == []
 
 

@@ -324,7 +324,29 @@ def test_any_word_order_gives_the_sorted_set(q, n, as_array, data):
     assert np.array_equal(a.accepting, b.accepting)
 
 
-def test_a_ball_and_its_chain_sort_once_and_build_no_word_tuples(monkeypatch):
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(2, 4), n=st.integers(1, 6), D=st.floats(0.0, 1.0), data=st.data())
+def test_shuffled_and_repeated_rows_of_a_ball_give_that_ball(q, n, D, data):
+    center = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    ball = hamming_ball(center, D, q)
+    order = data.draw(st.permutations(range(ball.kappa)))
+    repeats = data.draw(st.lists(st.integers(0, ball.kappa - 1), max_size=8))
+    t = targets.TargetSet(n, ball.array[list(order) + repeats])
+    assert t == ball and t.array.tobytes() == ball.array.tobytes()
+
+
+def test_an_ascending_array_is_copied_without_a_sort(monkeypatch):
+    monkeypatch.setattr(np, "lexsort", None)  # rows that already ascend need no sort
+    words = np.array([[0, 2, 1], [0, 2, 3], [1, 0, 0], [1, 0, 2]], dtype=np.int64)
+    t = targets.TargetSet(3, words)
+    assert t.array.tolist() == [[0, 2, 1], [0, 2, 3], [1, 0, 0], [1, 0, 2]]
+    assert t.array.dtype == np.int64 and not t.array.flags.writeable
+    assert words.flags.writeable and not np.shares_memory(t.array, words)
+    words[0, 0] = 3  # the caller's array stays theirs
+    assert t.array[0, 0] == 0
+
+
+def test_a_ball_and_its_chain_never_sort_and_build_no_word_tuples(monkeypatch):
     calls = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
@@ -332,5 +354,5 @@ def test_a_ball_and_its_chain_sort_once_and_build_no_word_tuples(monkeypatch):
     chain = ComposedChain(uniform_iid(4), ball)
     chain.start("hitting")
     chain.start("return")
-    assert (ball.kappa, chain.size, len(calls)) == (3676, 493, 1)
+    assert (ball.kappa, chain.size, len(calls)) == (3676, 493, 0)
     assert "words" not in vars(ball)
