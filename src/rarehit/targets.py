@@ -65,7 +65,11 @@ class TargetSet:
             raise RankMismatchError(_LENGTH.format(n=n))
         if W.min() < 0:
             raise SymbolOutOfRangeError("target symbols must lie in 0..2^63-1")
-        if not _ascending(W):
+        # Rows are sorted and distinct when each row's first nonzero
+        # difference from the row before is positive (symbols are
+        # non-negative, so no difference overflows).
+        step = W[1:] - W[:-1]
+        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
             W = W[np.lexsort(W.T[::-1])]
             W = W[np.concatenate(([True], (W[1:] != W[:-1]).any(axis=1)))]
         elif W is words:  # already sorted and distinct: copy it, not the caller's array
@@ -94,16 +98,6 @@ class TargetSet:
 
     def __hash__(self):
         return hash((self.n, self.array.tobytes()))
-
-
-def _ascending(W: np.ndarray) -> bool:
-    """Whether every row of W lies lexicographically above the one before
-    it, so the rows are sorted and distinct: the first nonzero entry of each
-    row's difference from its predecessor must be positive.  Symbols are
-    non-negative, so no difference overflows."""
-    step = W[1:] - W[:-1]
-    first = (step != 0).argmax(axis=1)
-    return bool((step[np.arange(first.size), first] > 0).all())
 
 
 def _int64_rows(n: int, words) -> np.ndarray:
@@ -159,14 +153,13 @@ def hamming_ball(center, D: float, q: int) -> TargetSet:
     # pruned at the radius, so the words come out sorted and distinct.
     # kept[j] codes each kept prefix of length j + 1 as parent * q + symbol,
     # its parent being a kept prefix of length j; miss counts mismatches.
-    miss, symbols, kept = np.zeros(1, dtype=np.int64), np.arange(q), []
+    miss, symbols, kept = np.zeros(1, np.int64), np.arange(q), []
     for s in c:
         child = (miss[:, None] + (symbols != s)).ravel()
         kept.append(np.flatnonzero(child <= radius))
         miss = child[kept[-1]]
-    W = np.empty((miss.size, n), dtype=np.int64)
-    row = np.arange(miss.size)
-    for j in range(n - 1, -1, -1):  # each word's symbols, from its last prefix back
+    W, row = np.empty((miss.size, n), np.int64), np.arange(miss.size)
+    for j in reversed(range(n)):  # each word's symbols, from its last prefix back
         code = kept[j][row]
         W[:, j] = code % q
         row = code // q
