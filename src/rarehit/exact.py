@@ -32,6 +32,7 @@ from .errors import (
     HorizonTooLongError,
     HorizonTooShortError,
     InvalidTailError,
+    MeasureUnderflowError,
     SingularSystemError,
     SymbolOutOfRangeError,
     ZeroMeasureSetError,
@@ -255,11 +256,33 @@ def _switch_point(size: int) -> float:
     return size ** 3 // 36_000 // _BLOCK * _BLOCK
 
 
+def positive_measures(model: ProcessModel, target: TargetSet) -> np.ndarray:
+    """The cylinder measures of the target's words, whose float sum mu(A)
+    is positive.  A float mu(A) of 0 is refused: by ZeroMeasureSetError
+    when every word has a factor that is exactly 0 (a symbol or transition
+    of probability 0), else by MeasureUnderflowError, which gives log10
+    mu(A) from sums of logs taken on this path alone."""
+    word_p = word_measures(model, target.array)
+    if word_p.sum() > 0.0:
+        return word_p
+    W = target.array
+    with np.errstate(divide="ignore"):  # a zero factor logs to -inf
+        logs = np.log(model.stationary[W[:, 0]]) + np.log(model.transition)[
+            W[:, :-1], W[:, 1:]].sum(axis=1)
+    if np.isneginf(logs).all():
+        raise ZeroMeasureSetError("target has zero measure")
+    top = logs.max()
+    log10 = (top + math.log(np.exp(logs - top).sum())) / math.log(10.0)
+    raise MeasureUnderflowError(
+        f"mu(A) underflows double precision: log10 mu(A) = {log10:.6g}")
+
+
 class ComposedChain:
     """The exact setup of one (model, target): its automaton, mu(A) and a
     Markov chain over the classes of reachable (automaton state, last
-    symbol) pairs.  A target of measure zero is refused before its automaton
-    is built.
+    symbol) pairs.  A target whose float measure is 0 is refused by
+    ``positive_measures`` before its automaton is built; a caller that has
+    measured the words already passes their measures as ``word_p``.
 
     The pairs are numbered by ``reachable_pairs``.  They are lumped to the
     coarsest partition that separates acceptance and the next-symbol law
@@ -280,11 +303,10 @@ class ComposedChain:
     chain starts in blocks (``switch`` 0), else CSR matrices.
     """
 
-    def __init__(self, model: ProcessModel, target: TargetSet):
-        self._word_p = word_measures(model, target.array)  # mu of each word's cylinder
+    def __init__(self, model: ProcessModel, target: TargetSet, word_p: np.ndarray | None = None):
+        # mu of each word's cylinder
+        self._word_p = positive_measures(model, target) if word_p is None else word_p
         self.mu_A = float(self._word_p.sum())  # as targets.measure sums it
-        if self.mu_A <= 0.0:
-            raise ZeroMeasureSetError("target has zero measure")
         aut = build_automaton(target, model.alphabet_size)
         q = model.alphabet_size
         state, last, nxt = reachable_pairs(aut)

@@ -134,7 +134,8 @@ def convergence_diagnostics(model: ProcessModel, point: str, n_range,
     per cylinder of ``point_cylinders(point, n_range)``, each an ``Analysis``
     built as its row is reached and dropped before the next, so the sweep
     peaks at its largest row.  D_hit and the bound 12*sqrt(d) + 2*mu(A)
-    are those of ``verify_exponential_bound``; D_ret is read off its ``G``."""
+    are those of ``verify_exponential_bound``; D_ret is read off the return
+    tail as ``StepLaw``'s G would give it."""
     return [_diagnostics_row(Analysis(model, target), s0)
             for target in point_cylinders(point, n_range)]
 
@@ -142,8 +143,8 @@ def convergence_diagnostics(model: ProcessModel, point: str, n_range,
 def _diagnostics_row(analysis: Analysis, s0: float) -> DiagnosticsRow:
     cert, hit = analysis.verification
     report = verify_exponential_bound(hit, cert)
-    G = StepLaw(analysis.return_tail, cert.lam)
-    d_ret = sup_deviation(G.levels, G.step, s0)
+    # G = H_ret/lam on the grid lam*mu(A), divided chunk by chunk: no copy
+    d_ret = sup_deviation(analysis.return_tail.values, cert.lam * cert.mu_A, s0, cert.lam)
     return DiagnosticsRow(cert, report.sup_dev, d_ret, report.bound + 2.0 * cert.mu_A)
 
 

@@ -19,7 +19,7 @@ lambda = 1 is emitted so downstream rescaling stays total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +40,8 @@ from .targets import TargetSet, point_cylinders
 DELTA_QUANTITATIVE = 0.25
 TRUNCATION_TARGET = 1e-4
 _CHECK_SLACK = 1e-12
+_F_MARGIN = 1e-9  # relative margin over the rounding of the pushed F[n]
+_NORMAL = 2.2250738585072014e-308  # smallest normal double: below it rounding is not relative
 _SUP_CHUNK = 1 << 13  # horizon entries per chunk of the sup-deviation
 
 
@@ -82,13 +84,7 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"sup_dev": self.sup_dev, "bound": self.bound,
-                "truncation": self.truncation, "passed": self.passed}
-
-
-def _smallness(F: np.ndarray, n: int, alpha_n: float) -> float:
-    """d = 2*mu(tau_A <= n) + alpha(n)."""
-    return float(2.0 * F[n] + alpha_n)
+        return asdict(self)  # the fields, in their order
 
 
 def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertificate:
@@ -106,7 +102,7 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
     if tail.horizon < n:
         raise HorizonTooShortError(f"horizon {tail.horizon} < n={n}")
     F = tail.cdf  # F[j] = mu(tau <= j)
-    d = _smallness(F, n, alpha_n)
+    d = float(2.0 * F[n] + alpha_n)  # as Analysis.certificate computes it
     if d <= 0.0:  # F[n] >= mu(A) > 0 exactly, so every increment underflowed
         raise MeasureUnderflowError(
             f"d = 0 although mu(A) = {tail.mu_A:.3g} > 0: early-hit probabilities underflow")
@@ -144,19 +140,30 @@ def scale_search(tail: TailDistribution, n: int, alpha_n: float) -> ScaleCertifi
 
 
 class Analysis:
-    """One (model, target): its chain (refused when mu(A) = 0), alpha(n) and
-    hitting engine, and the certificate, the verification (certificate and
-    tail) and the return tail, each cached and resuming the engine where the
-    last one stopped.  Only the certificate's tail carries F, and it is
-    pushed first; the later tails carry ``absorbed`` None (``cdf`` 1 - H)."""
+    """One (model, target): mu(A), measured first and refused when its
+    float is 0 (``exact.positive_measures``), and alpha(n); the chain and
+    the hitting engine, each built when a table is first needed; and the
+    certificate, the verification (certificate and tail) and the return
+    tail, each cached and resuming the engine where the last one stopped.
+    Refusals that mu(A), n and alpha(n) decide come before the chain.  Only
+    the certificate's tail carries F, and it is pushed first; the later
+    tails carry ``absorbed`` None (``cdf`` 1 - H)."""
 
     def __init__(self, model: ProcessModel, target: TargetSet):
         try:
-            self.chain = ComposedChain(model, target)
+            self._word_p = exact.positive_measures(model, target)
         except ZeroMeasureSetError:
             raise ZeroMeasureSetError("target has zero measure; no scale exists") from None
+        self.model, self.target, self.mu_A = model, target, float(self._word_p.sum())
         self.alpha_n = alpha_bound(model, target.n)
-        self.engine = TailEngine(self.chain)
+
+    @cached_property
+    def chain(self):
+        return ComposedChain(self.model, self.target, self._word_p)
+
+    @cached_property
+    def engine(self):
+        return TailEngine(self.chain)
 
     @cached_property
     def certificate(self) -> tuple[ScaleCertificate, TailDistribution]:
@@ -164,13 +171,23 @@ class Analysis:
         until the crossing j and s = j + 2n lie in the table (or sqrt(d) >= 1):
         F never decreases, so the one scale search then succeeds.  Refused
         before the doubling when the crossing, at j >= sqrt(d)/mu(A) since
-        mu(tau <= j) <= j*mu(A), lies past exact.MAX_TAIL_STEPS."""
-        n, mu_A, cap = self.chain.target.n, self.chain.mu_A, exact.MAX_TAIL_STEPS
-        sd = math.sqrt(_smallness(self.engine.extend(n).cdf, n, self.alpha_n))
-        if sd < 1.0 and sd > mu_A * (cap - 2 * n):
-            raise HorizonTooShortError(
-                f"threshold sqrt(d)={sd:.3g} with mu(A)={mu_A:.3g} needs more "
-                f"than {cap} steps")
+        mu(tau <= j) <= j*mu(A), lies past exact.MAX_TAIL_STEPS; and refused
+        before the chain is built when bounds on sqrt(d) that read mu(A), n
+        and alpha(n) alone decide it (for a normal mu(A)), the message then
+        giving the lower bound."""
+        n, mu_A, cap = self.target.n, self.mu_A, exact.MAX_TAIL_STEPS
+        reach = mu_A * (cap - 2 * n)  # sqrt(d) above it puts the crossing past the cap
+        # Stationarity and the union bound give mu(A) <= F[n] <= n*mu(A),
+        # widened by _F_MARGIN for F's rounding: sqrt(d) >= lo, and sqrt(d) < 1
+        # when 2n*mu(A) + alpha(n) < 1.  A subnormal mu(A) has no such
+        # relative precision and keeps the exact path.
+        lo = math.sqrt(2.0 * mu_A * (1.0 - _F_MARGIN) + self.alpha_n)
+        early = (mu_A >= _NORMAL and lo > reach
+                 and 2.0 * n * mu_A * (1.0 + _F_MARGIN) + self.alpha_n < 1.0)
+        sd = lo if early else math.sqrt(2.0 * self.engine.extend(n).cdf[n] + self.alpha_n)
+        if early or reach < sd < 1.0:
+            raise HorizonTooShortError(f"threshold sqrt(d){' >= ' if early else '='}{sd:.3g} "
+                                       f"with mu(A)={mu_A:.3g} needs more than {cap} steps")
         tail = self.engine.grow(
             max(4 * n, 64), lambda H, F: sd >= 1.0 or F[F.size - 1 - 2 * n] >= sd)
         return scale_search(tail, n, self.alpha_n), tail
@@ -180,7 +197,7 @@ class Analysis:
         """The certificate and its tail grown for verification, refused before
         the certificate when H(K) >= 1 - K*mu(A) keeps H(K) above the
         truncation target at the cap."""
-        if 1.0 - TRUNCATION_TARGET > self.chain.mu_A * exact.MAX_TAIL_STEPS:
+        if 1.0 - TRUNCATION_TARGET > self.mu_A * exact.MAX_TAIL_STEPS:
             raise HorizonTooShortError(
                 f"H(K) <= {TRUNCATION_TARGET:g} needs K > cap {exact.MAX_TAIL_STEPS}")
         cert, tail = self.certificate
@@ -223,8 +240,12 @@ def extend_for_verification(engine: TailEngine, K: int, lam: float) -> TailDistr
                        absorbed=False)
 
 
-def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
-    """sup_{t >= s0} |levels[floor(t/step)] - exp(-t)|, the truncation included.
+def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0, div: float = 1.0) -> float:
+    """sup_{t >= s0} |levels[floor(t/step)]/div - exp(-t)|, the truncation
+    included, for div > 0: each chunk is divided as it is read, so the
+    return law H/lam needs no copy.  Correctly rounded division by div is
+    monotone, so the extremes of the levels divided by div are those of the
+    divided levels, bit for bit.
 
     The step function is flat on [k*step, (k+1)*step), so the sup is attained
     at the two endpoints of a flat (the first flat starting at s0); past the
@@ -246,17 +267,19 @@ def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
         raise DomainError(f"s0 must be non-negative, got {s0}")
     if not step > 0.0:  # NaN included
         raise DomainError(f"step must be positive, got {step}")
+    if not div > 0.0:
+        raise DomainError(f"div must be positive, got {div}")
     K = levels.size - 1
     starts = np.arange(0, K + 1, _SUP_CHUNK)
-    top = np.maximum.reduceat(levels, starts)
+    top = np.maximum.reduceat(levels, starts) / div
     if np.isnan(top).any():  # maximum propagates a NaN, which max() would skip
         raise DomainError("levels must not be NaN")
     if s0 / step >= K + 1:  # floor(s0/step) > K, infinity included
         raise HorizonTooShortError(f"s0={s0} beyond tail horizon {K}")
     top = np.maximum.accumulate(top[::-1])[::-1]  # max of levels from chunk c on
-    low = np.minimum.accumulate(np.minimum.reduceat(levels, starts)[::-1])[::-1]
+    low = np.minimum.accumulate(np.minimum.reduceat(levels, starts)[::-1] / div)[::-1]
     k0 = int(math.floor(s0 / step))
-    sup = max(float(levels[-1]), math.exp(-step * K))
+    sup = max(float(levels[-1]) / div, math.exp(-step * K))
     for c in range(k0 // _SUP_CHUNK, starts.size):
         lo, hi = max(k0, c * _SUP_CHUNK), min((c + 1) * _SUP_CHUNK, K + 1)
         e_max = math.exp(-step * lo) * (1.0 + 1e-12)
@@ -265,7 +288,7 @@ def sup_deviation(levels: np.ndarray, step: float, s0: float = 0.0) -> float:
         t = step * np.arange(lo, hi + 1)
         t[0] = max(t[0], s0)
         e = np.exp(-t)
-        flats = levels[lo:hi]
+        flats = levels[lo:hi] / div
         sup = max(sup, float(np.abs(flats - e[:-1]).max()), float(np.abs(flats - e[1:]).max()))
     return sup
 

@@ -600,14 +600,74 @@ def test_sweep_to_n_max_2_63_refuses_as_a_short_sweep_does(tmp_path, capsys):
 
 def test_sweep_refuses_a_cylinder_of_zero_measure_before_its_automaton(tmp_path, capsys,
                                                                       monkeypatch):
-    # mu(0^n) = 2^-n underflows from n = 1075 on; the word is measured (up to
-    # the column where the product reaches 0) and refused, with no automaton.
+    # mu(0^n) = 2^-n underflows from n = 1075 on, and no factor is 0: the
+    # word is measured and refused as an underflow, with no automaton.
     monkeypatch.setattr(exact, "build_automaton", None)
     code, _ = run(["sweep", "--model", "iid-uniform-2", "--point", "0",
                    "--n-min", "200000", "--n-max", "200001"], tmp_path)
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "analysis failed: target has zero measure; no scale exists\n")
+    assert code == EXIT_RESOURCE
+    assert capsys.readouterr().err == ("resource cap exceeded: mu(A) underflows double "
+                                       "precision: log10 mu(A) = -60206\n")
+
+
+def _no_automaton_nor_push(monkeypatch):
+    """Calls to build_automaton and to the engine's pushes, recorded and not run."""
+    calls = []
+    monkeypatch.setattr(exact, "build_automaton", lambda *a: calls.append("automaton"))
+    for name in ("extend", "grow"):
+        monkeypatch.setattr(exact.TailEngine, name, lambda *a, **k: calls.append("push"))
+    return calls
+
+
+ONES = ["--model", "iid-uniform-2", "--target"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # mu(A) <= mu(tau <= n) <= n*mu(A) puts sqrt(d) in [1.32e-9, 1.1e-8], whose
+    # crossing mu(tau <= j) <= j*mu(A) lies past 10^8 steps.
+    (["lambda", *ONES, "cyl:" + ",".join("1" * 60)],
+     "threshold sqrt(d) >= 1.32e-09 with mu(A)=8.67e-19 needs more than 100000000 steps"),
+    (["lambda", *ONES, "cyl:" + ",".join("1" * 1000)],
+     "threshold sqrt(d) >= 4.32e-151 with mu(A)=9.33e-302 needs more than 100000000 steps"),
+    # H(K) >= 1 - K*mu(A) stays above the truncation target at the cap.
+    *[([cmd, *ONES, "cyl:" + ",".join("1" * 60)], "H(K) <= 0.0001 needs K > cap 100000000")
+      for cmd in ("verify", "limitlaw")],
+    (["sweep", "--model", "iid-uniform-2", "--point", "1", "--n-min", "60", "--n-max", "61"],
+     "H(K) <= 0.0001 needs K > cap 100000000"),
+], ids=["lambda-1^60", "lambda-1^1000", "verify-1^60", "limitlaw-1^60", "sweep-1^60"])
+def test_refusals_that_the_measure_decides_build_no_automaton(tmp_path, capsys, monkeypatch,
+                                                               argv, message):
+    calls = _no_automaton_nor_push(monkeypatch)
+    assert run(argv, tmp_path) == (EXIT_RESOURCE, "")
+    assert capsys.readouterr().err == f"resource cap exceeded: {message}\n"
+    assert calls == []
+
+
+UNDERFLOW_SOURCES = [  # each source's first n at which mu(symbol^n) underflows to 0
+    ("iid-uniform-2", "1", 1075, "-323.607"),
+    ('{"kind":"iid","probs":[0.8,0.2]}', "1", 463, "-323.623"),
+    ("iid-uniform-4", "3", 538, "-323.908"),
+    ('{"kind":"markov","transition":[[0.9,0.1],[0.5,0.5]]}', "1", 1073, "-323.482"),
+]
+
+
+@pytest.mark.parametrize("cmd", ["lambda", "verify", "limitlaw", "sweep", "tail"])
+@pytest.mark.parametrize("model, symbol, n, log10", UNDERFLOW_SOURCES,
+                         ids=["u2", "iid82", "u4", "markov"])
+def test_an_underflowed_measure_is_refused_as_underflow(tmp_path, capsys, monkeypatch, cmd,
+                                                         model, symbol, n, log10):
+    # The float mu(A) is 0 but no factor is: exit 3 naming log10 mu(A), not
+    # "zero measure", before any automaton.
+    calls = _no_automaton_nor_push(monkeypatch)
+    if cmd == "sweep":
+        argv = [cmd, "--model", model, "--point", symbol, "--n-min", str(n), "--n-max", str(n)]
+    else:
+        argv = [cmd, "--model", model, "--target", "cyl:" + ",".join([symbol] * n)]
+        argv += ["--K", "5"] if cmd == "tail" else []
+    assert run(argv, tmp_path) == (EXIT_RESOURCE, "")
+    assert capsys.readouterr().err == ("resource cap exceeded: mu(A) underflows double "
+                                       f"precision: log10 mu(A) = {log10}\n")
+    assert calls == []
 
 
 def test_lambda_trajectory_builds_no_cylinder_past_a_refusal(monkeypatch):

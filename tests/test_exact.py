@@ -190,6 +190,20 @@ def test_zero_measure_set(monkeypatch):
     assert lumped == []
 
 
+def test_a_union_with_one_underflowed_word_is_refused_as_underflow():
+    # Word 2,0,...: symbol 2 has probability 0, an exact zero factor; word
+    # 0^1075 has measure 2^-1075 > 0, which underflows.  The union's float
+    # measure is 0 but its measure is not, and log10 mu(A) is the second's.
+    model = iid([0.5, 0.5, 0.0])
+    zero, tiny = [2] + [0] * 1074, [0] * 1075
+    with pytest.raises(errors.ZeroMeasureSetError, match="target has zero measure"):
+        exact.positive_measures(model, cylinder(zero))
+    with pytest.raises(errors.MeasureUnderflowError, match=r"log10 mu\(A\) = -323\.607$"):
+        exact.positive_measures(model, union([cylinder(zero), cylinder(tiny)]))
+    with pytest.raises(errors.MeasureUnderflowError, match=r"log10 mu\(A\) = -323\.306$"):
+        exact.positive_measures(model, union([cylinder(tiny), cylinder([1] + tiny[1:])]))
+
+
 def test_start_refuses_an_unknown_kind():
     chain = exact.ComposedChain(UNIFORM2, cylinder([1]))
     with pytest.raises(errors.InvalidTailError, match="kind must be hitting or return"):

@@ -251,6 +251,17 @@ def test_sweep_peaks_at_its_largest_row():
     assert sweep <= row + 0.1 * 8 * (K + 1)
 
 
+def test_a_sweep_row_holds_two_horizon_arrays():
+    # Row 12's hitting and return tails, beside the chunks of a tail's
+    # validation (a difference and two masks, at most 10 bytes an entry of
+    # exact._CHECK_ROWS): D_ret divides the return tail by lambda chunk by
+    # chunk, with no copy of H_ret/lam (which made 3.36 arrays).
+    K = 131072
+    convergence_diagnostics(UNIFORM2, "0", range(12, 13))  # warm every cache
+    peak = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(12, 13)))
+    assert peak <= 2 * 8 * (K + 1) + 12 * exact._CHECK_ROWS
+
+
 def test_verification_and_return_tails_carry_no_F():
     analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 6))
     (cert, hit), ret = analysis.verification, analysis.return_tail

@@ -1,9 +1,10 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from rarehit import (
     TailDistribution,
@@ -164,7 +165,8 @@ def test_certificate_json():
 
 def test_unreachable_threshold_refused_before_doubling(monkeypatch):
     # mu(1^60) = 2^-60: mu(tau <= j) <= j*mu(A) puts the crossing of
-    # sqrt(d) ~ 7e-9 beyond 10^9 steps, so no horizon is pushed past n.
+    # sqrt(d) ~ 7e-9 beyond 10^9 steps; mu(A) <= mu(tau <= n) <= n*mu(A)
+    # already bounds sqrt(d) in [1.3e-9, 1.1e-8], so nothing is pushed.
     horizons = []
     real = exact.TailEngine.extend
 
@@ -177,7 +179,71 @@ def test_unreachable_threshold_refused_before_doubling(monkeypatch):
     monkeypatch.setattr(exact.TailEngine, "extend", recorded)
     with pytest.raises(errors.HorizonTooShortError):
         scale_certificate(UNIFORM2, cylinder([1] * 60))
-    assert horizons == [60]
+    assert horizons == []
+
+
+class _ExactPath(Exception):
+    """Raised by a stub push: the certificate went on to the chain."""
+
+
+@st.composite
+def _sources_and_targets(draw):
+    """CLI specs of an IID or Markov source on 2 or 3 symbols (every entry
+    at least 0.05 before normalizing) and of a cylinder, or a Hamming ball
+    of radius 1, of length up to 80."""
+    q = draw(st.integers(2, 3))
+    row = st.lists(st.floats(0.05, 1.0), min_size=q, max_size=q).map(
+        lambda w: [x / sum(w) for x in w])
+    if draw(st.booleans()):
+        model = {"kind": "iid", "probs": draw(row)}
+    else:
+        model = {"kind": "markov", "transition": [draw(row) for _ in range(q)]}
+    n = draw(st.integers(1, 80))
+    word = ",".join(map(str, draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))))
+    ball = n > 1 and draw(st.booleans())
+    return json.dumps(model), f"hamming:{word}:{1.5 / n}" if ball else f"cyl:{word}"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(case=("iid-uniform-2", "cyl:" + ",".join(["1"] * 60)))  # fires
+@example(case=("iid-uniform-2", "cyl:" + ",".join(["1"] * 52)))  # left open, refused exactly
+@example(case=("iid-uniform-2", "cyl:1"))  # trivial regime: sqrt(d) = 1
+@example(case=('{"kind":"markov","transition":[[0.9,0.1],[0.5,0.5]]}', "cyl:0,1,1,0"))
+@given(case=_sources_and_targets())
+def test_the_early_step_cap_refusal_implies_the_exact_one(monkeypatch, tmp_path, case):
+    from rarehit import cli
+    model = cli.parse_model(case[0])
+    target = cli.parse_target(case[1], model.alphabet_size)
+    analysis = scaling.Analysis(model, target)
+    n, mu_A = target.n, analysis.mu_A
+    # The exact path: sqrt(d) from the chain's F[n], refused when the
+    # crossing lies past the cap and sqrt(d) < 1 (else it is certified).
+    F_n = analysis.engine.extend(n).cdf[n]
+    sd = math.sqrt(2.0 * F_n + analysis.alpha_n)
+    refused = mu_A * (exact.MAX_TAIL_STEPS - 2 * n) < sd < 1.0
+    # The bounds the early check reads, stationarity and the union bound,
+    # hold for the pushed F[n] within their margin.
+    margin = scaling._F_MARGIN
+    assert mu_A * (1.0 - margin) <= F_n <= n * mu_A * (1.0 + margin)
+    # The early check fired when the certificate refused before any push.
+    def stop(*args, **kwargs):
+        raise _ExactPath
+
+    with monkeypatch.context() as m:
+        m.setattr(exact.TailEngine, "extend", stop)
+        with pytest.raises((_ExactPath, errors.HorizonTooShortError)) as info:
+            scaling.Analysis(model, target).certificate
+    fired = info.type is not _ExactPath
+    event(f"early refusal: {fired}, exact refusal: {refused}, trivial: {sd >= 1.0}")
+    assert refused or not fired
+    if fired:  # the CLI exits as on the exact path, where _NORMAL = inf turns it off
+        argv = ["lambda", "--model", case[0], "--target", case[1], "--out", str(tmp_path / "o")]
+        codes = [cli.main(argv)]
+        with monkeypatch.context() as m:
+            m.setattr(scaling, "_NORMAL", math.inf)
+            codes.append(cli.main(argv))
+        assert codes == [cli.EXIT_RESOURCE] * 2
 
 
 def test_unverifiable_horizon_refused_at_once(monkeypatch):
@@ -280,6 +346,9 @@ def test_sup_deviation_refuses_a_step_that_is_not_positive():
     for step in (0.0, -1.0, math.nan):
         with pytest.raises(errors.DomainError, match="step must be positive"):
             sup_deviation(np.ones(3), step)
+    for div in (0.0, -1.0, math.nan):
+        with pytest.raises(errors.DomainError, match="div must be positive"):
+            sup_deviation(np.ones(3), 0.5, div=div)
 
 
 def _one_pass_sup(levels, step, s0=0.0):
@@ -347,9 +416,11 @@ def test_sup_deviation_equals_one_pass_for_any_levels(chunk, data):
     levels = np.array(data.draw(st.lists(st.floats(-0.5, 1.5), min_size=size, max_size=size)))
     step = data.draw(st.floats(0.01, 2.0))
     s0 = data.draw(st.floats(0.0, step * size, exclude_max=True))
+    div = data.draw(st.floats(0.01, 100.0))  # levels divided chunk by chunk, as a sweep's G
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scaling, "_SUP_CHUNK", chunk)
         assert sup_deviation(levels, step, s0) == _one_pass_sup(levels, step, s0)
+        assert sup_deviation(levels, step, s0, div) == _one_pass_sup(levels / div, step, s0)
 
 
 def test_verification_peaks_at_three_horizon_arrays():
@@ -459,9 +530,9 @@ def test_verify_measures_the_target_words_once(monkeypatch, tmp_path, argv, word
         calls.append(words.shape)
         return real_measures(model, words)
 
-    def built(self, model, target):
+    def built(self, model, target, word_p=None):
         chains.append(target.n)
-        real_init(self, model, target)
+        real_init(self, model, target, word_p)
 
     for module in (process, targets, exact):
         monkeypatch.setattr(module, "word_measures", counted)
