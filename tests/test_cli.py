@@ -619,18 +619,18 @@ def _no_automaton_nor_push(monkeypatch):
     return calls
 
 
-ONES = ["--model", "iid-uniform-2", "--target"]
+U2_TARGET = ["--model", "iid-uniform-2", "--target"]
 
 
 @pytest.mark.parametrize("argv, message", [
     # mu(A) <= mu(tau <= n) <= n*mu(A) puts sqrt(d) in [1.32e-9, 1.1e-8], whose
     # crossing mu(tau <= j) <= j*mu(A) lies past 10^8 steps.
-    (["lambda", *ONES, "cyl:" + ",".join("1" * 60)],
+    (["lambda", *U2_TARGET, "cyl:" + ",".join("1" * 60)],
      "threshold sqrt(d) >= 1.32e-09 with mu(A)=8.67e-19 needs more than 100000000 steps"),
-    (["lambda", *ONES, "cyl:" + ",".join("1" * 1000)],
+    (["lambda", *U2_TARGET, "cyl:" + ",".join("1" * 1000)],
      "threshold sqrt(d) >= 4.32e-151 with mu(A)=9.33e-302 needs more than 100000000 steps"),
     # H(K) >= 1 - K*mu(A) stays above the truncation target at the cap.
-    *[([cmd, *ONES, "cyl:" + ",".join("1" * 60)], "H(K) <= 0.0001 needs K > cap 100000000")
+    *[([cmd, *U2_TARGET, "cyl:" + ",".join("1" * 60)], "H(K) <= 0.0001 needs K > cap 100000000")
       for cmd in ("verify", "limitlaw")],
     (["sweep", "--model", "iid-uniform-2", "--point", "1", "--n-min", "60", "--n-max", "61"],
      "H(K) <= 0.0001 needs K > cap 100000000"),

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from rarehit import (
     TailDistribution,
+    cli,
     cylinder,
     errors,
     exact,
@@ -212,7 +213,6 @@ def _sources_and_targets(draw):
 @example(case=('{"kind":"markov","transition":[[0.9,0.1],[0.5,0.5]]}', "cyl:0,1,1,0"))
 @given(case=_sources_and_targets())
 def test_the_early_step_cap_refusal_implies_the_exact_one(monkeypatch, tmp_path, case):
-    from rarehit import cli
     model = cli.parse_model(case[0])
     target = cli.parse_target(case[1], model.alphabet_size)
     analysis = scaling.Analysis(model, target)
@@ -226,10 +226,11 @@ def test_the_early_step_cap_refusal_implies_the_exact_one(monkeypatch, tmp_path,
     # hold for the pushed F[n] within their margin.
     margin = scaling._F_MARGIN
     assert mu_A * (1.0 - margin) <= F_n <= n * mu_A * (1.0 + margin)
-    # The early check fired when the certificate refused before any push.
+
     def stop(*args, **kwargs):
         raise _ExactPath
 
+    # The early check fired when the certificate refused before any push.
     with monkeypatch.context() as m:
         m.setattr(exact.TailEngine, "extend", stop)
         with pytest.raises((_ExactPath, errors.HorizonTooShortError)) as info:
