@@ -21,6 +21,12 @@ The parser is built by the first ``main`` call and shared by every later call
 in the process, so repeated in-process calls pay only for their analysis; a
 one-shot ``rarehit`` run builds it once, as before.  Each call still parses
 into a fresh namespace with its subcommand's defaults.
+
+Only the core modules (``errors``, ``process``, ``targets``, ``exact`` and
+``scaling``) are imported with this module.  ``limitlaw``, ``mc`` and
+``rarity`` are imported by the handlers that use them, so a run loads only
+its own engine: ``tail`` and ``lambda`` never compile the Monte Carlo
+sampler, and ``rarity`` never the limit laws.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from functools import cache
 
 import numpy as np
 
-from . import exact, limitlaw, mc, process, rarity, scaling, targets
+from . import exact, process, scaling, targets
 from .errors import ConfigInvalidError, DomainError, RarehitError, ResourceCapError
 
 EXIT_OK = 0
@@ -116,6 +122,7 @@ def _cmd_verify(args):
 def _cmd_limitlaw(args):
     if not args.s0 >= 0.0:  # NaN included
         raise DomainError(f"--s0 must be non-negative, got {args.s0}")
+    from . import limitlaw
     model, target, config = _inputs(args, "limitlaw", s0=args.s0)
     analysis = scaling.Analysis(model, target)
     cert, tail = analysis.verification
@@ -154,6 +161,7 @@ def _kappa_table(text: str) -> dict[int, int]:
 
 
 def _cmd_rarity_epsilon(args):
+    from . import rarity
     model = parse_model(args.model)
     config = {"analysis": "rarity.epsilon", "model": process.to_dict(model),
               "kappa": args.kappa, "n": args.n}
@@ -167,24 +175,28 @@ def _cmd_rarity_epsilon(args):
 
 
 def _cmd_rarity_d0(args):
+    from . import rarity
     h = args.h_nats if args.h_bits is None else args.h_bits * math.log(2.0)
     config = {"analysis": "rarity.d0", "q": args.q, "h_nats": h}
     return config, {"D0": rarity.solve_D0(args.q, h)}, True
 
 
 def _cmd_rarity_rate(args):
+    from . import rarity
     table = _kappa_table(args.kappa_table)
     config = {"analysis": "rarity.rate", "kappa_table": table}
     return config, {"rate": rarity.cardinality_rate(table)}, True
 
 
 def _cmd_rarity_kappa(args):
+    from . import rarity
     config = {"analysis": "rarity.kappa", "n": args.n, "D": args.D, "q": args.q}
     bound = rarity.hamming_kappa_bound(args.n, args.D, args.q)
     return config, {"kappa_bound": bound}, True
 
 
 def _cmd_mc(args):
+    from . import mc
     model, target, config = _inputs(args, "mc", kind=args.kind, N=args.N, seed=args.seed,
                                     cap=args.cap)
     sampler = mc.sample_hitting if args.kind == "hitting" else mc.sample_return
@@ -193,6 +205,7 @@ def _cmd_mc(args):
 
 
 def _cmd_sweep(args):
+    from . import limitlaw
     model = parse_model(args.model)
     config = {"analysis": "sweep", "model": process.to_dict(model),
               "point": args.point, "n_min": args.n_min, "n_max": args.n_max,

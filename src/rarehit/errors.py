@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all rarehit modules, and the integer
 argument check that raises one."""
 
+import math
 import operator
 
 
@@ -63,6 +64,12 @@ class HorizonTooLongError(ResourceCapError):
 
 class MeasureUnderflowError(ResourceCapError):
     """A positive measure underflows double precision."""
+
+    @classmethod
+    def of_log(cls, log_mu: float) -> "MeasureUnderflowError":
+        """The refusal of a measure mu(A) > 0 whose float is 0, given log mu(A)."""
+        return cls(f"mu(A) underflows double precision: "
+                   f"log10 mu(A) = {log_mu / math.log(10.0):.6g}")
 
 
 class InvalidTailError(RarehitError):

@@ -256,12 +256,13 @@ def _switch_point(size: int) -> float:
     return size ** 3 // 36_000 // _BLOCK * _BLOCK
 
 
-def positive_measures(model: ProcessModel, target: TargetSet) -> np.ndarray:
+def positive_measures(model: ProcessModel, target: TargetSet, why: str = "") -> np.ndarray:
     """The cylinder measures of the target's words, whose float sum mu(A)
     is positive.  A float mu(A) of 0 is refused: by ZeroMeasureSetError
-    when every word has a factor that is exactly 0 (a symbol or transition
-    of probability 0), else by MeasureUnderflowError, which gives log10
-    mu(A) from sums of logs taken on this path alone."""
+    ("target has zero measure", then "; <why>" when given) when every word
+    has a factor that is exactly 0 (a symbol or transition of probability
+    0), else by MeasureUnderflowError, which gives log10 mu(A) from sums of
+    logs taken on this path alone."""
     word_p = word_measures(model, target.array)
     if word_p.sum() > 0.0:
         return word_p
@@ -270,11 +271,9 @@ def positive_measures(model: ProcessModel, target: TargetSet) -> np.ndarray:
         logs = np.log(model.stationary[W[:, 0]]) + np.log(model.transition)[
             W[:, :-1], W[:, 1:]].sum(axis=1)
     if np.isneginf(logs).all():
-        raise ZeroMeasureSetError("target has zero measure")
+        raise ZeroMeasureSetError("target has zero measure" + (f"; {why}" if why else ""))
     top = logs.max()
-    log10 = (top + math.log(np.exp(logs - top).sum())) / math.log(10.0)
-    raise MeasureUnderflowError(
-        f"mu(A) underflows double precision: log10 mu(A) = {log10:.6g}")
+    raise MeasureUnderflowError.of_log(top + math.log(np.exp(logs - top).sum()))
 
 
 class ComposedChain:

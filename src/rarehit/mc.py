@@ -48,12 +48,11 @@ from .errors import (
     HorizonMismatchError,
     RejectionBudgetExceededError,
     SymbolOutOfRangeError,
-    ZeroMeasureSetError,
     _integer,
 )
-from .exact import TailDistribution, build_automaton, reachable_pairs
-from .process import ProcessModel, word_measures
-from .targets import TargetSet, measure
+from .exact import TailDistribution, build_automaton, positive_measures, reachable_pairs
+from .process import ProcessModel
+from .targets import TargetSet
 
 _INT64_MAX = (1 << 63) - 1  # hit times are int64
 REJECTION_BUDGET = 10 ** 7  # rejected initial windows per return batch
@@ -248,14 +247,16 @@ def _pair_scan(model: ProcessModel, target: TargetSet):
 
 def default_censor_cap(model: ProcessModel, target, mu_A: float | None = None) -> int:
     """50 expected hits at the crude rate guess lambda = 1.  ``mu_A`` is the
-    target's measure when the caller already holds it."""
+    target's positive measure when the caller already holds it."""
     if not isinstance(target, TargetSet):
         raise DomainError("censor_cap must be given explicitly for predicate targets")
     if mu_A is None:
-        mu_A = measure(model, target)
-    if mu_A <= 0.0:
-        raise ZeroMeasureSetError("target has zero measure; no hit is expected")
-    return max(1, math.ceil(50.0 / mu_A))
+        mu_A = positive_measures(model, target, "no hit is expected").sum()
+    cap = 50.0 / float(mu_A)
+    if cap == math.inf:  # mu(A) < 50 / DBL_MAX
+        raise CensorCapTooLargeError(f"censor_cap 50/mu(A) with mu(A) = {mu_A:.6g} exceeds "
+                                     f"the int64 hit-time limit {_INT64_MAX}")
+    return max(1, math.ceil(cap))
 
 
 def _advance(streams, step, state, cap: int):
@@ -300,7 +301,7 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
     explicit_return = kind == "return" and isinstance(target, TargetSet)
     mu_A = None
     if explicit_return:  # one measure serves the default cap and the word choice
-        weights = word_measures(model, target.array)
+        weights = positive_measures(model, target, "returns are undefined")
         mu_A = weights.sum()
     if censor_cap is None:
         censor_cap = default_censor_cap(model, target, mu_A)
@@ -312,8 +313,6 @@ def _sample(kind, model, target, N, seed, censor_cap) -> SampleBatch:
     table, init, step = _scan(model, target)
     n = target.n
     if explicit_return:
-        if mu_A <= 0.0:
-            raise ZeroMeasureSetError("target has zero measure; returns are undefined")
         word_cum = np.cumsum(weights / mu_A)
     times = np.empty(N, dtype=np.int64)
     cens = np.empty(N, dtype=bool)

@@ -150,10 +150,7 @@ class Analysis:
     tails carry ``absorbed`` None (``cdf`` 1 - H)."""
 
     def __init__(self, model: ProcessModel, target: TargetSet):
-        try:
-            self._word_p = exact.positive_measures(model, target)
-        except ZeroMeasureSetError:
-            raise ZeroMeasureSetError("target has zero measure; no scale exists") from None
+        self._word_p = exact.positive_measures(model, target, "no scale exists")
         self.model, self.target, self.mu_A = model, target, float(self._word_p.sum())
         self.alpha_n = alpha_bound(model, target.n)
 
@@ -326,4 +323,4 @@ def lambda_trajectory(model: ProcessModel, point: str, n_range,
     builds no later cylinder.
     """
     return [scale_certificate(model, target)[0]
-            for target in point_cylinders(point, n_range)]
+            for target in point_cylinders(point, n_range, model)]

@@ -19,6 +19,7 @@ from rarehit import (
     exact,
     hitting_tail,
     limitlaw,
+    mc,
     scaling,
     targets,
     uniform_iid,
@@ -613,7 +614,8 @@ def test_sweep_refuses_a_cylinder_of_zero_measure_before_its_automaton(tmp_path,
 def _no_automaton_nor_push(monkeypatch):
     """Calls to build_automaton and to the engine's pushes, recorded and not run."""
     calls = []
-    monkeypatch.setattr(exact, "build_automaton", lambda *a: calls.append("automaton"))
+    for module in (exact, mc):  # mc binds build_automaton by name
+        monkeypatch.setattr(module, "build_automaton", lambda *a: calls.append("automaton"))
     for name in ("extend", "grow"):
         monkeypatch.setattr(exact.TailEngine, name, lambda *a, **k: calls.append("push"))
     return calls
@@ -651,23 +653,75 @@ UNDERFLOW_SOURCES = [  # each source's first n at which mu(symbol^n) underflows 
 ]
 
 
-@pytest.mark.parametrize("cmd", ["lambda", "verify", "limitlaw", "sweep", "tail"])
-@pytest.mark.parametrize("model, symbol, n, log10", UNDERFLOW_SOURCES,
-                         ids=["u2", "iid82", "u4", "markov"])
+UNDERFLOW_IDS = ["u2", "iid82", "u4", "markov"]
+
+
+@pytest.mark.parametrize("cmd", ["lambda", "verify", "limitlaw", "sweep", "tail", "mc-hitting",
+                                 "mc-return"])
+@pytest.mark.parametrize("model, symbol, n, log10", UNDERFLOW_SOURCES, ids=UNDERFLOW_IDS)
 def test_an_underflowed_measure_is_refused_as_underflow(tmp_path, capsys, monkeypatch, cmd,
                                                          model, symbol, n, log10):
     # The float mu(A) is 0 but no factor is: exit 3 naming log10 mu(A), not
     # "zero measure", before any automaton.
     calls = _no_automaton_nor_push(monkeypatch)
-    if cmd == "sweep":
-        argv = [cmd, "--model", model, "--point", symbol, "--n-min", str(n), "--n-max", str(n)]
-    else:
-        argv = [cmd, "--model", model, "--target", "cyl:" + ",".join([symbol] * n)]
-        argv += ["--K", "5"] if cmd == "tail" else []
+    word = "cyl:" + ",".join([symbol] * n)
+    argv = {
+        "sweep": [cmd, "--model", model, "--point", symbol, "--n-min", str(n), "--n-max", str(n)],
+        "tail": [cmd, "--model", model, "--target", word, "--K", "5"],
+        "mc-hitting": ["mc", "--model", model, "--target", word, "--N", "5", "--seed", "0",
+                       "--kind", "hitting"],
+        "mc-return": ["mc", "--model", model, "--target", word, "--N", "5", "--seed", "0",
+                      "--kind", "return", "--cap", "10"],
+    }.get(cmd, [cmd, "--model", model, "--target", word])
     assert run(argv, tmp_path) == (EXIT_RESOURCE, "")
     assert capsys.readouterr().err == ("resource cap exceeded: mu(A) underflows double "
                                        f"precision: log10 mu(A) = {log10}\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("extra, why", [
+    ([], "no hit is expected"),
+    (["--kind", "return", "--cap", "10"], "returns are undefined"),
+    (["--kind", "return"], "returns are undefined"),
+])
+def test_mc_refuses_an_exactly_null_target_as_zero_measure(tmp_path, capsys, extra, why):
+    argv = ["mc", *NULL_TARGET, "--N", "5", "--seed", "0", *extra]
+    assert run(argv, tmp_path) == (EXIT_CONFIG, "")
+    assert capsys.readouterr().err == f"analysis failed: target has zero measure; {why}\n"
+
+
+def test_a_far_underflowing_sweep_is_refused_before_its_word(tmp_path, capsys, monkeypatch):
+    # log mu(0^n) is read off one period of the point: neither the
+    # 3,000,000-symbol word nor its cylinder is built.
+    built = _count_cylinders(monkeypatch)
+    argv = ["sweep", "--model", "iid-uniform-2", "--point", "0", "--n-min", "3000000",
+            "--n-max", "3000001"]
+    tracemalloc.start()
+    try:
+        code = run(argv, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (EXIT_RESOURCE, "")
+    assert capsys.readouterr().err == ("resource cap exceeded: mu(A) underflows double "
+                                       "precision: log10 mu(A) = -903090\n")
+    assert built == []
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("n", [2000, 5000])
+@pytest.mark.parametrize("model, symbol, first, log10", UNDERFLOW_SOURCES, ids=UNDERFLOW_IDS)
+def test_the_early_underflow_refusal_words_it_as_the_measure_does(model, symbol, first, log10, n):
+    # Far below the float range the sweep refuses from log mu(A) alone; the
+    # message is the one positive_measures gives the built cylinder.  At the
+    # first underflowing n the cylinder is still built and measured.
+    m = cli.parse_model(model)
+    with pytest.raises(errors.MeasureUnderflowError) as early:
+        next(targets.point_cylinders(symbol, [n], m))
+    with pytest.raises(errors.MeasureUnderflowError) as measured:
+        exact.positive_measures(m, targets.cylinder([int(symbol)] * n))
+    assert str(early.value) == str(measured.value)
+    assert next(targets.point_cylinders(symbol, [first], m)).n == first
 
 
 def test_lambda_trajectory_builds_no_cylinder_past_a_refusal(monkeypatch):
@@ -745,6 +799,10 @@ BAD_TARGETS = [
     pytest.param(["mc", "--model", "iid-uniform-2", "--target", "cyl:" + ",".join("1" * 70),
                   "--N", "5", "--seed", "0"], EXIT_RESOURCE,
                  "exceeds the int64 hit-time limit", id="mc-default-cap-1^70"),
+    pytest.param(["mc", "--model", "iid-uniform-2", "--target", "cyl:" + ",".join("1" * 1074),
+                  "--N", "5", "--seed", "0"], EXIT_RESOURCE,
+                 "censor_cap 50/mu(A) with mu(A) = 4.94066e-324 exceeds the int64 hit-time limit",
+                 id="mc-default-cap-1^1074"),
     pytest.param(["mc", *NULL_TARGET, "--kind", "return", "--N", "5", "--seed", "0",
                   "--cap", "10"], EXIT_CONFIG, "zero measure", id="mc-return-null-set"),
     pytest.param(["mc", *NULL_TARGET, "--N", "5", "--seed", "0"], EXIT_CONFIG,

@@ -11,6 +11,7 @@ from rarehit import (
     derive_seed,
     empirical_tail,
     errors,
+    exact,
     hamming_ball,
     hamming_predicate,
     hitting_tail,
@@ -173,14 +174,15 @@ def test_default_censor_cap():
 
 @pytest.mark.parametrize("kind", ["hitting", "return"])
 def test_a_default_cap_batch_measures_its_words_once(monkeypatch, kind):
-    # the default cap and the return's word choice share one word_measures call
+    # the default cap and the return's word choice share one word_measures
+    # call, made by exact.positive_measures
     calls = []
 
     def counted(model, words):
         calls.append(len(words))
         return word_measures(model, words)
 
-    monkeypatch.setattr(mc, "word_measures", counted)
+    monkeypatch.setattr(exact, "word_measures", counted)
     monkeypatch.setattr(targets, "word_measures", counted)
     ball = hamming_ball([0] * 8, 0.25, 4)
     batch = getattr(mc, f"sample_{kind}")(uniform_iid(4), ball, 4, seed=0)

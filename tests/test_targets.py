@@ -216,6 +216,29 @@ def test_point_cylinders_read_a_range_from_its_ends():
     assert [t.n for t in targets.point_cylinders("0", range(3, 0, -1))] == [3, 2, 1]
 
 
+CHAIN3 = markov([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.0, 0.4, 0.6]])
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=4), st.integers(1, 40))
+def test_point_log_measure_is_the_log_of_the_cylinder_measure(point, n):
+    # P[2, 0] = 0: a point that steps from 2 to 0 has measure 0 from n on.
+    want = measure(CHAIN3, cylinder([point[i % len(point)] for i in range(n)]))
+    got = targets.point_log_measure(CHAIN3, point, n)
+    assert got == -math.inf if want == 0.0 else math.isclose(got, math.log(want), rel_tol=1e-12)
+
+
+def test_point_cylinders_refuse_only_far_underflows_early():
+    # log mu(0^n) = -n ln 2 on U2: 2^-1074 is the smallest subnormal, and
+    # 10 nats lie between n = 1088 and 1089.
+    u2 = uniform_iid(2)
+    assert next(targets.point_cylinders("0", [1088], u2)).n == 1088
+    with pytest.raises(errors.MeasureUnderflowError, match="log10 mu\\(A\\) = -327.8"):
+        next(targets.point_cylinders("0", [1089], u2))
+    assert next(targets.point_cylinders("0", [1089])).n == 1089  # no model, no measure
+    assert next(targets.point_cylinders("2,0", [3000], CHAIN3)).n == 3000  # measure 0
+    assert next(targets.point_cylinders("5", [3000], u2)).n == 3000  # left to word_measures
+
+
 @pytest.mark.parametrize("n_range, n", [(range(0, 3), 0), (range(-2, 3), -2),
                                         (range(3, -1, -1), 0),
                                         (range(-2 ** 63, 2 ** 63), -2 ** 63)])
