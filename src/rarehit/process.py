@@ -9,6 +9,8 @@ strong-mixing coefficient of the process.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +21,7 @@ from .errors import (
     ConfigInvalidError,
     EmptyAlphabetError,
     GapNonPositiveError,
+    MeasureUnderflowError,
     NonStochasticError,
     PeriodicOrReducibleError,
     SymbolOutOfRangeError,
@@ -30,6 +33,9 @@ STATIONARY_TOL = 1e-10
 # composed chain compares every pair of its rows (q^3 booleans).  A Markov
 # source brings its own q x q matrix, so its spec already has that size.
 ALPHABET_CAP = 256
+# 10 nats below the log of the smallest subnormal double, 2^-1074: a
+# cylinder measure below it is no double, however its product rounds.
+_FAR_UNDERFLOW = -1074 * math.log(2.0) - 10.0
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,36 @@ def word_measures(model: ProcessModel, words: np.ndarray) -> np.ndarray:
         if i % 64 == 0 and not mu.any():  # every product underflowed, and 0 p = 0
             break
     return mu
+
+
+def point_log_measure(model: ProcessModel, point, n: int) -> float:
+    """log mu of the rank-n cylinder of a periodic point, -inf when a factor
+    is 0, in O(period) arithmetic: its n - 1 transitions repeat with the
+    point's period, so the word is never built."""
+    p = np.asarray(point)
+    with np.errstate(divide="ignore"):  # a zero factor logs to -inf
+        first = np.log(model.stationary[p[0]])
+        steps = np.log(model.transition[p, np.roll(p, -1)])
+    full, part = divmod(n - 1, p.size)
+    log_mu = first + steps[:part].sum()
+    return float(log_mu + full * steps.sum() if full else log_mu)
+
+
+def point_lengths(model: ProcessModel, point, ns) -> Iterator[int]:
+    """The lengths ns, in order.  A rank-n cylinder of the periodic point
+    whose ``point_log_measure`` lies 10 nats or more below the log of the
+    smallest subnormal is refused by MeasureUnderflowError when its n is
+    reached; nearer ones are left to the caller's measure
+    (``exact.positive_measures``), which refuses them with the same message.
+    A point with a symbol outside the alphabet is left to it too."""
+    if max(point) >= model.alphabet_size:
+        yield from ns
+        return
+    for n in ns:
+        log_mu = point_log_measure(model, point, n)
+        if -math.inf < log_mu <= _FAR_UNDERFLOW:
+            raise MeasureUnderflowError.of_log(log_mu)
+        yield n
 
 
 def entropy(model: ProcessModel) -> float:

@@ -21,16 +21,12 @@ from .errors import (
     ConsistencyError,
     DomainError,
     ExpansionTooLargeError,
-    MeasureUnderflowError,
     RankMismatchError,
     SymbolOutOfRangeError,
 )
-from .process import ProcessModel, word_measures
+from .process import ProcessModel, point_lengths, word_measures
 
 HAMMING_EXPANSION_CAP = 10 ** 6
-# A cylinder whose log measure lies this far below that of the smallest
-# subnormal double, 2^-1074, underflows however its product is rounded.
-_FAR_UNDERFLOW = -1074 * math.log(2.0) - 10.0
 
 Word = tuple[int, ...]
 _LENGTH = "all words must have the target's length n = {n}"
@@ -231,31 +227,14 @@ def _parse_word(text: str) -> Word:
     return tuple(int(t) for t in tokens)
 
 
-def point_log_measure(model: ProcessModel, point, n: int) -> float:
-    """log mu of the rank-n cylinder of a periodic point, -inf when a factor
-    is 0, in O(period) arithmetic: its n - 1 transitions repeat with the
-    point's period, so the word is never built."""
-    p = np.asarray(point)
-    with np.errstate(divide="ignore"):  # a zero factor logs to -inf
-        first = np.log(model.stationary[p[0]])
-        steps = np.log(model.transition[p, np.roll(p, -1)])
-    full, part = divmod(n - 1, p.size)
-    log_mu = first + steps[:part].sum()
-    return float(log_mu + full * steps.sum() if full else log_mu)
-
-
-def point_cylinders(point: str, n_range, model: ProcessModel | None = None
-                    ) -> Iterator[TargetSet]:
+def point_cylinders(point: str, n_range, model=None) -> Iterator[TargetSet]:
     """The rank-n cylinders around a point, one per n of n_range, in its order.
 
     ``point`` is a word recycled periodically: "0" is the fixed point
     000..., "0,1" the 2-periodic point 0101...  The point and the range are
     checked at the call, and each cylinder is built only when reached.
-    Given the model, a cylinder whose ``point_log_measure`` lies 10 nats or
-    more below the log of the smallest subnormal is refused by
-    MeasureUnderflowError before its word is built; nearer ones are left to
-    the caller's measure (``exact.positive_measures``), which refuses them
-    with the same message.
+    Given the model, each n first passes ``process.point_lengths``, which
+    refuses a cylinder far below the float range before its word is built.
     """
     p = _parse_word(point)
     # A range is checked from its ends, never listed: it may hold 2^63 n's.
@@ -266,13 +245,8 @@ def point_cylinders(point: str, n_range, model: ProcessModel | None = None
     low = min(ns[0], ns[-1]) if isinstance(ns, range) else min(ns)
     if low < 1:
         raise DomainError(f"cylinder length n = {low} in {n_range!r} must be >= 1")
-    measured = model is not None and max(p) < model.alphabet_size
-
-    def build(n):
-        if measured and -math.inf < (log_mu := point_log_measure(model, p, n)) <= _FAR_UNDERFLOW:
-            raise MeasureUnderflowError.of_log(log_mu)
-        return cylinder([p[i % len(p)] for i in range(n)])
-    return (build(n) for n in ns)
+    return (cylinder([p[i % len(p)] for i in range(n)])
+            for n in (ns if model is None else point_lengths(model, p, ns)))
 
 
 def _get(spec, key: str, types, what: str):

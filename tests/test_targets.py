@@ -19,6 +19,7 @@ from rarehit import (
     union,
 )
 from rarehit.exact import ComposedChain, build_automaton
+from rarehit.process import point_log_measure
 
 
 def test_cylinder_singleton():
@@ -223,7 +224,7 @@ CHAIN3 = markov([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.0, 0.4, 0.6]])
 def test_point_log_measure_is_the_log_of_the_cylinder_measure(point, n):
     # P[2, 0] = 0: a point that steps from 2 to 0 has measure 0 from n on.
     want = measure(CHAIN3, cylinder([point[i % len(point)] for i in range(n)]))
-    got = targets.point_log_measure(CHAIN3, point, n)
+    got = point_log_measure(CHAIN3, point, n)
     assert got == -math.inf if want == 0.0 else math.isclose(got, math.log(want), rel_tol=1e-12)
 
 
