@@ -33,8 +33,9 @@ STATIONARY_TOL = 1e-10
 # composed chain compares every pair of its rows (q^3 booleans).  A Markov
 # source brings its own q x q matrix, so its spec already has that size.
 ALPHABET_CAP = 256
-# 10 nats below the log of the smallest subnormal double, 2^-1074: a
-# cylinder measure below it is no double, however its product rounds.
+# The log of the smallest subnormal double, 2^-1074, less 10 nats: no
+# double lies near a measure below it.  Nearer the boundary the rounding of
+# the word's product decides, so those cylinders are measured as built.
 _FAR_UNDERFLOW = -1074 * math.log(2.0) - 10.0
 
 
