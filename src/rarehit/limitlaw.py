@@ -131,13 +131,13 @@ class DiagnosticsRow:
 def convergence_diagnostics(model: ProcessModel, point: str, n_range,
                             s0: float = 0.05) -> list[DiagnosticsRow]:
     """Per-n sup-deviations of the rescaled laws from the exponential, one row
-    per cylinder of ``point_cylinders(point, n_range, model)``, each an ``Analysis``
-    built as its row is reached and dropped before the next, so the sweep
-    peaks at its largest row.  D_hit and the bound 12*sqrt(d) + 2*mu(A)
+    per cylinder of ``point_cylinders(model, point, n_range)``, each an
+    ``Analysis`` built as its row is reached and dropped before the next, so
+    the sweep peaks at its largest row.  D_hit and the bound 12*sqrt(d) + 2*mu(A)
     are those of ``verify_exponential_bound``; D_ret is read off the return
     tail as ``StepLaw``'s G would give it."""
     return [_diagnostics_row(Analysis(model, target), s0)
-            for target in point_cylinders(point, n_range, model)]
+            for target in point_cylinders(model, point, n_range)]
 
 
 def _diagnostics_row(analysis: Analysis, s0: float) -> DiagnosticsRow:

@@ -48,6 +48,7 @@ from .errors import (
     HorizonMismatchError,
     RejectionBudgetExceededError,
     SymbolOutOfRangeError,
+    ZeroMeasureSetError,
     _integer,
 )
 from .exact import TailDistribution, build_automaton, positive_measures, reachable_pairs
@@ -252,11 +253,10 @@ def default_censor_cap(model: ProcessModel, target, mu_A: float | None = None) -
         raise DomainError("censor_cap must be given explicitly for predicate targets")
     if mu_A is None:
         mu_A = positive_measures(model, target, "no hit is expected").sum()
-    cap = 50.0 / float(mu_A)
-    if cap == math.inf:  # mu(A) < 50 / DBL_MAX
-        raise CensorCapTooLargeError(f"censor_cap 50/mu(A) with mu(A) = {mu_A:.6g} exceeds "
-                                     f"the int64 hit-time limit {_INT64_MAX}")
-    return max(1, math.ceil(cap))
+    elif not mu_A > 0.0:
+        raise ZeroMeasureSetError("target has zero measure; no hit is expected")
+    cap = 50.0 / float(mu_A)  # inf below mu(A) = 50/DBL_MAX: 2^63, past int64
+    return max(1, math.ceil(cap)) if cap < math.inf else 2 ** 63
 
 
 def _advance(streams, step, state, cap: int):

@@ -323,4 +323,4 @@ def lambda_trajectory(model: ProcessModel, point: str, n_range,
     builds no later cylinder.
     """
     return [scale_certificate(model, target)[0]
-            for target in point_cylinders(point, n_range, model)]
+            for target in point_cylinders(model, point, n_range)]

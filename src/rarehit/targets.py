@@ -227,14 +227,14 @@ def _parse_word(text: str) -> Word:
     return tuple(int(t) for t in tokens)
 
 
-def point_cylinders(point: str, n_range, model=None) -> Iterator[TargetSet]:
+def point_cylinders(model: ProcessModel, point: str, n_range) -> Iterator[TargetSet]:
     """The rank-n cylinders around a point, one per n of n_range, in its order.
 
     ``point`` is a word recycled periodically: "0" is the fixed point
     000..., "0,1" the 2-periodic point 0101...  The point and the range are
     checked at the call, and each cylinder is built only when reached.
-    Given the model, each n first passes ``process.point_lengths``, which
-    refuses a cylinder far below the float range before its word is built.
+    Each n first passes ``process.point_lengths``, which refuses a cylinder
+    far below the model's float range before its word is built.
     """
     p = _parse_word(point)
     # A range is checked from its ends, never listed: it may hold 2^63 n's.
@@ -245,8 +245,7 @@ def point_cylinders(point: str, n_range, model=None) -> Iterator[TargetSet]:
     low = min(ns[0], ns[-1]) if isinstance(ns, range) else min(ns)
     if low < 1:
         raise DomainError(f"cylinder length n = {low} in {n_range!r} must be >= 1")
-    return (cylinder([p[i % len(p)] for i in range(n)])
-            for n in (ns if model is None else point_lengths(model, p, ns)))
+    return (cylinder([p[i % len(p)] for i in range(n)]) for n in point_lengths(model, p, ns))
 
 
 def _get(spec, key: str, types, what: str):

@@ -1,5 +1,6 @@
 import bisect
 import io
+import math
 
 import numpy as np
 import pytest
@@ -170,6 +171,11 @@ def test_censoring_reported():
 
 def test_default_censor_cap():
     assert mc.default_censor_cap(UNIFORM2, cylinder([1])) == 100  # 50 / 0.5
+    assert mc.default_censor_cap(UNIFORM2, cylinder([1]), 0.25) == 200  # the caller's mu(A)
+    assert mc.default_censor_cap(UNIFORM2, cylinder([1]), 5e-324) == 2 ** 63  # 50/mu(A) is inf
+    for mu_A in (0.0, -0.5, math.nan):
+        with pytest.raises(errors.ZeroMeasureSetError, match="zero measure; no hit is expected"):
+            mc.default_censor_cap(UNIFORM2, cylinder([1]), mu_A)
 
 
 @pytest.mark.parametrize("kind", ["hitting", "return"])

@@ -203,18 +203,21 @@ def test_from_dict_specs():
     assert u.kappa == 2
 
 
+U2 = uniform_iid(2)
+
+
 def test_point_cylinders_recycle_the_word():
-    cyls = targets.point_cylinders("0,1", range(1, 5))
+    cyls = targets.point_cylinders(U2, "0,1", range(1, 5))
     assert [t.words for t in cyls] == [
         ((0,),), ((0, 1),), ((0, 1, 0),), ((0, 1, 0, 1),)]
-    assert [t.words for t in targets.point_cylinders("10", range(2, 3))] == [((10, 10),)]
-    assert [t.n for t in targets.point_cylinders("0", iter(range(2, 4)))] == [2, 3]
+    assert [t.words for t in targets.point_cylinders(U2, "10", range(2, 3))] == [((10, 10),)]
+    assert [t.n for t in targets.point_cylinders(U2, "0", iter(range(2, 4)))] == [2, 3]
 
 
 def test_point_cylinders_read_a_range_from_its_ends():
-    cyls = targets.point_cylinders("0", range(1, 2 ** 63 + 1))  # never listed
+    cyls = targets.point_cylinders(U2, "0", range(1, 2 ** 63 + 1))  # never listed
     assert [next(cyls).n for _ in range(3)] == [1, 2, 3]
-    assert [t.n for t in targets.point_cylinders("0", range(3, 0, -1))] == [3, 2, 1]
+    assert [t.n for t in targets.point_cylinders(U2, "0", range(3, 0, -1))] == [3, 2, 1]
 
 
 CHAIN3 = markov([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.0, 0.4, 0.6]])
@@ -231,13 +234,11 @@ def test_point_log_measure_is_the_log_of_the_cylinder_measure(point, n):
 def test_point_cylinders_refuse_only_far_underflows_early():
     # log mu(0^n) = -n ln 2 on U2: 2^-1074 is the smallest subnormal, and
     # 10 nats lie between n = 1088 and 1089.
-    u2 = uniform_iid(2)
-    assert next(targets.point_cylinders("0", [1088], u2)).n == 1088
+    assert next(targets.point_cylinders(U2, "0", [1088])).n == 1088
     with pytest.raises(errors.MeasureUnderflowError, match="log10 mu\\(A\\) = -327.8"):
-        next(targets.point_cylinders("0", [1089], u2))
-    assert next(targets.point_cylinders("0", [1089])).n == 1089  # no model, no measure
-    assert next(targets.point_cylinders("2,0", [3000], CHAIN3)).n == 3000  # measure 0
-    assert next(targets.point_cylinders("5", [3000], u2)).n == 3000  # left to word_measures
+        next(targets.point_cylinders(U2, "0", [1089]))
+    assert next(targets.point_cylinders(CHAIN3, "2,0", [3000])).n == 3000  # measure 0
+    assert next(targets.point_cylinders(U2, "5", [3000])).n == 3000  # left to word_measures
 
 
 @pytest.mark.parametrize("n_range, n", [(range(0, 3), 0), (range(-2, 3), -2),
@@ -246,7 +247,7 @@ def test_point_cylinders_refuse_only_far_underflows_early():
 def test_point_cylinders_refuse_lengths_below_one(n_range, n):
     message = f"cylinder length n = {n} in {n_range!r} must be >= 1"
     with pytest.raises(errors.DomainError, match=re.escape(message)):
-        targets.point_cylinders("0", n_range)
+        targets.point_cylinders(U2, "0", n_range)
 
 
 def test_symbols_beyond_64_bits_are_refused_typed():
@@ -270,7 +271,7 @@ def test_radius_beyond_the_word_is_the_whole_word():
 @pytest.mark.parametrize("text", ["", " 1", "+1", "-1", "1.0", "\u0661"])
 def test_words_are_plain_decimal_numerals(text):
     with pytest.raises(errors.ConfigInvalidError, match="without leading zeros"):
-        targets.point_cylinders(text, range(1, 3))
+        targets.point_cylinders(U2, text, range(1, 3))
     with pytest.raises(errors.ConfigInvalidError, match="without leading zeros"):
         targets.from_dict({"cylinder": text}, 2)
 
