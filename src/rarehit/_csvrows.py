@@ -39,6 +39,7 @@ _K_MIN, _K_MAX = -324, 292  # decimal exponents k that positive normal doubles n
 _POW10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
 _X_MIN, _X_MAX = -308, 308  # printed exponents of positive normal doubles
 _BLOCK = 4096  # values per Schubfach pass
+_CSV_ROWS = 4096  # rows formatted per write: bounded memory at any row count
 
 
 @cache
@@ -294,3 +295,13 @@ def rows_text(columns) -> str:
         buf[:, o] = sep
         o += 1
     return buf.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_rows(fp, columns, index: int | None = None) -> None:
+    """``rows_text`` of ``columns`` (sequences numpy reads as arrays), written
+    _CSV_ROWS rows at a time, after a column counting rows from ``index``."""
+    rows = next((len(c) for c in columns if c is not None), 0)
+    for lo in range(0, rows, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, rows)
+        chunk = [None if c is None else c[lo:hi] for c in columns]
+        fp.write(rows_text(chunk if index is None else [np.arange(lo, hi) + index, *chunk]))

@@ -22,11 +22,11 @@ in the process, so repeated in-process calls pay only for their analysis; a
 one-shot ``rarehit`` run builds it once, as before.  Each call still parses
 into a fresh namespace with its subcommand's defaults.
 
-Only the core modules (``errors``, ``process``, ``targets``, ``exact`` and
-``scaling``) are imported with this module.  ``limitlaw``, ``mc`` and
+Only the core modules (``errors``, ``process``, ``targets`` and ``exact``)
+are imported with this module.  ``scaling``, ``limitlaw``, ``mc`` and
 ``rarity`` are imported by the handlers that use them, so a run loads only
-its own engine: ``tail`` and ``lambda`` never compile the Monte Carlo
-sampler, and ``rarity`` never the limit laws.
+its own engine: ``tail`` and ``mc`` never compile the scale search, ``tail``
+and ``lambda`` never the sampler, and ``rarity`` never the limit laws.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from functools import cache
 
 import numpy as np
 
-from . import exact, process, scaling, targets
+from . import exact, process, targets
 from .errors import ConfigInvalidError, DomainError, RarehitError, ResourceCapError
 
 EXIT_OK = 0
@@ -101,18 +101,19 @@ def _cmd_tail(args):
     sep = "," if target.array.max() >= 10 else ""
     config["target"] = {"n": target.n, "words": [sep.join(map(str, w)) for w in target.words]}
     chain = exact.ComposedChain(model, target)
-    hit = exact.TailEngine(chain).extend(args.K, absorbed=False)
-    ret = exact.TailEngine(chain, "return").extend(args.K, absorbed=False)
-    return config, lambda fp: exact.write_tails_csv(fp, hit, ret), True
+    runs = exact.tail_runs(chain, args.K)  # K is checked here, leaving --out untouched
+    return config, lambda fp: exact.write_tail_rows(fp, chain.mu_A, "exact", runs), True
 
 
 def _cmd_lambda(args):
+    from . import scaling
     model, target, config = _inputs(args, "lambda")
     cert, _ = scaling.scale_certificate(model, target)
     return config, cert.to_dict(), cert.regime != "quantitative" or all(cert.checks.values())
 
 
 def _cmd_verify(args):
+    from . import scaling
     model, target, config = _inputs(args, "verify")
     cert, report, _ = scaling.verify(model, target)
     result = {"certificate": cert.to_dict(), "report": report.to_dict()}
@@ -122,12 +123,13 @@ def _cmd_verify(args):
 def _cmd_limitlaw(args):
     if not args.s0 >= 0.0:  # NaN included
         raise DomainError(f"--s0 must be non-negative, got {args.s0}")
-    from . import limitlaw
+    from . import limitlaw, scaling
     model, target, config = _inputs(args, "limitlaw", s0=args.s0)
-    analysis = scaling.Analysis(model, target)
-    cert, tail = analysis.verification
-    F = limitlaw.StepLaw(tail, cert.lam)
-    G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
+    analysis = scaling.Analysis(model, target, keep=True)
+    cert, _, K = analysis.verification
+    F = limitlaw.StepLaw(analysis.hitting.tail(K), cert.lam)  # kept: pushed once
+    G = limitlaw.StepLaw(exact.TailEngine(analysis.chain, "return", absorbed=False).tail(K),
+                         cert.lam)
     t_max = 0.9 * F.t_max
     if args.s0 >= t_max:
         raise DomainError(f"s0 = {args.s0:g} must lie below the usable horizon "

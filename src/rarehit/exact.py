@@ -5,13 +5,11 @@ with a multi-pattern failure-link automaton (all patterns share length n, so
 the accepting states are exactly the word-terminal trie nodes).  A
 ``ComposedChain`` composes it with the source memory (last emitted symbol,
 whose transition row is the next symbol's law) and holds mu(A) and both
-start laws; a resumable ``TailEngine`` on it pushes a start law through the
+start laws; a ``TailEngine`` on it streams a start law through the
 survival kernel, one step at a time up to a switch point set by the chain
-size and in blocks of steps beyond it, accumulating the mass absorbed by
-the event beside the surviving mass.  Both move the live vector on one
-step or block at a time into a stack, and read the tables of a whole run
-of them at once.  A brute-force enumeration oracle provides an
-independent check.
+size and in blocks of steps beyond it, yielding the surviving mass (and
+the mass absorbed by the event) in segments, and keeping no table.  A
+brute-force enumeration oracle provides an independent check.
 
 scipy is imported on first use, not with this module: by the first chain
 over 166 states (whose kernels are CSR) or by the first Kac solve.  Smaller
@@ -19,18 +17,18 @@ chains never load it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from ._csvrows import rows_text
+from ._csvrows import write_rows
 from .errors import (
     EnumerationTooLargeError,
     HorizonNonPositiveError,
     HorizonTooLongError,
-    HorizonTooShortError,
     InvalidTailError,
     MeasureUnderflowError,
     SingularSystemError,
@@ -38,16 +36,15 @@ from .errors import (
     ZeroMeasureSetError,
     _integer,
 )
-from .process import ProcessModel, word_measures
+from .process import _FAR_UNDERFLOW, ProcessModel, word_measures
 from .targets import TargetSet, measure
 
 BRUTE_FORCE_CAP = 2 * 10 ** 7
-MAX_TAIL_STEPS = 10 ** 8  # longest tail an engine pushes (8 bytes a step, 16 with F)
+MAX_TAIL_STEPS = 10 ** 8  # longest tail an engine pushes
 _DENSE_LIMIT = 600  # largest chain whose block matrices are ever built
 _BLOCK = 128  # steps per block push on dense chains
-_STACK = 1 << 16  # doubles of live vectors stacked per chunk of a block push
+_STACK = 1 << 14  # doubles of live vectors stacked, and of H, per segment of a tail
 _MONOTONE_SLACK = 1e-12
-_CSV_ROWS = 4096  # rows formatted per write: bounded memory at any horizon
 _CHECK_ROWS = 1 << 16  # entries per chunk of a tail's validation
 
 
@@ -96,8 +93,7 @@ class TailDistribution:
     @property
     def cdf(self) -> np.ndarray:
         """F(k) = mu(tau_A <= k): the absorbed mass when carried, else 1 - H,
-        which cancels where F is tiny.  Tails pushed without F (verification
-        and return tails of an ``Analysis``, ``rarehit tail``) carry none."""
+        which cancels where F is tiny.  Tails of H-only engines carry none."""
         return 1.0 - self.values if self.absorbed is None else self.absorbed
 
 
@@ -244,7 +240,7 @@ def _switch_point(size: int) -> float:
     about size**3 / 36,000 single sparse steps of 8-14 us each (measured at
     11, 218 and 493 states), so switching there cost at most about twice
     the cheaper schedule for any horizon.  Stacked single steps
-    (``TailEngine._push_steps``) take about 2 us, so the build is now worth
+    (``TailEngine.segments``) take about 2 us, so the build is now worth
     about five times as many, but the constant stays: the switch decides
     which steps of a CSR chain are single ones, and moving it changes the
     last bits of those chains' tails, so the golden reports would have to
@@ -262,9 +258,11 @@ def positive_measures(model: ProcessModel, target: TargetSet, why: str = "") -> 
     ("target has zero measure", then "; <why>" when given) when every word
     has a factor that is exactly 0 (a symbol or transition of probability
     0), else by MeasureUnderflowError, which gives log10 mu(A) from sums of
-    logs taken on this path alone."""
+    logs taken on this path alone; so is a subnormal one whose log is
+    ``process._FAR_UNDERFLOW`` or less (factors above 1/2 can stick it there)."""
     word_p = word_measures(model, target.array)
-    if word_p.sum() > 0.0:
+    total = word_p.sum()
+    if total >= np.finfo(float).tiny:
         return word_p
     W = target.array
     with np.errstate(divide="ignore"):  # a zero factor logs to -inf
@@ -273,7 +271,10 @@ def positive_measures(model: ProcessModel, target: TargetSet, why: str = "") -> 
     if np.isneginf(logs).all():
         raise ZeroMeasureSetError("target has zero measure" + (f"; {why}" if why else ""))
     top = logs.max()
-    raise MeasureUnderflowError.of_log(top + math.log(np.exp(logs - top).sum()))
+    log_mu = top + math.log(np.exp(logs - top).sum())
+    if total > 0.0 and log_mu > _FAR_UNDERFLOW:
+        return word_p
+    raise MeasureUnderflowError.of_log(log_mu)
 
 
 class ComposedChain:
@@ -383,175 +384,108 @@ class ComposedChain:
 
 
 class TailEngine:
-    """Resumable exact tail of one kind ("hitting" or "return") on a chain.
+    """Forward stream of one exact tail ("hitting" or "return") on a chain.
 
-    The engine keeps the chain and the live vector and only ever pushes
-    steps it has not pushed before: single steps up to the chain's
-    ``switch``, blocks from there on.  Either push first stacks the live
-    vectors, then computes H (and F) at all their steps at once: single
-    steps with a row-wise sum and a stacked ``matmul``, blocks with one
-    stacked ``matmul`` per table, which runs the same gemv per block as a
-    block-by-block product.  The switch depends on the chain size
-    alone, so an engine extended in several calls matches a fresh one bit
-    for bit.
-    Beside H it accumulates F(k) = mu(tau_A <= k) from the absorbed mass;
-    every increment is non-negative, so F never cancels.  Only the scale
-    certificate reads F, and ``Analysis`` pushes it before its H-only tails:
-    F is pushed alongside H until the first push with ``absorbed=False``,
-    and a later request for F past its last step raises InvalidTailError.
-    Engines of both kinds on one chain share its block matrices.  ``grow``
-    tests its stop rule ``reached(H, F)`` on the bare tables and builds one
-    validated ``TailDistribution`` per call.
+    It holds the live vector, its step and H and F there.  A segment pushes
+    at most _STACK doubles of live vectors and of H: single CSR steps up to
+    the chain's ``switch`` (H is a row-wise sum), whole blocks beyond it
+    (one stacked ``matmul``, the same gemv per block as a block-by-block
+    product), so the bits do not depend on how the stream is cut.  F(k) =
+    mu(tau_A <= k), with ``absorbed`` (fixed at the build), sums
+    non-negative absorbed masses, so it never cancels.
     """
 
-    def __init__(self, chain: ComposedChain, kind: str = "hitting"):
+    def __init__(self, chain: ComposedChain, kind: str = "hitting", absorbed: bool = True,
+                 keep: bool = False):
         self._v = chain.start(kind)  # live vector after the steps pushed
-        self.kind = kind
-        self.chain = chain
-        self.steps = 0  # steps pushed so far
-        self._H = np.ones(1)
-        self._F = np.zeros(1)  # ends at ``steps`` until an H-only push
+        self.kind, self.chain, self.absorbed = kind, chain, absorbed
+        self.step = 0  # steps pushed so far
+        self._H, self._F = 1.0, 0.0  # at ``step``; F before its clip at 1
+        self.kept = [] if keep else None
 
-    def _tables(self, K: int, absorbed: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """H, and F when ``absorbed``, for k = 0..K as ``extend`` returns them,
-        without the tail."""
+    def segments(self, K: int):
+        """(k0, H, F) segments, H[i] and F[i] at step k0 + i (F None unless
+        ``absorbed``), from H(0) = 1 or the last step pushed up to K, rounded
+        up to whole blocks past the switch.  K is checked before any push."""
         K = _integer("K", K)
         if K < 1:
             raise HorizonNonPositiveError("K must be >= 1")
         if K > MAX_TAIL_STEPS:
             raise HorizonTooLongError(f"K = {K} exceeds the step cap {MAX_TAIL_STEPS}")
-        k0, f_end, switch = self.steps, self._F.size - 1, self.chain.switch
-        if absorbed and f_end < min(K, k0):
-            raise InvalidTailError(
-                f"F ends at step {f_end}: this engine has pushed H alone past it")
-        k1 = K if K <= switch else switch + -(-(K - switch) // _BLOCK) * _BLOCK
-        if k1 > k0:
-            H = self._grow("_H", k1)
-            F = self._grow("_F", k1) if absorbed else None
-            v = self._v
-            if k0 < switch:
-                v = self._push_steps(v, H, F, k0, min(k1, switch))
-            if k1 > switch:
-                v = self._push_blocks(v, H, F, max(k0, switch), k1)
-            self._v, self.steps = v, k1
-            # Clamp float dust so monotonicity holds exactly; both fix-ups
-            # run left to right, so they agree with a single pass from k = 0.
-            np.minimum.accumulate(H[k0:], out=H[k0:])
-            np.clip(H[k0:], 0.0, 1.0, out=H[k0:])
+        switch = self.chain.switch
+        return self._push(K if K <= switch else switch + -(-(K - switch) // _BLOCK) * _BLOCK)
+
+    def _push(self, end: int):
+        chain, size = self.chain, self._v.size
+        while self.step < end:
+            k0, blocks = self.step, self.step >= chain.switch
+            width = _BLOCK if blocks else 1
+            m = min(max(1, min(_STACK // size - 1, _STACK // width)),
+                    (end - k0) // width if blocks else min(end, chain.switch) - k0)
+            V = np.empty((m + 1, size))
+            V[0] = self._v
+            H = np.empty(m * width + 1)
+            F = np.empty(m * width + 1) if self.absorbed else None
+            if blocks:
+                R, A, push = chain.blocks
+                dot = push.dot  # the bound method skips np.dot's dispatch, half its cost here
+                for b in range(m):
+                    dot(V[b], out=V[b + 1])
+                np.matmul(R, V[:m, :, None], out=H[1:].reshape(m, _BLOCK, 1))
+                if F is not None:
+                    np.matmul(A, V[:m, :, None], out=F[1:].reshape(m, _BLOCK, 1))
+            else:
+                # scipy's compiled kernel (what ``survT @ v`` runs, without its
+                # dispatch) adds each step into the next zeroed row.
+                from scipy.sparse._sparsetools import csr_matvec
+                T = chain.survT
+                V[1:] = 0.0
+                for i in range(m):
+                    csr_matvec(size, size, T.indptr, T.indices, T.data, V[i], V[i + 1])
+                V[1:].sum(axis=1, out=H[1:])
+                if F is not None:
+                    np.matmul(V[:m, None, :], chain.absorb[:, None], out=F[1:].reshape(m, 1, 1))
+            # Clamp float dust so monotonicity holds exactly.  Both fix-ups run
+            # left to right from the carried entry (F's before the clip), so
+            # they agree with one pass from k = 0.
+            H[0] = self._H
+            np.minimum.accumulate(H, out=H)
+            np.clip(H, 0.0, 1.0, out=H)
             if F is not None:
-                np.cumsum(F[k0:], out=F[k0:])
-                np.minimum(F[k0:], 1.0, out=F[k0:])
-        H = self._H[:K + 1]
-        H.flags.writeable = False
-        if not absorbed:
-            return H, None
-        F = self._F[:K + 1]
-        F.flags.writeable = False
-        return H, F
+                F[0] = self._F
+                np.cumsum(F, out=F)
+                self._F = F[-1]
+                np.minimum(F, 1.0, out=F)
+            self._v, self._H, self.step = V[m].copy(), H[-1], k0 + m * width
+            first = 1 if k0 else 0  # H(0) = 1, F(0) = 0 lead the first segment
+            segment = (k0 + first, H[first:], None if F is None else F[first:])
+            if self.kept is not None:
+                self.kept.append(segment)
+            yield segment
+            del segment, H, F  # a reader that drops them frees them before the next push
 
-    def _grow(self, name: str, k1: int) -> np.ndarray:
-        """The table held in attribute ``name``, with room for k = 0..k1.
-
-        It grows in place when nothing else refers to it, so old and new are
-        never alive together (glibc moves a large block by remapping its
-        pages), and is copied when a tail handed out earlier still views it,
-        which ``resize`` detects from the reference count: the attribute is
-        taken off for the call, so the table's one other reference is this
-        frame's."""
-        table = vars(self).pop(name)
-        try:
-            if table.size <= k1:
-                table.resize(k1 + 1)
-        except ValueError:
-            table = np.concatenate((table, np.empty(k1 + 1 - table.size)))
-        finally:
-            setattr(self, name, table)
-        return table
-
-    def _push_steps(self, v: np.ndarray, H: np.ndarray, F: np.ndarray | None,
-                    k0: int, k1: int) -> np.ndarray:
-        """Fill H, and F (as increments) unless None, at steps k0+1..k1, one
-        CSR step at a time from live vector ``v``, stacking at most _STACK
-        doubles of live vectors at a time; return the live vector at k1.
-
-        Each step is scipy's compiled kernel (what ``survT @ v`` runs, without
-        its dispatch) adding into the next zeroed row; then one row-wise sum
-        gives H and one stacked ``matmul`` F at all the chunk's steps."""
-        from scipy.sparse._sparsetools import csr_matvec
-        T, absorb = self.chain.survT, self.chain.absorb
-        size, steps = v.size, k1 - k0
-        per_chunk = min(steps, max(1, _STACK // size - 1))
-        V = np.empty((per_chunk + 1, size))
-        V[0] = v
-        for lo in range(0, steps, per_chunk):
-            m = min(per_chunk, steps - lo)
-            V[1:m + 1] = 0.0
-            for i in range(m):
-                csr_matvec(size, size, T.indptr, T.indices, T.data, V[i], V[i + 1])
-            rows = slice(k0 + lo + 1, k0 + lo + m + 1)
-            V[1:m + 1].sum(axis=1, out=H[rows])
+    def tail(self, K: int) -> TailDistribution:
+        """The validated table of k = 0..K: the kept segments, then those
+        still to push.  Read once, from a fresh engine or one that keeps."""
+        more = self.segments(K)
+        H, F = np.empty(K + 1), np.empty(K + 1) if self.absorbed else None
+        kept, self.kept = (self.kept or [])[::-1], None  # handed over, each dropped once copied
+        for k0, h, f in itertools.chain((kept.pop() for _ in range(len(kept))), more):
+            m = min(h.size, K + 1 - k0)
+            H[k0:k0 + m] = h[:m]
             if F is not None:
-                np.matmul(V[:m, None, :], absorb[:, None], out=F[rows].reshape(m, 1, 1))
-            V[0] = V[m]
-        return V[0].copy()
-
-    def _push_blocks(self, v: np.ndarray, H: np.ndarray, F: np.ndarray | None,
-                     k0: int, k1: int) -> np.ndarray:
-        """Fill H, and F (as increments) unless None, at steps k0+1..k1,
-        whole blocks from live vector ``v``, stacking at most _STACK doubles
-        of live vectors at a time; return the live vector at k1."""
-        R, A, push = self.chain.blocks
-        dot = push.dot  # the bound method skips np.dot's dispatch, half its cost here
-        blocks = (k1 - k0) // _BLOCK
-        per_chunk = min(blocks, max(1, _STACK // v.size - 1))
-        V = np.empty((per_chunk + 1, v.size))
-        V[0] = v
-        for lo in range(0, blocks, per_chunk):
-            m = min(per_chunk, blocks - lo)
-            for b in range(m):
-                dot(V[b], out=V[b + 1])
-            rows = slice(k0 + lo * _BLOCK + 1, k0 + (lo + m) * _BLOCK + 1)
-            np.matmul(R, V[:m, :, None], out=H[rows].reshape(m, _BLOCK, 1))
-            if F is not None:
-                np.matmul(A, V[:m, :, None], out=F[rows].reshape(m, _BLOCK, 1))
-            V[0] = V[m]
-        return V[0].copy()
-
-    def extend(self, K: int, *, absorbed: bool = True) -> TailDistribution:
-        """H(k), and F(k) unless ``absorbed`` is false, for k = 0..K,
-        pushing only the steps still missing.  Without F the tail carries
-        ``absorbed=None`` and its ``cdf`` is 1 - H.
-
-        The returned arrays are read-only views of the engine's buffers,
-        whose first ``steps + 1`` entries never change.
-        """
-        H, F = self._tables(K, absorbed)
+                F[k0:k0 + m] = f[:m]
         return TailDistribution(self.kind, H, self.chain.mu_A, "exact", absorbed=F)
-
-    def grow(self, K: int, reached, *, absorbed: bool = True) -> TailDistribution:
-        """The tail at the first horizon of K, 2K, 4K, ... (the last capped
-        at MAX_TAIL_STEPS) where ``reached(H, F)`` holds, H and F being
-        read-only views of the tables for k = 0..horizon (F None, and the
-        tail without it, unless ``absorbed``).  Only the tail returned is
-        built and validated.
-
-        Raises HorizonTooShortError when it fails at the cap.
-        """
-        while not reached(*self._tables(K, absorbed)):
-            if K >= MAX_TAIL_STEPS:
-                raise HorizonTooShortError(f"needed horizon exceeds cap {MAX_TAIL_STEPS}")
-            K = min(2 * K, MAX_TAIL_STEPS)
-        return self.extend(K, absorbed=absorbed)
 
 
 def hitting_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:
     """Exact H(k) = mu(tau_A > k), k = 0..K."""
-    return TailEngine(ComposedChain(model, target)).extend(K)
+    return TailEngine(ComposedChain(model, target)).tail(K)
 
 
 def return_tail(model: ProcessModel, target: TargetSet, K: int) -> TailDistribution:
     """Exact mu(tau_A > k | A), k = 0..K."""
-    return TailEngine(ComposedChain(model, target), "return").extend(K)
+    return TailEngine(ComposedChain(model, target), "return").tail(K)
 
 
 def return_expectation(model: ProcessModel, target: TargetSet) -> float:
@@ -623,11 +557,20 @@ def write_tails_csv(fp, hit: TailDistribution | None, ret: TailDistribution | No
         raise InvalidTailError("need at least one tail")
     if hit is not None and ret is not None and hit.horizon != ret.horizon:
         raise InvalidTailError("tails must share a horizon for joint export")
-    fp.write(f"# mu_A={ref.mu_A!r}\n")
-    fp.write(f"# source={ref.source}\n")
-    fp.write("k,H_hit,H_ret\n")
-    rows = ref.horizon + 1
-    for lo in range(0, rows, _CSV_ROWS):
-        hi = min(lo + _CSV_ROWS, rows)
-        fp.write(rows_text([np.arange(lo, hi)] +
-                           [None if t is None else t.values[lo:hi] for t in (hit, ret)]))
+    write_tail_rows(fp, ref.mu_A, ref.source, [(0, *[t and t.values for t in (hit, ret)])])
+
+
+def tail_runs(chain: ComposedChain, K: int):
+    """The runs (k0, H_hit, H_ret) of ``write_tail_rows`` for k = 0..K: fresh
+    engines on one chain, streamed in lockstep.  K is checked at the call."""
+    hit, ret = (TailEngine(chain, kind, absorbed=False).segments(K)
+                for kind in ("hitting", "return"))
+    return ((k0, H[:K + 1 - k0], R[:K + 1 - k0]) for (k0, H, _), (_, R, _) in zip(hit, ret))
+
+
+def write_tail_rows(fp, mu_A: float, source: str, runs) -> None:
+    """The CSV of ``write_tails_csv`` from runs (k0, H_hit, H_ret) of rows
+    from k = k0 (a column None is empty), such as streamed segments."""
+    fp.write(f"# mu_A={mu_A!r}\n# source={source}\nk,H_hit,H_ret\n")
+    for k0, *columns in runs:
+        write_rows(fp, columns, k0)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvrows import write_rows
 from .errors import DomainError, GridEmptyError, HorizonTooShortError, MeasureUnderflowError
 from .exact import TailDistribution
 from .process import ProcessModel
-from .scaling import Analysis, ScaleCertificate, sup_deviation, verify_exponential_bound
+from .scaling import Analysis, ScaleCertificate
 from .targets import point_cylinders
 
 
@@ -134,22 +135,19 @@ def convergence_diagnostics(model: ProcessModel, point: str, n_range,
     per cylinder of ``point_cylinders(model, point, n_range)``, each an
     ``Analysis`` built as its row is reached and dropped before the next, so
     the sweep peaks at its largest row.  D_hit and the bound 12*sqrt(d) + 2*mu(A)
-    are those of ``verify_exponential_bound``; D_ret is read off the return
-    tail as ``StepLaw``'s G would give it."""
+    are those of ``verify_exponential_bound``; D_ret is G's, as ``StepLaw``
+    gives it, folded over the return stream (``Analysis.return_deviation``)."""
     return [_diagnostics_row(Analysis(model, target), s0)
             for target in point_cylinders(model, point, n_range)]
 
 
 def _diagnostics_row(analysis: Analysis, s0: float) -> DiagnosticsRow:
-    cert, hit = analysis.verification
-    report = verify_exponential_bound(hit, cert)
-    # G = H_ret/lam on the grid lam*mu(A), divided chunk by chunk: no copy
-    d_ret = sup_deviation(analysis.return_tail.values, cert.lam * cert.mu_A, s0, cert.lam)
-    return DiagnosticsRow(cert, report.sup_dev, d_ret, report.bound + 2.0 * cert.mu_A)
+    cert, report, _ = analysis.verification
+    return DiagnosticsRow(cert, report.sup_dev, analysis.return_deviation(s0),
+                          report.bound + 2.0 * cert.mu_A)
 
 
 def write_diagnostics_csv(fp, rows: list[DiagnosticsRow]) -> None:
     fp.write("n,mu_A,lambda,D_hit,D_ret,bound\n")
-    for r in rows:
-        c = r.cert
-        fp.write(f"{c.n},{c.mu_A!r},{c.lam!r},{r.d_hit!r},{r.d_ret!r},{r.bound!r}\n")
+    write_rows(fp, list(zip(*((r.cert.n, r.cert.mu_A, r.cert.lam, r.d_hit, r.d_ret, r.bound)
+                              for r in rows))))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._csvrows import rows_text
+from ._csvrows import write_rows
 from ._pcg64 import _CHUNK, _MASK64, _TileStreams, _seed_sequence_state
 from .errors import (
     CensorCapTooLargeError,
@@ -60,7 +60,6 @@ REJECTION_BUDGET = 10 ** 7  # rejected initial windows per return batch
 _TILE = 512   # rows scanned together: bounds memory at any N
 _FIRST = 8    # uniforms per live row in a tile's first round; widths double to _CHUNK
 _SEED_TILES = 4  # tiles seeded together: one SeedSequence pass per group
-_CSV_ROWS = 4096  # rows formatted per write
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -381,7 +380,4 @@ def write_batch_csv(fp, batch: SampleBatch) -> None:
     fp.write(f"# kind={batch.kind}\n")
     fp.write(f"# censor_cap={batch.censor_cap}\n")
     fp.write("trajectory_index,time,censored\n")
-    for lo in range(0, batch.N, _CSV_ROWS):
-        hi = min(lo + _CSV_ROWS, batch.N)
-        fp.write(rows_text([np.arange(lo, hi), batch.times[lo:hi],
-                            batch.censored[lo:hi].astype(np.int64)]))
+    write_rows(fp, [batch.times, batch.censored.view(np.int8)], 0)

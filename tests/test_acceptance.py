@@ -99,9 +99,10 @@ def test_criterion_4_scale_certificate_inequalities():
                      (iid([0.8, 0.2]), cylinder([1] * 7)),
                      (markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1] * 5)),
                      (uniform_iid(4), hamming_ball([0] * 10, 0.2, 4))]:
-        cert, tail = scaling.scale_certificate(model, A)
+        cert, K = scaling.scale_certificate(model, A)
         if cert.regime != "quantitative":
             continue
+        tail = hitting_tail(model, A, K)
         checked += 1
         F = 1.0 - tail.values
         sd = math.sqrt(cert.d)
@@ -125,10 +126,9 @@ def test_criterion_6_limit_law_relations():
                      (UNIFORM2, cylinder([0, 1])),
                      (markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1])),
                      (iid([0.8, 0.2]), cylinder([1, 1, 1]))]:
-        analysis = scaling.Analysis(model, A)
-        cert, tail = analysis.verification
-        F = limitlaw.StepLaw(tail, cert.lam)
-        G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
+        cert, _, K = scaling.verify(model, A)
+        F = limitlaw.StepLaw(hitting_tail(model, A, K), cert.lam)
+        G = limitlaw.StepLaw(return_tail(model, A, K), cert.lam)
         grid = np.linspace(0.01, 0.9 * min(F.t_max, G.t_max), 60)
         pairs = [(grid[i], grid[j])
                  for i in range(0, 60, 6) for j in range(i + 1, 60, 6)]

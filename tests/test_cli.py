@@ -536,13 +536,13 @@ def test_unreachable_scale_exit_resource(tmp_path):
 
 def test_sweep_assert_builds_each_certificate_once(tmp_path, monkeypatch):
     calls = []
-    real = scaling.scale_search
+    real = scaling._certify
 
-    def counted(tail, n, alpha_n):
+    def counted(segments, n, *args, **kwargs):
         calls.append(n)
-        return real(tail, n, alpha_n)
+        return real(segments, n, *args, **kwargs)
 
-    monkeypatch.setattr(scaling, "scale_search", counted)
+    monkeypatch.setattr(scaling, "_certify", counted)
     code, _ = run(["sweep", "--model", "iid-uniform-2", "--point", "0,1",
                    "--n-min", "2", "--n-max", "6", "--assert"], tmp_path)
     assert code == EXIT_OK
@@ -565,6 +565,23 @@ def test_lambda_refuses_an_underflowed_target(tmp_path, capsys):
                   "--n-max", "1074"]):
         assert run(argv, tmp_path) == (EXIT_RESOURCE, "")
         assert "H(K) <= 0.0001 needs K > cap" in capsys.readouterr().err
+
+
+MK_0_20000 = ["--model", '{"kind":"markov","transition":[[0.9,0.1],[0.5,0.5]]}',
+              "--target", "cyl:" + ",".join(["0"] * 20000)]
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("lambda", []), ("verify", []), ("tail", ["--K", "5"]), ("mc", ["--N", "5", "--seed", "0"]),
+])
+def test_a_float_mu_stuck_at_the_smallest_subnormal_is_refused(tmp_path, capsys, cmd, extra):
+    # 0.9 * 2^-1074 rounds back to 2^-1074, so the float mu(0^20000) sticks
+    # at 2.47e-323 although log10 mu(A) = -915.18: 10 nats or more below the
+    # smallest subnormal, it is refused as an underflow.  mu(1^1074) on U2,
+    # exactly 2^-1074, keeps its d = 0 refusal (above).
+    assert run([cmd, *MK_0_20000, *extra], tmp_path) == (EXIT_RESOURCE, "")
+    assert capsys.readouterr().err == ("resource cap exceeded: mu(A) underflows double "
+                                       "precision: log10 mu(A) = -915.183\n")
 
 
 def _count_cylinders(monkeypatch):
@@ -616,8 +633,7 @@ def _no_automaton_nor_push(monkeypatch):
     calls = []
     for module in (exact, mc):  # mc binds build_automaton by name
         monkeypatch.setattr(module, "build_automaton", lambda *a: calls.append("automaton"))
-    for name in ("extend", "grow"):
-        monkeypatch.setattr(exact.TailEngine, name, lambda *a, **k: calls.append("push"))
+    monkeypatch.setattr(exact.TailEngine, "segments", lambda *a, **k: calls.append("push"))
     return calls
 
 

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarehit import (
+    _csvrows,
     brute_force_tail,
     cli,
     build_automaton,
@@ -161,17 +161,17 @@ def test_horizons_must_be_integers():
     # A float is refused with a typed error, integral or not, before any
     # push or enumeration; numpy integers serve as Python ints do.
     target = cylinder([1, 1])
-    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, target))
+    chain = exact.ComposedChain(UNIFORM2, target)
+    engine = exact.TailEngine(chain)
     calls = (lambda K: hitting_tail(UNIFORM2, target, K),
              lambda K: return_tail(UNIFORM2, target, K),
-             engine.extend,
-             lambda K: engine.grow(K, lambda H, F: True),
+             lambda K: exact.TailEngine(chain).tail(K),
              lambda K: brute_force_tail(UNIFORM2, target, K))
-    for call in calls:
+    for call in (*calls, engine.segments):
         for K in (100.0, 2.5, "8"):
             with pytest.raises(errors.DomainError, match="K must be an integer"):
                 call(K)
-    assert engine.steps == 0
+    assert engine.step == 0
     for call in calls:
         assert np.array_equal(call(np.int32(8)).values, call(8).values)
 
@@ -213,8 +213,8 @@ def test_start_refuses_an_unknown_kind():
 def test_engine_refuses_horizon_beyond_the_step_cap():
     engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1])))
     with pytest.raises(errors.HorizonTooLongError):
-        engine.extend(exact.MAX_TAIL_STEPS + 1)
-    assert engine.steps == 0
+        engine.segments(exact.MAX_TAIL_STEPS + 1)
+    assert engine.step == 0
 
 
 def test_enumeration_cap(monkeypatch):
@@ -286,12 +286,12 @@ def test_write_tails_csv_gives_the_same_bytes_in_one_chunk(monkeypatch):
     # Rows are formatted _CSV_ROWS at a time; a table written in one piece
     # must read the same, whatever each chunk's widths and layouts are.
     A = cylinder([1] * 8)
-    K = 2 * exact._CSV_ROWS + 17
+    K = 2 * _csvrows._CSV_ROWS + 17
     hit, ret = hitting_tail(UNIFORM2, A, K), exact.return_tail(UNIFORM2, A, K)
-    assert hit.values[-1] < 1e-4 < hit.values[exact._CSV_ROWS]  # both notations
+    assert hit.values[-1] < 1e-4 < hit.values[_csvrows._CSV_ROWS]  # both notations
     texts = []
-    for rows in (exact._CSV_ROWS, K + 1):
-        monkeypatch.setattr(exact, "_CSV_ROWS", rows)
+    for rows in (_csvrows._CSV_ROWS, K + 1):
+        monkeypatch.setattr(_csvrows, "_CSV_ROWS", rows)
         for pair in ((hit, ret), (hit, None), (None, ret)):
             buf = io.StringIO()
             exact.write_tails_csv(buf, *pair)
@@ -368,19 +368,27 @@ def _engine_cases(draw):
     return model, target, kind, draw(st.integers(1, K2 - 1)), K2
 
 
+def _streamed(engine, *horizons):
+    """H and F of ``engine``'s segments streamed to each horizon in turn, the
+    segments joined, and the first entries at each horizon past the first."""
+    segments = [seg for K in horizons for seg in engine.segments(K)]
+    assert [k0 for k0, _, _ in segments] == [0] + list(np.cumsum(
+        [H.size for _, H, _ in segments])[:-1])  # contiguous from k = 0
+    return [np.concatenate(column) for column in list(zip(*segments))[1:]]
+
+
 def _check_engine(case):
     """Resumed, fresh and step-by-step tails agree; returns the resumed engine."""
     model, target, kind, K1, K2 = case
     chain = exact.ComposedChain(model, target)
     engine = exact.TailEngine(chain, kind)
-    fresh = exact.TailEngine(exact.ComposedChain(model, target), kind).extend(K2)
+    fresh = exact.TailEngine(exact.ComposedChain(model, target), kind).tail(K2)
     H, F = _step_by_step(chain, chain.start(kind), K2)
-    engine.extend(K1)
-    resumed = engine.extend(K2)
-    assert np.max(np.abs(resumed.values - H)) <= 1e-12
-    assert np.max(np.abs(resumed.absorbed - F)) <= 1e-12
-    assert np.array_equal(resumed.values, fresh.values)
-    assert np.array_equal(resumed.absorbed, fresh.absorbed)
+    resumed_H, resumed_F = (x[:K2 + 1] for x in _streamed(engine, K1, K2))
+    assert np.max(np.abs(resumed_H - H)) <= 1e-12
+    assert np.max(np.abs(resumed_F - F)) <= 1e-12
+    assert np.array_equal(resumed_H, fresh.values)
+    assert np.array_equal(resumed_F, fresh.absorbed)
     return engine
 
 
@@ -409,67 +417,6 @@ def test_engine_resumes_exactly_across_the_switch_point(where, case):
         engine = _check_engine(case)
     assert engine.chain.switch == switch
     assert ("blocks" in vars(engine.chain)) is (switch < K2)
-
-
-def _check_F_after_H_only_push(case):
-    """After an H-only push, F keeps a fresh engine's bits up to its last
-    step (0 when the first push is H-only) and is refused past it, naming
-    that step; a refusal pushes nothing.  An H-only request inside the steps
-    already pushed leaves F going on."""
-    model, target, kind, K1, K2 = case
-    fresh = exact.TailEngine(exact.ComposedChain(model, target), kind).extend(K2)
-    chain = exact.ComposedChain(model, target)
-    for first in (0, K1):
-        engine = exact.TailEngine(chain, kind)
-        if first:
-            engine.extend(first)
-        f_end = engine.steps
-        tail = engine.extend(K2, absorbed=False)
-        assert tail.absorbed is None and np.array_equal(tail.cdf, 1.0 - fresh.values)
-        if f_end >= K2:  # K2 lies in the first push's last block: no step was H-only
-            assert np.array_equal(engine.extend(K2).absorbed, fresh.absorbed)
-            continue
-        if f_end:
-            assert np.array_equal(engine.extend(f_end).absorbed, fresh.absorbed[:f_end + 1])
-        steps = engine.steps
-        for K in (f_end + 1, K2):
-            with pytest.raises(errors.InvalidTailError, match=f"F ends at step {f_end}:"):
-                engine.extend(K)
-        assert engine.steps == steps
-        assert np.array_equal(engine.extend(K2, absorbed=False).values, fresh.values)
-
-
-@pytest.mark.parametrize("where", ["dense", "sparse", "0", "inside", "beyond"])
-@settings(max_examples=25, deadline=None)
-@given(case=_engine_cases())
-def test_engine_refuses_F_past_an_H_only_push(where, case):
-    # Dense and sparse chains at their own switch, then the switch at 0,
-    # between the two horizons, or past the second, as above.
-    K1, K2 = case[3], case[4]
-    with pytest.MonkeyPatch.context() as mp:
-        if where == "sparse":
-            mp.setattr(exact, "_DENSE_LIMIT", 0)
-        elif where != "dense":
-            switch = {"0": 0, "inside": (K1 + K2) // 2, "beyond": K2 + 1}[where]
-            mp.setattr(exact, "_switch_point", lambda size: switch)
-        _check_F_after_H_only_push(case)
-
-
-def test_h_only_growth_is_in_place_unless_a_tail_views_the_table(monkeypatch):
-    monkeypatch.setattr(exact, "_CHECK_ROWS", 1 << 10)  # keep validation's chunks small
-    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1] * 5)))
-    held = engine.extend(256, absorbed=False)
-    engine.extend(1 << 16, absorbed=False)  # copied: the held tail still views the old table
-    assert held.values.base is not engine._H
-    tracemalloc.start()
-    try:
-        engine.extend(1 << 17, absorbed=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * 8 * ((1 << 17) + 1)  # a copy would hold 1.5 tables at once
-    assert engine._F.size == 1  # F was never pushed
-    assert np.array_equal(held.values, engine.extend(256, absorbed=False).values)
 
 
 def test_absorbed_mass_keeps_precision_for_tiny_mu():
@@ -533,7 +480,7 @@ def test_brute_force_rejects_unknown_kind():
 def test_lumped_chain_matches_brute_force(case, kind):
     model, target = case
     K = 6
-    t = exact.TailEngine(exact.ComposedChain(model, target), kind).extend(K)
+    t = exact.TailEngine(exact.ComposedChain(model, target), kind).tail(K)
     b = brute_force_tail(model, target, K, kind)
     assert np.max(np.abs(t.values - b.values)) <= 1e-12
     assert np.max(np.abs(t.absorbed - (1.0 - b.values))) <= 1e-12
@@ -722,36 +669,6 @@ def test_coarsest_stable_packing_never_wraps():
     assert int(exact._coarsest_stable(key, succ).max()) + 1 == 32
 
 
-def _grown_horizons(engine, K, stop):
-    """Horizons ``engine.grow(K, ...)`` tries, growing until ``stop`` of them."""
-    seen = []
-    tail = engine.grow(K, lambda H, F: seen.append(H.size - 1) or H.size - 1 >= stop)
-    return tail, seen
-
-
-def test_grow_doubles_from_K_until_reached():
-    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1, 1])))
-    tail, seen = _grown_horizons(engine, 5, 40)
-    assert seen == [5, 10, 20, 40] and tail.horizon == 40
-
-
-def test_grow_caps_its_last_horizon_and_refuses_there(monkeypatch):
-    monkeypatch.setattr(exact, "MAX_TAIL_STEPS", 50)
-    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1, 1])))
-    tail, seen = _grown_horizons(engine, 5, 50)
-    assert seen == [5, 10, 20, 40, 50] and tail.horizon == 50
-    with pytest.raises(errors.HorizonTooShortError, match="needed horizon exceeds cap 50"):
-        _grown_horizons(engine, 5, 51)
-
-
-def test_grow_pushes_nothing_when_K_is_reached():
-    engine = exact.TailEngine(exact.ComposedChain(UNIFORM2, cylinder([1, 1])))
-    engine.extend(300)
-    steps = engine.steps
-    tail, seen = _grown_horizons(engine, 100, 0)
-    assert seen == [100] and tail.horizon == 100 and engine.steps == steps
-
-
 # Dense chains of 6, 11, 25, 34 and 118 states, which push blocks from step
 # 0, a 218-state chain that switches to blocks at step 256, and a 493-state
 # chain whose 2999 steps are all single ones.
@@ -791,29 +708,31 @@ def _per_block_reference(chain, kind, K):
 
 
 def _stacked_push_mismatches(K=2999):
-    """(chain size, kind, blocks or steps per chunk, horizon resumed from,
-    whether that resume pushed F) wherever the engine's stacked push differs
-    in any bit from the per-step and per-block reference; None is the
-    default chunk, 0 a fresh engine.  An H-only resume goes on H-only and is
-    compared on H."""
+    """(chain size, kind, _STACK, whether F is pushed) wherever the engine's
+    segments differ in any bit from the per-step and per-block reference,
+    joined, or wherever a segment pushes more than _STACK steps (or one
+    block); None is the default _STACK, which makes segments of up to
+    _STACK // _BLOCK blocks.  Each other _STACK stacks 1, 2 or 3 blocks or
+    steps per segment, or holds 64 steps of H.  An H-only engine yields no
+    F and is compared on H."""
     bad = []
     for model, target, size in _STACK_CHAINS:
         chain = exact.ComposedChain(model, target)
         for kind in ("hitting", "return"):
             H, F = _per_block_reference(chain, kind, K)
-            for blocks in (None, 1, 2, 3):
-                for resume_at, absorbed in ((0, True), (100, True), (700, True), (700, False)):
+            for stack in (None, 2 * size, 3 * size, 4 * size, 64):
+                for absorbed in (True, False):
                     with pytest.MonkeyPatch.context() as mp:
-                        if blocks:
-                            mp.setattr(exact, "_STACK", (blocks + 1) * size)
-                        engine = exact.TailEngine(chain, kind)
-                        if resume_at:
-                            engine.extend(resume_at, absorbed=absorbed)
-                        tail = engine.extend(K, absorbed=absorbed)
-                    same_F = (np.array_equal(tail.absorbed, F) if absorbed
-                              else tail.absorbed is None)
-                    if not (np.array_equal(tail.values, H) and same_F):
-                        bad.append((size, kind, blocks, resume_at, absorbed))
+                        if stack:
+                            mp.setattr(exact, "_STACK", stack)
+                        segments = list(exact.TailEngine(chain, kind, absorbed).segments(K))
+                    got_H, got_F = (np.concatenate(c) if c[0] is not None else None
+                                    for c in list(zip(*segments))[1:])
+                    same_F = np.array_equal(got_F[:K + 1], F) if absorbed else got_F is None
+                    if not (np.array_equal(got_H[:K + 1], H) and same_F
+                            and max(h.size - (k0 == 0) for k0, h, _ in segments)
+                            <= max(stack or exact._STACK, exact._BLOCK)):
+                        bad.append((size, kind, stack, absorbed))
     return bad
 
 
@@ -841,8 +760,8 @@ def _check_return_start_law(model, target, K):
     windows 1..k not in A) = H(k) - H(k+1), so mu(A) H_ret(k) = F(k+1) - F(k).
     Compared absolutely: F(k+1) - F(k) cancels where F is near 1."""
     chain = exact.ComposedChain(model, target)
-    F = exact.TailEngine(chain).extend(K + 1).absorbed
-    H_ret = exact.TailEngine(chain, "return").extend(K).values
+    F = exact.TailEngine(chain).tail(K + 1).absorbed
+    H_ret = exact.TailEngine(chain, "return").tail(K).values
     assert np.max(np.abs(chain.mu_A * H_ret - np.diff(F))) <= 1e-15
 
 

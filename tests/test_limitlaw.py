@@ -9,6 +9,7 @@ from rarehit import (
     brute_force_tail,
     check_integral_relation,
     check_sandwich,
+    cli,
     cylinder,
     errors,
     exact,
@@ -27,10 +28,9 @@ UNIFORM2 = uniform_iid(2)
 
 
 def _laws(model, target):
-    analysis = scaling.Analysis(model, target)
-    cert, tail = analysis.verification
-    F = limitlaw.StepLaw(tail, cert.lam)
-    G = limitlaw.StepLaw(analysis.return_tail, cert.lam)
+    cert, _, K = scaling.verify(model, target)
+    F = limitlaw.StepLaw(hitting_tail(model, target, K), cert.lam)
+    G = limitlaw.StepLaw(return_tail(model, target, K), cert.lam)
     return cert, F, G
 
 
@@ -205,12 +205,12 @@ def test_sandwich_rejects_reversed_pair():
 
 def test_verify_and_sweep_share_the_hitting_deviation():
     # The sweep value pinned for binary 0,0 in the benchmark reference.
-    cert, report, _ = scaling.verify(UNIFORM2, cylinder([0, 0]))
+    cert, report, K = scaling.verify(UNIFORM2, cylinder([0, 0]))
     (row,) = convergence_diagnostics(UNIFORM2, "0", range(2, 3))
     assert report.sup_dev == row.d_hit == 0.14380382468551522
     assert row.bound == report.bound + 2 * cert.mu_A
     # D_ret is read off the rescaled return law, not a second copy of it.
-    G = limitlaw.StepLaw(scaling.Analysis(UNIFORM2, cylinder([0, 0])).return_tail, cert.lam)
+    G = limitlaw.StepLaw(return_tail(UNIFORM2, cylinder([0, 0]), K), cert.lam)
     for s0 in (0.0, 0.05):
         (row,) = convergence_diagnostics(UNIFORM2, "0", range(2, 3), s0)
         assert row.d_ret == scaling.sup_deviation(G.levels, G.step, s0)
@@ -218,8 +218,8 @@ def test_verify_and_sweep_share_the_hitting_deviation():
 
 def test_return_deviation_starts_at_s0():
     target = cylinder([0, 1])
-    analysis = scaling.Analysis(UNIFORM2, target)
-    (cert, _), ret = analysis.certificate, analysis.return_tail
+    cert, _, K = scaling.verify(UNIFORM2, target)
+    ret = return_tail(UNIFORM2, target, K)
     G = ret.values / cert.lam
     step = cert.lam * cert.mu_A
     for s0 in (0.0, 0.05, 0.5 * step, 3.0):
@@ -247,30 +247,51 @@ def test_sweep_peaks_at_its_largest_row():
     convergence_diagnostics(UNIFORM2, "0", range(12, 13))  # warm every cache
     row = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(12, 13)))
     sweep = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(10, 13)))
-    assert scaling.Analysis(UNIFORM2, cylinder([0] * 12)).verification[1].horizon == K
+    assert scaling.Analysis(UNIFORM2, cylinder([0] * 12)).verification[2] == K
     assert sweep <= row + 0.1 * 8 * (K + 1)
 
 
 def test_a_sweep_row_holds_two_horizon_arrays():
-    # Row 12's hitting and return tails, beside the chunks of a tail's
-    # validation (a difference and two masks, at most 10 bytes an entry of
-    # exact._CHECK_ROWS): D_ret divides the return tail by lambda chunk by
-    # chunk, with no copy of H_ret/lam (which made 3.36 arrays).
-    K = 131072
+    # Row 12's hitting and return tails are streamed and folded, not held:
+    # the row peaks at a few segments of at most exact._STACK doubles, its
+    # 131,072-step horizon notwithstanding (two horizon arrays were 2 MB).
     convergence_diagnostics(UNIFORM2, "0", range(12, 13))  # warm every cache
     peak = _traced_peak(lambda: convergence_diagnostics(UNIFORM2, "0", range(12, 13)))
-    assert peak <= 2 * 8 * (K + 1) + 12 * exact._CHECK_ROWS
+    assert peak <= 6 * 8 * exact._STACK
 
 
 def test_verification_and_return_tails_carry_no_F():
-    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 6))
-    (cert, hit), ret = analysis.verification, analysis.return_tail
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 6), keep=True)
+    cert, _, K = analysis.verification
     assert cert is analysis.certificate[0]
-    assert analysis.certificate[1].absorbed is not None
-    assert hit.absorbed is None and ret.absorbed is None
-    # The engine refuses F past the certificate's horizon; a fresh engine's
-    # F meets the discrete Haydn-Lacroix-Vaienti identity with the return tail.
-    with pytest.raises(errors.InvalidTailError):
-        analysis.engine.extend(hit.horizon)
-    F = hitting_tail(UNIFORM2, cylinder([1] * 6), hit.horizon).absorbed
+    # The verification's stream pushed H alone, as the return stream does;
+    # a fresh engine's F meets the discrete Haydn-Lacroix-Vaienti identity
+    # with the return tail.
+    assert analysis.hitting.kept and all(F is None for _, _, F in analysis.hitting.kept)
+    ret = return_tail(UNIFORM2, cylinder([1] * 6), K)
+    assert analysis.hitting.tail(K).absorbed is None
+    F = hitting_tail(UNIFORM2, cylinder([1] * 6), K).absorbed
     assert np.max(np.abs(ret.mu_A * ret.values[:-1] - np.diff(F))) <= 1e-15
+
+
+def test_limitlaw_pushes_its_hitting_tail_once_past_the_certificate(tmp_path, monkeypatch):
+    # The certificate's stream (with F) stops within its horizon; the
+    # verification's stream, kept, gives F's table, and the return stream
+    # G's: no engine pushes the hitting tail past the certificate twice.
+    engines = []
+    real = exact.TailEngine.__init__
+
+    def built(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(exact.TailEngine, "__init__", built)
+    argv = ["limitlaw", "--model", "iid-uniform-2", "--target", "cyl:" + ",".join("0" * 12)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    K_c, K_v = 512, 131072
+    assert [(e.kind, e.absorbed) for e in engines] == [
+        ("hitting", True), ("hitting", False), ("return", False)]
+    assert engines[0].step <= K_c and engines[1].step == engines[2].step == K_v
+    monkeypatch.setattr(exact.TailEngine, "__init__", real)
+    analysis = scaling.Analysis(UNIFORM2, cylinder([0] * 12))
+    assert (analysis.certificate[1], analysis.verification[2]) == (K_c, K_v)

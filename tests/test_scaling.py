@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, event, example, given, settings, strategies 
 
 from rarehit import (
     TailDistribution,
+    _folds,
     cli,
     cylinder,
     errors,
@@ -16,6 +17,7 @@ from rarehit import (
     hitting_tail,
     iid,
     markov,
+    return_tail,
     scaling,
     uniform_iid,
 )
@@ -42,7 +44,8 @@ def test_large_set_is_trivial_regime():
 
 
 def test_deep_cylinder_quantitative():
-    cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 12))
+    cert, K = scale_certificate(UNIFORM2, cylinder([1] * 12))
+    tail = hitting_tail(UNIFORM2, cylinder([1] * 12), K)
     assert cert.regime == "quantitative"
     assert cert.delta < 0.25
     assert cert.s == 498  # frozen after brute-force-verified run
@@ -126,7 +129,8 @@ def test_verify_deep_cylinder_frozen_sup_dev():
 
 
 def test_verify_requires_long_horizon():
-    cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 8))
+    cert, K = scale_certificate(UNIFORM2, cylinder([1] * 8))
+    tail = hitting_tail(UNIFORM2, cylinder([1] * 8), K)
     with pytest.raises(errors.HorizonTooShortError):
         verify_exponential_bound(TailDistribution(tail.kind, tail.values[:21], tail.mu_A,
                                                   tail.source), cert)
@@ -169,7 +173,7 @@ def test_unreachable_threshold_refused_before_doubling(monkeypatch):
     # sqrt(d) ~ 7e-9 beyond 10^9 steps; mu(A) <= mu(tau <= n) <= n*mu(A)
     # already bounds sqrt(d) in [1.3e-9, 1.1e-8], so nothing is pushed.
     horizons = []
-    real = exact.TailEngine.extend
+    real = exact.TailEngine.segments
 
     def recorded(self, K):
         horizons.append(K)
@@ -177,7 +181,7 @@ def test_unreachable_threshold_refused_before_doubling(monkeypatch):
             raise AssertionError(f"pushed to K={K} before refusing")
         return real(self, K)
 
-    monkeypatch.setattr(exact.TailEngine, "extend", recorded)
+    monkeypatch.setattr(exact.TailEngine, "segments", recorded)
     with pytest.raises(errors.HorizonTooShortError):
         scale_certificate(UNIFORM2, cylinder([1] * 60))
     assert horizons == []
@@ -219,7 +223,7 @@ def test_the_early_step_cap_refusal_implies_the_exact_one(monkeypatch, tmp_path,
     n, mu_A = target.n, analysis.mu_A
     # The exact path: sqrt(d) from the chain's F[n], refused when the
     # crossing lies past the cap and sqrt(d) < 1 (else it is certified).
-    F_n = analysis.engine.extend(n).cdf[n]
+    F_n = exact.TailEngine(analysis.chain).tail(n).cdf[n]
     sd = math.sqrt(2.0 * F_n + analysis.alpha_n)
     refused = mu_A * (exact.MAX_TAIL_STEPS - 2 * n) < sd < 1.0
     # The bounds the early check reads, stationarity and the union bound,
@@ -232,7 +236,7 @@ def test_the_early_step_cap_refusal_implies_the_exact_one(monkeypatch, tmp_path,
 
     # The early check fired when the certificate refused before any push.
     with monkeypatch.context() as m:
-        m.setattr(exact.TailEngine, "extend", stop)
+        m.setattr(exact.TailEngine, "segments", stop)
         with pytest.raises((_ExactPath, errors.HorizonTooShortError)) as info:
             scaling.Analysis(model, target).certificate
     fired = info.type is not _ExactPath
@@ -253,16 +257,17 @@ def test_unverifiable_horizon_refused_at_once(monkeypatch):
         verify(UNIFORM2, cylinder([1] * 40))
     # exp(-lam*mu*K) <= 1e-4 needs K ~ 9.2/(lam*2^-12) > 1000: no push.
     analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
-    cert, tail = analysis.certificate
-    steps = analysis.engine.steps
+    cert, K = analysis.certificate
+    engine = exact.TailEngine(analysis.chain, absorbed=False)
     monkeypatch.setattr(exact, "MAX_TAIL_STEPS", 1000)
     with pytest.raises(errors.HorizonTooShortError):
-        scaling.extend_for_verification(analysis.engine, tail.horizon, cert.lam)
-    assert analysis.engine.steps == steps
+        scaling.extend_for_verification(engine, K, cert.lam)
+    assert engine.step == 0
 
 
 def test_certificate_reads_accumulated_F():
-    cert, tail = scale_certificate(UNIFORM2, cylinder([1] * 12))
+    cert, K = scale_certificate(UNIFORM2, cylinder([1] * 12))
+    tail = hitting_tail(UNIFORM2, cylinder([1] * 12), K)
     j = cert.s - 2 * cert.n
     assert cert.d == 2.0 * tail.absorbed[cert.n]
     assert cert.lam == -math.log1p(-tail.absorbed[j]) / (cert.s * cert.mu_A)
@@ -295,7 +300,8 @@ def test_sup_deviation_reaches_right_flat_endpoints():
 
 
 def test_sup_deviation_chunked_equals_one_pass():
-    cert, report, tail = verify(UNIFORM2, cylinder([1] * 16))
+    cert, report, K = verify(UNIFORM2, cylinder([1] * 16))
+    tail = hitting_tail(UNIFORM2, cylinder([1] * 16), K)
     assert tail.horizon > 1 << 16
     step = cert.lam * cert.mu_A
     k = np.arange(tail.horizon + 1)
@@ -311,7 +317,7 @@ def test_sup_deviation_independent_of_chunk(monkeypatch, chunk):
     rng = np.random.default_rng(5)
     levels = np.sort(rng.random(300))[::-1] * 1.5
     want = [sup_deviation(levels, 0.03, s0) for s0 in (0.0, 0.05, 2.0, 8.99)]
-    monkeypatch.setattr(scaling, "_SUP_CHUNK", chunk)
+    monkeypatch.setattr(_folds, "_SUP_CHUNK", chunk)
     assert [sup_deviation(levels, 0.03, s0) for s0 in (0.0, 0.05, 2.0, 8.99)] == want
     for s0, got in zip((0.0, 0.05, 2.0, 8.99), want):
         assert got == pytest.approx(_flat_endpoint_sup(levels, 0.03, s0), rel=1e-14)
@@ -379,11 +385,12 @@ class _CountedExp:
 
 
 def test_sup_deviation_stops_early_on_engine_tails(monkeypatch):
-    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
-    (cert, hit), ret = analysis.verification, analysis.return_tail
+    cert, _, K = scaling.verify(UNIFORM2, cylinder([1] * 12))
+    A = cylinder([1] * 12)
+    hit, ret = hitting_tail(UNIFORM2, A, K), return_tail(UNIFORM2, A, K)
     step = cert.lam * cert.mu_A
     counted = _CountedExp()
-    monkeypatch.setattr(scaling, "np", counted)
+    monkeypatch.setattr(_folds, "np", counted)
     for levels in (hit.values, ret.values / cert.lam):
         for s0 in (0.0, 0.05, 1.0):
             assert sup_deviation(levels, step, s0) == _one_pass_sup(levels, step, s0)
@@ -419,24 +426,37 @@ def test_sup_deviation_equals_one_pass_for_any_levels(chunk, data):
     s0 = data.draw(st.floats(0.0, step * size, exclude_max=True))
     div = data.draw(st.floats(0.01, 100.0))  # levels divided chunk by chunk, as a sweep's G
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scaling, "_SUP_CHUNK", chunk)
+        mp.setattr(_folds, "_SUP_CHUNK", chunk)
         assert sup_deviation(levels, step, s0) == _one_pass_sup(levels, step, s0)
         assert sup_deviation(levels, step, s0, div) == _one_pass_sup(levels / div, step, s0)
 
 
-def test_verification_peaks_at_three_horizon_arrays():
-    # H alone, grown in place: no F, no copy per doubling, no horizon-length
-    # temporaries in the tail's checks or in the sup-deviation.
-    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
+def _verification_peak(n):
+    """The verified horizon of U2 1^n, and the tracemalloc peak of its
+    certificate and verification, the chain included."""
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * n))
     tracemalloc.start()
     try:
-        cert, tail = analysis.verification
-        verify_exponential_bound(tail, cert)
-        peak = tracemalloc.get_traced_memory()[1]
+        K = analysis.verification[2]
+        return K, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert tail.horizon == 131072 and tail.absorbed is None
-    assert peak <= 3 * 8 * (tail.horizon + 1)
+
+
+def test_verification_peaks_at_three_horizon_arrays():
+    # Streamed: a segment of H (and F for the certificate), its stack of live
+    # vectors, the sup's chunks of flats and their exp arrays.  The bound
+    # is a number of _STACK-sized arrays, not of horizon-length ones.
+    K, peak = _verification_peak(12)
+    assert K == 131072
+    assert peak <= 6 * 8 * exact._STACK
+
+
+def test_a_verification_peak_does_not_grow_with_its_horizon():
+    # 16 times the horizon, the same peak within 64 KB.
+    (K12, peak12), (K16, peak16) = _verification_peak(12), _verification_peak(16)
+    assert (K12, K16) == (131072, 2097152)
+    assert abs(peak16 - peak12) < 64 * 1024
 
 
 @pytest.mark.parametrize("levels", [[1.0, math.nan, 0.5], [math.nan], [1.0, 0.5, math.nan]])
@@ -449,7 +469,7 @@ def test_zero_measure_target_refused_before_any_push(monkeypatch):
     # iid(1, 0) never emits 1, so mu([1,1]) = 0 and no scale s exists.
     never_one = iid([1.0, 0.0])
     pushed = []
-    monkeypatch.setattr(exact.TailEngine, "extend", lambda self, K: pushed.append(K))
+    monkeypatch.setattr(exact.TailEngine, "segments", lambda self, K: pushed.append(K))
     for call in (scale_certificate, scaling.Analysis, verify):
         with pytest.raises(errors.ZeroMeasureSetError):
             call(never_one, cylinder([1, 1]))
@@ -471,25 +491,27 @@ def test_scale_search_refuses_a_zero_measure_tail():
 
 
 def _counted_searches(monkeypatch):
-    """Horizons of the tails scale_search is called on, in call order."""
-    horizons = []
-    real = scaling.scale_search
+    """The n of each run of the certificate fold, in call order."""
+    calls = []
+    real = scaling._certify
 
-    def counted(tail, n, alpha_n):
-        horizons.append(tail.horizon)
-        return real(tail, n, alpha_n)
+    def counted(segments, n, *args, **kwargs):
+        calls.append(n)
+        return real(segments, n, *args, **kwargs)
 
-    monkeypatch.setattr(scaling, "scale_search", counted)
-    return horizons
+    monkeypatch.setattr(scaling, "_certify", counted)
+    return calls
 
 
 def test_scale_search_runs_once_per_certificate(monkeypatch):
     searches = _counted_searches(monkeypatch)
-    scale_certificate(UNIFORM2, cylinder([1] * 24))  # grown 96 -> 49,152: ten horizons
-    assert searches == [49152]
+    # streamed over ten horizons, 96 -> 49,152, in one fold
+    assert scale_certificate(UNIFORM2, cylinder([1] * 24))[1] == 49152
+    assert searches == [24]
     searches.clear()
-    verify(UNIFORM2, cylinder([1] * 10))
-    assert searches == [256]
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 10))
+    analysis.verification
+    assert searches == [10] and analysis.certificate[1] == 256
 
 
 @pytest.mark.parametrize("model, target, cert_K, verify_K", [
@@ -504,8 +526,8 @@ def test_certificate_and_verification_horizons(model, target, cert_K, verify_K):
     # The certificate tail and the verification tail end where the outputs
     # pinned elsewhere were computed: K, 2K, 4K, ... from max(4n, 64).
     analysis = scaling.Analysis(model, target)
-    assert analysis.certificate[1].horizon == cert_K
-    assert analysis.verification[1].horizon == verify_K
+    assert analysis.certificate[1] == cert_K
+    assert analysis.verification[2] == verify_K
 
 
 U4_BALL = ["--model", "iid-uniform-4", "--target", "hamming:0,0,0,0,0,0,0,0:0.25"]
@@ -544,20 +566,110 @@ def test_verify_measures_the_target_words_once(monkeypatch, tmp_path, argv, word
 
 
 def test_analysis_resumes_one_engine_and_caches_each_result(monkeypatch):
-    analysis = scaling.Analysis(markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1, 1, 0]))
-    cert, tail = analysis.certificate
-    assert tail.horizon == 64
-    verified, hit = analysis.verification
+    analysis = scaling.Analysis(markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 1, 1, 0]),
+                                keep=True)
+    cert, K = analysis.certificate
+    assert K == 64
+    verified, report, K = analysis.verification
     assert verified is cert
-    assert hit.horizon == 1024 and hit.values[:65].tolist() == tail.values.tolist()
-    ret = analysis.return_tail
-    assert (ret.kind, ret.horizon, ret.mu_A) == ("return", 1024, hit.mu_A)
-    # The resumed engine matches fresh engines on a fresh chain bit for bit.
+    assert K == 1024
+    # The verification's engine, kept, and the return stream match fresh
+    # engines on a fresh chain bit for bit.
     model, target = analysis.chain.model, analysis.chain.target
-    assert np.array_equal(hit.values, hitting_tail(model, target, 1024).values)
-    assert np.array_equal(ret.values, exact.return_tail(model, target, 1024).values)
-    # Cached: a second read pushes nothing and builds no tail.
-    monkeypatch.setattr(exact.TailEngine, "extend", None)
-    monkeypatch.setattr(exact.TailEngine, "grow", None)
-    assert analysis.certificate[0] is cert and analysis.certificate[1] is tail
-    assert analysis.verification[1] is hit and analysis.return_tail is ret
+    hit, ret = hitting_tail(model, target, K), exact.return_tail(model, target, K)
+    assert np.array_equal(analysis.hitting.tail(K).values, hit.values)
+    assert report == verify_exponential_bound(hit, cert)
+    step = cert.lam * cert.mu_A
+    assert analysis.return_deviation(0.05) == sup_deviation(ret.values, step, 0.05, cert.lam)
+    # Cached: a second read pushes nothing.
+    monkeypatch.setattr(exact.TailEngine, "segments", None)
+    assert analysis.certificate[0] is cert and analysis.verification[1] is report
+
+
+def test_horizons_double_from_K_to_the_cap(monkeypatch):
+    # K, 2K, 4K, ... and the cap last, as the certificate and the
+    # verification stream to them.
+    assert scaling._doubling(100)[:3] == [100, 200, 400]
+    assert scaling._doubling(100)[-2:] == [100 << 19, exact.MAX_TAIL_STEPS]
+    monkeypatch.setattr(exact, "MAX_TAIL_STEPS", 50)
+    assert scaling._doubling(5) == [5, 10, 20, 40, 50]
+    assert scaling._doubling(25) == [25, 50] and scaling._doubling(50) == [50]
+
+
+@pytest.mark.parametrize("cap, cert_K", [
+    (500, 500),  # s = 498: the capped horizon holds it; exp(-lam*mu*500) cannot pass
+    (497, None),  # the crossing j = 474 is streamed, but s lies past the cap
+    (400, None),  # so does j, though the stream, in whole blocks, reaches 512
+])
+def test_streams_stop_at_the_cap_and_refuse_there(monkeypatch, cap, cert_K):
+    monkeypatch.setattr(exact, "MAX_TAIL_STEPS", cap)
+    analysis = scaling.Analysis(UNIFORM2, cylinder([1] * 12))
+    if cert_K is None:
+        with pytest.raises(errors.HorizonTooShortError, match=f"needed horizon exceeds cap {cap}$"):
+            analysis.certificate
+        return
+    assert analysis.certificate[1] == cert_K
+    with pytest.raises(errors.HorizonTooShortError, match="needs K > cap"):
+        analysis.verification
+
+
+@pytest.mark.parametrize("cap, verify_K", [(20, None), (22, 22), (1000, 64)])
+def test_the_verification_stops_at_the_cap_and_refuses_there(monkeypatch, cap, verify_K):
+    # Markov 0,0,0 has sqrt(d) >= 1, so lambda = 1 and the certificate's
+    # horizon is the first one, capped; exp(-lam*mu*K) passes from K = 14,
+    # H(K) <= 1e-4 only from K = 22.
+    monkeypatch.setattr(exact, "MAX_TAIL_STEPS", cap)
+    analysis = scaling.Analysis(markov([[0.9, 0.1], [0.5, 0.5]]), cylinder([0, 0, 0]))
+    assert analysis.certificate[1] == min(cap, 64)
+    if verify_K is None:
+        with pytest.raises(errors.HorizonTooShortError, match=f"needed horizon exceeds cap {cap}$"):
+            analysis.verification
+    else:
+        assert analysis.verification[2] == verify_K
+
+
+@st.composite
+def _small_cases(draw):
+    """An IID or Markov source on 2 or 3 symbols (entries at least 0.05
+    before normalizing) and a cylinder or radius-1 ball of length 1 to 7."""
+    q = draw(st.integers(2, 3))
+    row = st.lists(st.floats(0.05, 1.0), min_size=q, max_size=q).map(
+        lambda w: np.array(w) / sum(w))
+    model = (iid(draw(row)) if draw(st.booleans())
+             else markov(np.array([draw(row) for _ in range(q)])))
+    word = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=7))
+    ball = len(word) > 2 and draw(st.booleans())
+    return model, hamming_ball(word, 1.5 / len(word), q) if ball else cylinder(word)
+
+
+# Segments of one block or a few single steps, and sup chunks of 100 flats,
+# which straddle them: the folds then carry state across every boundary.
+_FOLD_LAYOUTS = [pytest.param(None, None, id="default"), pytest.param(256, 100, id="small")]
+
+
+@pytest.mark.parametrize("stack, chunk", _FOLD_LAYOUTS)
+@settings(max_examples=25, deadline=None)
+@given(case=_small_cases(), s0=st.sampled_from([0.0, 0.05, 1.5]))
+def test_the_folds_match_scale_search_and_sup_deviation(stack, chunk, case, s0):
+    # The certificate, the verification and D_ret folded over streams equal
+    # scale_search, verify_exponential_bound and sup_deviation on the tables
+    # at the same horizons, bit for bit.
+    model, target = case
+    with pytest.MonkeyPatch.context() as mp:
+        if stack:
+            mp.setattr(exact, "_STACK", stack)
+            mp.setattr(_folds, "_SUP_CHUNK", chunk)
+        analysis = scaling.Analysis(model, target)
+        try:
+            cert, K = analysis.certificate
+            verified, report, K_v = analysis.verification
+        except errors.HorizonTooShortError:
+            event("refused")
+            return
+        table = hitting_tail(model, target, K)
+        assert scale_search(table, target.n, analysis.alpha_n).to_dict() == cert.to_dict()
+        hit, ret = hitting_tail(model, target, K_v), return_tail(model, target, K_v)
+        assert verify_exponential_bound(hit, cert) == report
+        step = cert.lam * cert.mu_A
+        if s0 / step < K_v + 1:
+            assert analysis.return_deviation(s0) == sup_deviation(ret.values, step, s0, cert.lam)
